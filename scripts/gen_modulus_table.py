@@ -4,62 +4,11 @@
 For every odd degree n in 3..127 this prints the lexicographically least
 irreducible polynomial over GF(2), encoded as an int whose bits are the
 coefficients.  The output is pasted verbatim into field.IRREDUCIBLE.
+
+Usage: PYTHONPATH=src python scripts/gen_modulus_table.py
 """
 
-
-def polymod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def polymulmod(a: int, b: int, m: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a = polymod(a << 1, m)
-    return r
-
-
-def polygcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, polymod(a, b)
-    return a
-
-
-def prime_factors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def is_irreducible(f: int) -> bool:
-    """Ben-Or test: x^(2^n) == x mod f and gcd(x^(2^(n/p)) - x, f) == 1."""
-    n = f.bit_length() - 1
-    if n < 1 or not (f & 1):
-        return False
-    x = 0b10
-    t = x
-    powers = {}
-    for k in range(1, n + 1):
-        t = polymulmod(t, t, f)
-        powers[k] = t
-    if powers[n] != x:
-        return False
-    for p in prime_factors(n):
-        if polygcd(powers[n // p] ^ x, f) != 1:
-            return False
-    return True
+from mst3sz.field import is_irreducible
 
 
 def least_irreducible(n: int) -> int:

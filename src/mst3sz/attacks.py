@@ -24,7 +24,7 @@ from typing import Callable
 
 from .group import GroupElement
 from .logsig import induced_map
-from .scheme import Ciphertext, PublicKey, SessionNonce, _image_product, decode_message
+from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message
 
 _MAX_N = 5
 
@@ -49,8 +49,8 @@ def _tables(pk: PublicKey):
     a2 = [induced_map(group, pk.alpha2, r) for r in range(q)]
     g1 = [induced_map(group, pk.gamma1, r) for r in range(q)]
     g2 = [induced_map(group, pk.gamma2, r) for r in range(q)]
-    y3 = [_image_product(group, pk.alpha1, r, group.f1) for r in range(q)]
-    y4 = [_image_product(group, pk.alpha2, r, group.f2) for r in range(q)]
+    y3 = [group.product(map(group.f1, pk.alpha1.select(r))) for r in range(q)]
+    y4 = [group.product(map(group.f2, pk.alpha2.select(r))) for r in range(q)]
     return a1, a2, g1, g2, y3, y4
 
 

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import attacks, codec, scheme
-from .field import make_params
+from .field import _mul_mod, make_params
 from .group import SuzukiGroup
 from .logsig import (
     SignatureType,
@@ -137,14 +137,20 @@ def _cmd_encrypt(args) -> int:
     return 0
 
 
+def _read_ciphertext(path: str, args, pk) -> scheme.Ciphertext:
+    """De-armor and parse a ciphertext file made under pk's width."""
+    n, ct = codec.parse_ciphertext(_decode_armor(_read_file(path), args))
+    if n != pk.group.params.n:
+        raise codec.CodecError("ciphertext was made for different parameters")
+    return ct
+
+
 def _cmd_decrypt(args) -> int:
     pk = codec.parse_public_key(_read_file(args.pub))
     sk = codec.parse_private_key(_read_file(args.priv))
     if pk.group != sk.group:
         raise codec.CodecError("public and private keys use different parameters")
-    n, ct = codec.parse_ciphertext(_decode_armor(_read_file(args.infile), args))
-    if n != pk.group.params.n:
-        raise codec.CodecError("ciphertext was made for different parameters")
+    ct = _read_ciphertext(args.infile, args, pk)
     m = scheme.decrypt(pk, sk, ct)
     _write_file(args.out, scheme.decode_message(pk.group.params, m))
     return 0
@@ -152,9 +158,7 @@ def _cmd_decrypt(args) -> int:
 
 def _cmd_attack(args) -> int:
     pk = codec.parse_public_key(_read_file(args.pub))
-    n, ct = codec.parse_ciphertext(_decode_armor(_read_file(args.ct), args))
-    if n != pk.group.params.n:
-        raise codec.CodecError("ciphertext was made for different parameters")
+    ct = _read_ciphertext(args.ct, args, pk)
     run = {
         1: attacks.attack1_bruteforce_ciphertext,
         2: attacks.attack2_bruteforce_nonce,
@@ -167,7 +171,7 @@ def _cmd_attack(args) -> int:
         json.dumps(
             {
                 "attack": args.number,
-                "n": n,
+                "n": pk.group.params.n,
                 "trials": result.trials,
                 "success": result.success,
                 "elapsed_ms": round(elapsed, 3),
@@ -249,9 +253,9 @@ def _selftest_checks():
     def field_routes():
         for a in range(8):
             for b in range(8):
-                assert p.mul(a, b) == p._mul_raw(a, b)
+                assert p.mul(a, b) == _mul_mod(a, b, p.modulus, p.q)
         for a in range(1, 8):
-            assert p.inv(a) == p._inv_euclid(a) == p._inv_pow(a)
+            assert p.inv(a) == p._inv_euclid(a)
             assert p.mul(a, p.inv(a)) == 1
 
     def enumeration():

@@ -80,14 +80,17 @@ def _write_type(out: bytearray, t: SignatureType) -> None:
         out += ri.to_bytes(4, "little")
 
 
-def _read_type(r: _Reader) -> SignatureType:
+def _read_type(r: _Reader, f: FieldParams) -> SignatureType:
     s = r.u8()
     if s == 0:
         raise CodecError("type with zero blocks")
     try:
-        return SignatureType(tuple(r.u32() for _ in range(s)))
+        t = SignatureType(tuple(r.u32() for _ in range(s)))
     except ValueError as e:
         raise CodecError(str(e)) from None
+    if not t.covers_bits(f.n):
+        raise CodecError("signature type does not cover the field")
+    return t
 
 
 def _write_element(out: bytearray, f: FieldParams, v: int) -> None:
@@ -139,8 +142,6 @@ def _write_signature(out: bytearray, f: FieldParams, sig: TameSignature) -> None
 
 
 def _read_signature(r: _Reader, f: FieldParams, t: SignatureType) -> TameSignature:
-    if not t.covers_bits(f.n):
-        raise CodecError("signature type does not cover the field")
     blocks = tuple(tuple(_read_element(r, f) for _ in range(ri)) for ri in t.r)
     cols = tuple(_read_element(r, f) for _ in range(f.n))
     offsets = tuple(_read_element(r, f) for _ in range(t.s))
@@ -192,8 +193,8 @@ def serialize_public_key(pk: PublicKey) -> bytes:
 def parse_public_key(data: bytes) -> PublicKey:
     r = _Reader(data)
     params = _parse_key_header(r, ROLE_PUBLIC)
-    t1 = _read_type(r)
-    t2 = _read_type(r)
+    t1 = _read_type(r, params)
+    t2 = _read_type(r, params)
     alpha1 = _read_cover(r, params, t1)
     alpha2 = _read_cover(r, params, t2)
     gamma1 = _read_cover(r, params, t1)
@@ -223,8 +224,8 @@ def serialize_private_key(sk: PrivateKey) -> bytes:
 def parse_private_key(data: bytes) -> PrivateKey:
     r = _Reader(data)
     params = _parse_key_header(r, ROLE_PRIVATE)
-    t1 = _read_type(r)
-    t2 = _read_type(r)
+    t1 = _read_type(r, params)
+    t2 = _read_type(r, params)
     beta1 = _read_signature(r, params, t1)
     beta2 = _read_signature(r, params, t2)
     chain1 = tuple(_read_group_element(r, params) for _ in range(t1.s + 1))
@@ -264,12 +265,10 @@ def parse_ciphertext(data: bytes) -> tuple[int, Ciphertext]:
     if r.u8() != VERSION:
         raise CodecError("unknown version")
     n = r.u8()
-    if n % 2 == 0 or not 3 <= n <= 127:
-        raise CodecError("bad field width")
     try:
         params = make_params(n)
     except ValueError as e:
-        raise CodecError(str(e)) from None
+        raise CodecError(f"bad field width: {e}") from None
     vals = [_read_element(r, params) for _ in range(9)]
     r.done()
     try:

@@ -11,6 +11,14 @@ The cryptosystem itself only uses odd widths n = 2s + 1 with 3 <= n <= 127
 2*q0 = 2^(s+1) and 2*q0 + 1 are provided.  The plain ``BinaryField`` class
 accepts any degree and is used by tests that need extension fields.
 
+Each primitive has one route per field size.  Fields with q <= 2^18 use
+log/exp tables, filled by walking the powers of the first generator;
+larger fields multiply by shift-and-add and invert by extended Euclid.
+Frobenius powers x -> x^(2^k) there are GF(2)-linear maps whose columns
+come from the ring map itself: column i is (x^(2^k))^i.  The same
+shift-and-add routine fills the tables, the Frobenius columns and the
+squarings of ``is_irreducible``.
+
 WARNING: nothing here is constant-time.  This is a research artifact for
 studying the scheme at desk scale; do not use it to protect real data.
 
@@ -23,6 +31,7 @@ Published moduli (regenerate with scripts/gen_modulus_table.py)::
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 # Lexicographically least irreducible polynomial of each odd degree 3..127,
@@ -123,6 +132,30 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _mul_mod(a: int, b: int, m: int, q: int) -> int:
+    """Shift-and-add product of a, b < q = 2^deg(m), reduced modulo m."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & q:
+            a ^= m
+    return r
+
+
+def apply_linear(cols: Sequence[int], x: int) -> int:
+    """Apply the GF(2)-linear map with the given basis-image columns."""
+    r, i = 0, 0
+    while x:
+        if x & 1:
+            r ^= cols[i]
+        x >>= 1
+        i += 1
+    return r
+
+
 def is_irreducible(f: int) -> bool:
     """Ben-Or irreducibility test for a GF(2) polynomial given as bits."""
     n = f.bit_length() - 1
@@ -130,16 +163,10 @@ def is_irreducible(f: int) -> bool:
         return False
     x = 0b10
     t = x
+    q = 1 << n
     powers = {}
     for k in range(1, n + 1):
-        # square t mod f without a field object
-        r, a, b = 0, t, t
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a = _polymod(a << 1, f)
-        t = r
+        t = _mul_mod(t, t, f, q)
         powers[k] = t
     if powers[n] != x:
         return False
@@ -203,21 +230,7 @@ class BinaryField:
             if a == 0 or b == 0:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Shift-and-add product reduced by the modulus."""
-        r = 0
-        m = self.modulus
-        top = self.q
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= m
-        return r
+        return _mul_mod(a, b, self.modulus, self.q)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
@@ -243,20 +256,6 @@ class BinaryField:
         # r0 is now the gcd (a constant 1 since the modulus is irreducible)
         return _polymod(s0, self.modulus)
 
-    def _inv_pow(self, a: int) -> int:
-        """Inverse as a^(q-2); cross-check route for _inv_euclid."""
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(2^n)")
-        e = self.q - 2
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return r
-
     def frob_pow(self, a: int, k: int) -> int:
         """a^(2^k).  Frobenius powers; a^(2^n) = a so k is taken mod n."""
         k %= self.n
@@ -267,30 +266,18 @@ class BinaryField:
         cols = self._frob_cols.get(k)
         if cols is None:
             cols = self._build_frob(k)
-        r = 0
-        i = 0
-        while a:
-            if a & 1:
-                r ^= cols[i]
-            a >>= 1
-            i += 1
-        return r
+        return apply_linear(cols, a)
 
     def _build_frob(self, k: int) -> list[int]:
-        # column i of the GF(2)-linear map x -> x^(2^k) is (x^i)^(2^k) mod f
-        sq = [_polymod(1 << (2 * i), self.modulus) for i in range(self.n)]
-        cols = sq
-        for _ in range(k - 1):
-            nxt = []
-            for c in cols:
-                r, i = 0, 0
-                while c:
-                    if c & 1:
-                        r ^= sq[i]
-                    c >>= 1
-                    i += 1
-                nxt.append(r)
-            cols = nxt
+        # Frobenius is a ring map, so column i of x -> x^(2^k) is
+        # (x^i)^(2^k) = (x^(2^k))^i: k squarings, then n-1 multiplies.
+        m, q = self.modulus, self.q
+        y = 0b10
+        for _ in range(k):
+            y = _mul_mod(y, y, m, q)
+        cols = [1]
+        for _ in range(self.n - 1):
+            cols.append(_mul_mod(cols[-1], y, m, q))
         self._frob_cols[k] = cols
         return cols
 
@@ -321,36 +308,22 @@ class BinaryField:
         return v
 
     def _build_tables(self) -> None:
-        g = self._find_generator()
-        size = self.q - 1
-        exp = [0] * (2 * size)
-        log = [0] * self.q
-        v = 1
-        for i in range(size):
-            exp[i] = v
+        # The generator is the first g = 2, 3, ... whose powers reach all
+        # q - 1 nonzero elements before returning to 1; that walk is exp.
+        m, q = self.modulus, self.q
+        for g in range(2, q):
+            exp = [1]
+            v = g
+            while v != 1:
+                exp.append(v)
+                v = _mul_mod(v, g, m, q)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, v in enumerate(exp):
             log[v] = i
-            v = self._mul_raw(v, g)
-        for i in range(size, 2 * size):
-            exp[i] = exp[i - size]
-        self._exp = exp
+        self._exp = exp + exp
         self._log = log
-
-    def _find_generator(self) -> int:
-        order = self.q - 1
-        factors = _prime_factors(order)
-        for g in range(2, self.q):
-            if all(self._pow_raw(g, order // p) != 1 for p in factors):
-                return g
-        raise AssertionError("no generator found")
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
 
 
 class FieldParams(BinaryField):

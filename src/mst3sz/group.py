@@ -97,8 +97,9 @@ class SuzukiGroup:
         )
 
     def product(self, gs) -> GroupElement:
-        """Left-to-right product of an iterable of elements."""
-        acc = IDENTITY
+        """Left-to-right product of an iterable of elements (identity if empty)."""
+        gs = iter(gs)
+        acc = next(gs, IDENTITY)
         for g in gs:
             acc = self.mul(acc, g)
         return acc

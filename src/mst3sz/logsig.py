@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from .field import apply_linear
 from .group import ALL_NONZERO, GroupElement, SuzukiGroup
 
 
@@ -117,14 +118,14 @@ class Cover:
         ):
             raise ValueError("block shapes do not match type")
 
+    def select(self, x: int) -> list[GroupElement]:
+        """The entry of each block that the digits of x select."""
+        return [block[j] for block, j in zip(self.blocks, tau_inv(self.type, x))]
+
 
 def induced_map(group: SuzukiGroup, cover: Cover, x: int) -> GroupElement:
     """Product of one entry per block, selected by the digits of x."""
-    digits = tau_inv(cover.type, x)
-    acc = cover.blocks[0][digits[0]]
-    for block, j in zip(cover.blocks[1:], digits[1:]):
-        acc = group.mul(acc, block[j])
-    return acc
+    return group.product(cover.select(x))
 
 
 def gen_random_cover(
@@ -141,17 +142,6 @@ def gen_random_cover(
 
 
 # -- tame signatures over (GF(q), +) ---------------------------------------
-
-
-def apply_linear(cols: tuple[int, ...], x: int) -> int:
-    """Apply the GF(2)-linear map with the given basis-image columns."""
-    r, i = 0, 0
-    while x:
-        if x & 1:
-            r ^= cols[i]
-        x >>= 1
-        i += 1
-    return r
 
 
 def invert_linear(cols: tuple[int, ...], n: int) -> tuple[int, ...] | None:

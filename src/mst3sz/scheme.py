@@ -49,7 +49,6 @@ from .logsig import (
     gen_random_cover,
     gen_tame,
     induced_map,
-    tau_inv,
 )
 
 
@@ -135,9 +134,8 @@ def keygen(
         type1 = covering_type(n)
     if type2 is None:
         type2 = covering_type(n)
-    if not type1.covers_bits(n) or not type2.covers_bits(n):
-        raise ValueError("signature types must cover GF(2^n)")
 
+    # gen_tame rejects a type that does not cover GF(2^n)
     beta1 = gen_tame(n, type1, rng)
     beta2 = gen_tame(n, type2, rng)
     alpha1 = gen_random_cover(group, type1, rng)
@@ -161,17 +159,6 @@ def random_nonce(params: FieldParams, rng) -> SessionNonce:
     return SessionNonce(rng.getrandbits(params.n), rng.getrandbits(params.n))
 
 
-def _image_product(
-    group: SuzukiGroup,
-    cover: Cover,
-    x: int,
-    fk: Callable[[GroupElement], GroupElement],
-) -> GroupElement:
-    return group.product(
-        fk(block[j]) for block, j in zip(cover.blocks, tau_inv(cover.type, x))
-    )
-
-
 def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     group = pk.group
     q = group.params.q
@@ -187,8 +174,8 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     y2 = group.mul(
         induced_map(group, pk.gamma1, r1), induced_map(group, pk.gamma2, r2)
     )
-    y3 = _image_product(group, pk.alpha1, r1, group.f1)
-    y4 = _image_product(group, pk.alpha2, r2, group.f2)
+    y3 = group.product(map(group.f1, pk.alpha1.select(r1)))
+    y4 = group.product(map(group.f2, pk.alpha2.select(r2)))
     return Ciphertext(y1, y2, y3, y4)
 
 

@@ -128,6 +128,21 @@ def test_parse_checks_alpha_entry_constraint():
         codec.parse_public_key(codec.serialize_public_key(broken))
 
 
+def test_parse_rejects_non_covering_public_key_type():
+    # (2,2,2,2) spans 4 bits, not 5: indexes above 15 would fail in encrypt
+    from mst3sz.logsig import gen_random_cover
+    from mst3sz.scheme import PublicKey
+
+    params = make_params(5)
+    group = SuzukiGroup(params)
+    rng = random.Random(38)
+    t = SignatureType((2, 2, 2, 2))
+    covers = [gen_random_cover(group, t, rng) for _ in range(4)]
+    blob = codec.serialize_public_key(PublicKey(group, *covers))
+    with pytest.raises(codec.CodecError, match="does not cover"):
+        codec.parse_public_key(blob)
+
+
 def test_parse_checks_chain_joint():
     _, (pk, sk) = make_key(31)
     rng = random.Random(32)

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -40,6 +42,15 @@ def test_published_moduli_are_irreducible():
     for n, f in IRREDUCIBLE.items():
         assert f.bit_length() - 1 == n
         assert is_irreducible(f), f"n={n}"
+
+
+def test_modulus_script_reproduces_table():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gen_modulus_table.py"
+    spec = importlib.util.spec_from_file_location("gen_modulus_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for n in range(3, 32, 2):  # the full 3..127 run takes seconds
+        assert script.least_irreducible(n) == IRREDUCIBLE[n], f"n={n}"
 
 
 def test_small_moduli_have_no_small_factors():
@@ -106,7 +117,7 @@ def test_inv_examples():
 
 def test_inv_routes_agree():
     for a in range(1, 8):
-        assert GF8.inv(a) == GF8._inv_euclid(a) == GF8._inv_pow(a)
+        assert GF8.inv(a) == GF8._inv_euclid(a) == oracle.pow_(a, GF8.q - 2, GF8.modulus)
     p9 = make_params(9)
     for a in range(1, 512):
         assert p9.inv(a) == p9._inv_euclid(a)
@@ -117,7 +128,7 @@ def test_inv_routes_agree():
         for _ in range(50):
             a = p.random_nonzero(rng)
             v = p._inv_euclid(a)
-            assert v == p._inv_pow(a) == p.inv(a)
+            assert v == oracle.pow_(a, p.q - 2, p.modulus) == p.inv(a)
             assert p.mul(a, v) == 1
 
 
@@ -136,6 +147,45 @@ def test_frob_pow_matches_generic_pow():
             a = p.random_element(rng)
             k = rng.randrange(0, n)
             assert p.frob_pow(a, k) == oracle.pow_(a, 1 << k, p.modulus)
+
+
+# Every published width, plus one non-published modulus on each route:
+# x^17+x^5+1 (log/exp tables) and x^65+x^18+1 (shift-and-add).
+DIFFERENTIAL_FIELDS = [(n, None) for n in range(3, 128, 2)] + [
+    (17, 0x20021),
+    (65, 1 << 65 | 1 << 18 | 1),
+]
+
+
+@pytest.mark.parametrize("n,modulus", DIFFERENTIAL_FIELDS)
+def test_primitives_match_oracle(n, modulus):
+    p = make_params(n, modulus)
+    mod = p.modulus
+    rng = random.Random(mod)
+    for _ in range(3):
+        a, b = rng.getrandbits(n), p.random_nonzero(rng)
+        k = rng.randrange(n)
+        assert p.mul(a, b) == oracle.mul(a, b, mod)
+        assert p.inv(b) == oracle.inv(b, mod)
+        assert p.pow_2q0(a) == oracle.pow_(a, 2 * p.q0, mod)
+        assert p.frob_pow(a, k) == oracle.pow_(a, 1 << k, mod)
+    if p._exp is not None:
+        # the generator walk reaches every nonzero element
+        assert sorted(p._exp[: p.q - 1]) == list(range(1, p.q))
+
+
+# The oracle needs O(n^3) bit steps per matrix, so whole matrices are checked
+# at a spread of widths; frob_pow is checked at every width above.
+@pytest.mark.parametrize(
+    "n,modulus",
+    [(n, None) for n in (3, 9, 17, 19, 33, 63, 65, 127)] + DIFFERENTIAL_FIELDS[-2:],
+)
+def test_frobenius_columns_match_oracle(n, modulus):
+    p = make_params(n, modulus)
+    mod = p.modulus
+    for k in (1, p.s + 1):
+        cols = p._build_frob(k)
+        assert cols == [oracle.pow_(oracle.pow_(X, i, mod), 1 << k, mod) for i in range(n)]
 
 
 def test_pow_2q0_examples():
