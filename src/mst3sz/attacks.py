@@ -42,16 +42,23 @@ def _check_small(pk: PublicKey) -> None:
         raise ValueError("parameters too large for enumeration (need n <= 5)")
 
 
-def _tables(pk: PublicKey):
+def _verifier(pk: PublicKey, ct: Ciphertext):
+    """The y3/y4 mask tables and the whole-ciphertext check on a nonce."""
     group = pk.group
     q = group.params.q
-    a1 = [induced_map(group, pk.alpha1, r) for r in range(q)]
-    a2 = [induced_map(group, pk.alpha2, r) for r in range(q)]
     g1 = [induced_map(group, pk.gamma1, r) for r in range(q)]
     g2 = [induced_map(group, pk.gamma2, r) for r in range(q)]
     y3 = [group.product(map(group.f1, pk.alpha1.select(r))) for r in range(q)]
     y4 = [group.product(map(group.f2, pk.alpha2.select(r))) for r in range(q)]
-    return a1, a2, g1, g2, y3, y4
+
+    def consistent(r1: int, r2: int) -> bool:
+        return (
+            group.mul(g1[r1], g2[r2]) == ct.y2
+            and y3[r1] == ct.y3
+            and y4[r2] == ct.y4
+        )
+
+    return y3, y4, consistent
 
 
 def default_validity_predicate(pk: PublicKey) -> Callable[[GroupElement], bool]:
@@ -78,19 +85,16 @@ def attack1_bruteforce_ciphertext(
         oracle = default_validity_predicate(pk)
     group = pk.group
     q = group.params.q
-    a1, a2, g1, g2, y3, y4 = _tables(pk)
-    inv2 = [group.inv(g) for g in a2]
+    a1 = [induced_map(group, pk.alpha1, r) for r in range(q)]
+    inv2 = [group.inv(induced_map(group, pk.alpha2, r)) for r in range(q)]
+    _, _, consistent = _verifier(pk, ct)
     trials = 0
     for r1 in range(q):
         left = group.inv(a1[r1])
         for r2 in range(q):
             trials += 1
             cand = group.mul(group.mul(inv2[r2], left), ct.y1)
-            if oracle(cand) and (
-                group.mul(g1[r1], g2[r2]) == ct.y2
-                and y3[r1] == ct.y3
-                and y4[r2] == ct.y4
-            ):
+            if oracle(cand) and consistent(r1, r2):
                 return AttackResult(cand, trials, True, SessionNonce(r1, r2))
     return AttackResult(None, trials, False, None)
 
@@ -98,18 +102,13 @@ def attack1_bruteforce_ciphertext(
 def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     """Enumerate nonces until the masked-cover product matches y2."""
     _check_small(pk)
-    group = pk.group
-    q = group.params.q
-    _, _, g1, g2, y3, y4 = _tables(pk)
+    q = pk.group.params.q
+    _, _, consistent = _verifier(pk, ct)
     trials = 0
     for r1 in range(q):
         for r2 in range(q):
             trials += 1
-            if (
-                group.mul(g1[r1], g2[r2]) == ct.y2
-                and y3[r1] == ct.y3
-                and y4[r2] == ct.y4
-            ):
+            if consistent(r1, r2):
                 nonce = SessionNonce(r1, r2)
                 return AttackResult(nonce, trials, True, nonce)
     return AttackResult(None, trials, False, None)
@@ -118,9 +117,8 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
 def attack3_session_key(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     """Recover R1 from y3 and R2 from y4, one coordinate at a time."""
     _check_small(pk)
-    group = pk.group
-    q = group.params.q
-    _, _, g1, g2, y3, y4 = _tables(pk)
+    q = pk.group.params.q
+    y3, y4, consistent = _verifier(pk, ct)
     trials = 0
     cand1 = []
     for r1 in range(q):
@@ -131,7 +129,7 @@ def attack3_session_key(pk: PublicKey, ct: Ciphertext) -> AttackResult:
         trials += 1
         if y4[r2] == ct.y4:
             for r1 in cand1:
-                if group.mul(g1[r1], g2[r2]) == ct.y2:
+                if consistent(r1, r2):
                     nonce = SessionNonce(r1, r2)
                     return AttackResult(nonce, trials, True, nonce)
     return AttackResult(None, trials, False, None)

@@ -26,11 +26,21 @@ Ciphertext blob::
 y3 and y4 are stored without their fixed coordinates (y3.a = 1, y4.a = 1,
 y4.b = 0), which are re-imposed on parse.  Blob size is therefore exactly
 9 + 9*ceil(n/8) bytes.
+
+Parsers read each section (a cover, a signature with its trapdoor columns
+and offsets, a chain, the nine ciphertext elements) whole, in one slice
+whose size the header and the types fix.  Every failure is a
+``CodecError``; those about truncation, padding and the per-section checks
+name the section and, where it is known, the byte offset of the bad
+element, e.g. ``alpha1: element has nonzero padding bits at byte 51``.
 """
 
 from __future__ import annotations
 
-from .field import FieldParams, make_params
+from functools import wraps
+from itertools import chain, islice
+
+from .field import IRREDUCIBLE, FieldParams, make_params
 from .group import GroupElement, SuzukiGroup
 from .logsig import Cover, SignatureType, TameSignature, invert_linear
 from .scheme import Ciphertext, PrivateKey, PublicKey
@@ -51,27 +61,84 @@ class CodecError(ValueError):
     """Malformed or inconsistent serialized material."""
 
 
+def _element_bytes(n: int) -> int:
+    return (n + 7) // 8
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
-    def take(self, k: int) -> bytes:
+    def take(self, k: int, section: str) -> bytes:
         if self.pos + k > len(self.data):
-            raise CodecError("truncated input")
+            raise CodecError(f"{section}: truncated input at byte {self.pos}")
         out = self.data[self.pos : self.pos + k]
         self.pos += k
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
+    def u8(self, section: str) -> int:
+        return self.take(1, section)[0]
 
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "little")
+    def u32(self, section: str) -> int:
+        return int.from_bytes(self.take(4, section), "little")
+
+    def elements(self, f: FieldParams, count: int, section: str) -> list[int]:
+        """The next ``count`` field elements, read and checked in one slice."""
+        size = _element_bytes(f.n)
+        start, data = self.pos, self.data
+        end = start + count * size
+        if end > len(data):
+            at = start + (len(data) - start) // size * size
+            raise CodecError(f"{section}: truncated input at byte {at}")
+        vals = [
+            int.from_bytes(data[i : i + size], "little")
+            for i in range(start, end, size)
+        ]
+        if max(vals) >= f.q:
+            at = start + size * next(i for i, v in enumerate(vals) if v >= f.q)
+            raise CodecError(
+                f"{section}: element has nonzero padding bits at byte {at}"
+            )
+        self.pos = end
+        return vals
 
     def done(self) -> None:
         if self.pos != len(self.data):
-            raise CodecError("trailing bytes after payload")
+            raise CodecError(f"trailing bytes after payload at byte {self.pos}")
+
+
+def _codec_errors(parse):
+    """The parser's one error boundary: any ValueError leaves as CodecError."""
+
+    @wraps(parse)
+    def wrapper(data: bytes):
+        try:
+            return parse(data)
+        except CodecError:
+            raise
+        except ValueError as e:
+            raise CodecError(str(e)) from None
+
+    return wrapper
+
+
+def _pack(f: FieldParams, values) -> bytes:
+    size = _element_bytes(f.n)
+    return b"".join([v.to_bytes(size, "little") for v in values])
+
+
+def _coords(elements) -> list[int]:
+    return [v for g in elements for v in (g.a, g.b, g.c)]
+
+
+def _triples(vals: list[int]) -> list[GroupElement]:
+    return list(map(GroupElement, vals[0::3], vals[1::3], vals[2::3]))
+
+
+def _blocks(items, sizes) -> tuple[tuple, ...]:
+    it = iter(items)
+    return tuple(tuple(islice(it, k)) for k in sizes)
 
 
 def _write_type(out: bytearray, t: SignatureType) -> None:
@@ -80,77 +147,38 @@ def _write_type(out: bytearray, t: SignatureType) -> None:
         out += ri.to_bytes(4, "little")
 
 
-def _read_type(r: _Reader, f: FieldParams) -> SignatureType:
-    s = r.u8()
+def _read_type(r: _Reader, f: FieldParams, section: str) -> SignatureType:
+    start = r.pos
+    s = r.u8(section)
     if s == 0:
-        raise CodecError("type with zero blocks")
-    try:
-        t = SignatureType(tuple(r.u32() for _ in range(s)))
-    except ValueError as e:
-        raise CodecError(str(e)) from None
+        raise CodecError(f"{section}: type with zero blocks at byte {start}")
+    t = SignatureType(tuple(r.u32(section) for _ in range(s)))
     if not t.covers_bits(f.n):
-        raise CodecError("signature type does not cover the field")
+        raise CodecError(
+            f"{section}: signature type does not cover the field at byte {start}"
+        )
     return t
 
 
-def _write_element(out: bytearray, f: FieldParams, v: int) -> None:
-    out += f.to_bytes(v)
+def _read_cover(r: _Reader, f: FieldParams, t: SignatureType, section: str) -> Cover:
+    vals = r.elements(f, 3 * sum(t.r), section)
+    return Cover(t, _blocks(_triples(vals), t.r))
 
 
-def _read_element(r: _Reader, f: FieldParams) -> int:
-    try:
-        return f.from_bytes(r.take(f.element_size))
-    except ValueError as e:
-        raise CodecError(str(e)) from None
-
-
-def _write_group_element(out: bytearray, f: FieldParams, g: GroupElement) -> None:
-    out += f.to_bytes(g.a) + f.to_bytes(g.b) + f.to_bytes(g.c)
-
-
-def _read_group_element(r: _Reader, f: FieldParams) -> GroupElement:
-    a = _read_element(r, f)
-    b = _read_element(r, f)
-    c = _read_element(r, f)
-    try:
-        return GroupElement(a, b, c)
-    except ValueError as e:
-        raise CodecError(str(e)) from None
-
-
-def _write_cover(out: bytearray, f: FieldParams, cover: Cover) -> None:
-    for block in cover.blocks:
-        for g in block:
-            _write_group_element(out, f, g)
-
-
-def _read_cover(r: _Reader, f: FieldParams, t: SignatureType) -> Cover:
-    blocks = tuple(
-        tuple(_read_group_element(r, f) for _ in range(ri)) for ri in t.r
-    )
-    return Cover(t, blocks)
-
-
-def _write_signature(out: bytearray, f: FieldParams, sig: TameSignature) -> None:
-    for block in sig.blocks:
-        for v in block:
-            _write_element(out, f, v)
-    for col in sig.lin_cols:
-        _write_element(out, f, col)
-    for d in sig.offsets:
-        _write_element(out, f, d)
-
-
-def _read_signature(r: _Reader, f: FieldParams, t: SignatureType) -> TameSignature:
-    blocks = tuple(tuple(_read_element(r, f) for _ in range(ri)) for ri in t.r)
-    cols = tuple(_read_element(r, f) for _ in range(f.n))
-    offsets = tuple(_read_element(r, f) for _ in range(t.s))
+def _read_signature(
+    r: _Reader, f: FieldParams, t: SignatureType, section: str
+) -> TameSignature:
+    entries = sum(t.r)
+    vals = r.elements(f, entries + f.n + t.s, section)
+    blocks = _blocks(vals[:entries], t.r)
+    cols = tuple(vals[entries : entries + f.n])
+    offsets = tuple(vals[entries + f.n :])
     inv = invert_linear(cols, f.n)
     if inv is None:
-        raise CodecError("signature trapdoor map is singular")
+        raise CodecError(f"{section}: signature trapdoor map is singular")
     sig = TameSignature(t, f.n, blocks, cols, inv, offsets)
     if sig.canonical_blocks() != blocks:
-        raise CodecError("signature entries inconsistent with trapdoor")
+        raise CodecError(f"{section}: signature entries inconsistent with trapdoor")
     return sig
 
 
@@ -164,18 +192,19 @@ def _key_header(f: FieldParams, role: int) -> bytearray:
 
 
 def _parse_key_header(r: _Reader, expect_role: int) -> FieldParams:
-    if r.take(7) != KEY_MAGIC:
+    if r.take(7, "header") != KEY_MAGIC:
         raise CodecError("bad magic")
-    if r.u8() != VERSION:
+    if r.u8("header") != VERSION:
         raise CodecError("unknown version")
-    n = r.u8()
-    modulus = int.from_bytes(r.take((n + 1 + 7) // 8), "little")
-    try:
-        params = make_params(n, modulus)
-    except ValueError as e:
-        raise CodecError(f"bad parameters: {e}") from None
-    role = r.u8()
-    if role != expect_role:
+    n = r.u8("header")
+    modulus = int.from_bytes(r.take((n + 1 + 7) // 8, "header"), "little")
+    # Only the published moduli share the process-wide cache; any other
+    # irreducible modulus from a header gets a field of its own.
+    if modulus == IRREDUCIBLE.get(n):
+        params = make_params(n)
+    else:
+        params = FieldParams(n, modulus)
+    if r.u8("header") != expect_role:
         raise CodecError("wrong key role for this operation")
     return params
 
@@ -186,25 +215,25 @@ def serialize_public_key(pk: PublicKey) -> bytes:
     _write_type(out, pk.type1)
     _write_type(out, pk.type2)
     for cover in (pk.alpha1, pk.alpha2, pk.gamma1, pk.gamma2):
-        _write_cover(out, f, cover)
+        out += _pack(f, _coords(chain.from_iterable(cover.blocks)))
     return bytes(out)
 
 
+@_codec_errors
 def parse_public_key(data: bytes) -> PublicKey:
     r = _Reader(data)
     params = _parse_key_header(r, ROLE_PUBLIC)
-    t1 = _read_type(r, params)
-    t2 = _read_type(r, params)
-    alpha1 = _read_cover(r, params, t1)
-    alpha2 = _read_cover(r, params, t2)
-    gamma1 = _read_cover(r, params, t1)
-    gamma2 = _read_cover(r, params, t2)
+    t1 = _read_type(r, params, "type1")
+    t2 = _read_type(r, params, "type2")
+    alpha1 = _read_cover(r, params, t1, "alpha1")
+    alpha2 = _read_cover(r, params, t2, "alpha2")
+    gamma1 = _read_cover(r, params, t1, "gamma1")
+    gamma2 = _read_cover(r, params, t2, "gamma2")
     r.done()
-    for cover in (alpha1, alpha2):
-        for block in cover.blocks:
-            for g in block:
-                if g.b == 0 or g.c == 0:
-                    raise CodecError("alpha cover entry with zero coordinate")
+    for name, cover in (("alpha1", alpha1), ("alpha2", alpha2)):
+        for g in chain.from_iterable(cover.blocks):
+            if g.b == 0 or g.c == 0:
+                raise CodecError(f"{name}: cover entry with zero coordinate")
     return PublicKey(SuzukiGroup(params), alpha1, alpha2, gamma1, gamma2)
 
 
@@ -213,23 +242,23 @@ def serialize_private_key(sk: PrivateKey) -> bytes:
     out = _key_header(f, ROLE_PRIVATE)
     _write_type(out, sk.beta1.type)
     _write_type(out, sk.beta2.type)
-    _write_signature(out, f, sk.beta1)
-    _write_signature(out, f, sk.beta2)
-    for chain in (sk.chain1, sk.chain2):
-        for g in chain:
-            _write_group_element(out, f, g)
+    for sig in (sk.beta1, sk.beta2):
+        out += _pack(f, [*chain.from_iterable(sig.blocks), *sig.lin_cols, *sig.offsets])
+    for masks in (sk.chain1, sk.chain2):
+        out += _pack(f, _coords(masks))
     return bytes(out)
 
 
+@_codec_errors
 def parse_private_key(data: bytes) -> PrivateKey:
     r = _Reader(data)
     params = _parse_key_header(r, ROLE_PRIVATE)
-    t1 = _read_type(r, params)
-    t2 = _read_type(r, params)
-    beta1 = _read_signature(r, params, t1)
-    beta2 = _read_signature(r, params, t2)
-    chain1 = tuple(_read_group_element(r, params) for _ in range(t1.s + 1))
-    chain2 = tuple(_read_group_element(r, params) for _ in range(t2.s + 1))
+    t1 = _read_type(r, params, "type1")
+    t2 = _read_type(r, params, "type2")
+    beta1 = _read_signature(r, params, t1, "beta1")
+    beta2 = _read_signature(r, params, t2, "beta2")
+    chain1 = tuple(_triples(r.elements(params, 3 * (t1.s + 1), "chain1")))
+    chain2 = tuple(_triples(r.elements(params, 3 * (t2.s + 1), "chain2")))
     r.done()
     if chain1[-1] != chain2[0]:
         raise CodecError("chains do not share their joint element")
@@ -240,46 +269,40 @@ def parse_private_key(data: bytes) -> PrivateKey:
 
 
 def ciphertext_size(n: int) -> int:
-    return 9 + 9 * ((n + 7) // 8)
+    return 9 + 9 * _element_bytes(n)
 
 
 def serialize_ciphertext(params: FieldParams, ct: Ciphertext) -> bytes:
     out = bytearray(CT_MAGIC)
     out.append(VERSION)
     out.append(params.n)
-    for v in (
+    out += _pack(params, (
         ct.y1.a, ct.y1.b, ct.y1.c,
         ct.y2.a, ct.y2.b, ct.y2.c,
         ct.y3.b, ct.y3.c,
         ct.y4.c,
-    ):
-        _write_element(out, params, v)
+    ))
     return bytes(out)
 
 
+@_codec_errors
 def parse_ciphertext(data: bytes) -> tuple[int, Ciphertext]:
     """Returns (n, ciphertext); fixed coordinates are re-imposed."""
     r = _Reader(data)
-    if r.take(7) != CT_MAGIC:
+    if r.take(7, "header") != CT_MAGIC:
         raise CodecError("bad magic")
-    if r.u8() != VERSION:
+    if r.u8("header") != VERSION:
         raise CodecError("unknown version")
-    n = r.u8()
-    try:
-        params = make_params(n)
-    except ValueError as e:
-        raise CodecError(f"bad field width: {e}") from None
-    vals = [_read_element(r, params) for _ in range(9)]
+    n = r.u8("header")
+    params = make_params(n)
+    v = r.elements(params, 9, "ciphertext")
     r.done()
-    try:
-        return n, Ciphertext(
-            GroupElement(vals[0], vals[1], vals[2]),
-            GroupElement(vals[3], vals[4], vals[5]),
-            GroupElement(1, vals[6], vals[7]),
-            GroupElement(1, 0, vals[8]),
-        )
-    except ValueError as e:
-        raise CodecError(str(e)) from None
+    return n, Ciphertext(
+        GroupElement(v[0], v[1], v[2]),
+        GroupElement(v[3], v[4], v[5]),
+        GroupElement(1, v[6], v[7]),
+        GroupElement(1, 0, v[8]),
+    )
 
 
 def storage_report(
@@ -287,36 +310,26 @@ def storage_report(
 ) -> dict:
     """Entry counts and sizes for the signature and cover arrays."""
     n = params.n
-    esz = params.element_size
+    esz = _element_bytes(n)
 
-    def sig_stats(t: SignatureType) -> dict:
+    def stats(t: SignatureType, coords: int) -> dict:
         entries = sum(t.r)
         return {
             "blocks": t.s,
             "entries": entries,
-            "entry_bits": n,
-            "entry_bytes": esz,
-            "total_bytes": entries * esz,
-        }
-
-    def cover_stats(t: SignatureType) -> dict:
-        entries = sum(t.r)
-        return {
-            "blocks": t.s,
-            "entries": entries,
-            "entry_bits": 3 * n,
-            "entry_bytes": 3 * esz,
-            "total_bytes": entries * 3 * esz,
+            "entry_bits": coords * n,
+            "entry_bytes": coords * esz,
+            "total_bytes": entries * coords * esz,
         }
 
     return {
         "n": n,
-        "signatures": {"beta1": sig_stats(type1), "beta2": sig_stats(type2)},
+        "signatures": {"beta1": stats(type1, 1), "beta2": stats(type2, 1)},
         "covers": {
-            "alpha1": cover_stats(type1),
-            "alpha2": cover_stats(type2),
-            "gamma1": cover_stats(type1),
-            "gamma2": cover_stats(type2),
+            "alpha1": stats(type1, 3),
+            "alpha2": stats(type2, 3),
+            "gamma1": stats(type1, 3),
+            "gamma2": stats(type2, 3),
         },
         "uniform_2bit_layout": {
             "realizable": False,

@@ -197,7 +197,6 @@ class BinaryField:
         self.n = n
         self.q = 1 << n
         self.modulus = modulus
-        self.element_size = (n + 7) // 8
         self._log: list[int] | None = None
         self._exp: list[int] | None = None
         self._frob_cols: dict[int, list[int]] = {}
@@ -294,18 +293,6 @@ class BinaryField:
             v = rng.getrandbits(self.n)
             if v:
                 return v
-
-    def to_bytes(self, a: int) -> bytes:
-        """Little-endian ceil(n/8) bytes, high bits zero."""
-        return a.to_bytes(self.element_size, "little")
-
-    def from_bytes(self, data: bytes) -> int:
-        if len(data) != self.element_size:
-            raise ValueError("wrong element length")
-        v = int.from_bytes(data, "little")
-        if v >= self.q:
-            raise ValueError("element has nonzero padding bits")
-        return v
 
     def _build_tables(self) -> None:
         # The generator is the first g = 2, 3, ... whose powers reach all

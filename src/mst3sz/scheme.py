@@ -165,8 +165,6 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     r1, r2 = nonce
     if not (0 <= r1 < q and 0 <= r2 < q):
         raise ValueError("nonce out of range")
-    if m.a == 0:
-        raise ValueError("message needs a nonzero first coordinate")
     y1 = group.mul(
         group.mul(induced_map(group, pk.alpha1, r1), induced_map(group, pk.alpha2, r2)),
         m,

@@ -6,7 +6,7 @@ import pytest
 
 from mst3sz import codec
 from mst3sz.cli import cli
-from mst3sz.field import make_params
+from mst3sz.field import FieldParams, make_params
 from mst3sz.group import GroupElement, SuzukiGroup
 from mst3sz.logsig import SignatureType, TameSignature
 from mst3sz.scheme import (
@@ -29,20 +29,32 @@ def make_key(seed, n=3):
 # -- file formats -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [3, 9, 65])
-def test_key_files_round_trip(n):
-    params, (pk, sk) = make_key(21, n)
+@pytest.mark.parametrize(
+    "n, modulus",
+    [(3, None), (9, None), (65, None), (17, 0x20021)],
+    ids=["3", "9", "65", "17-x^17+x^5+1"],
+)
+def test_key_files_round_trip(n, modulus):
+    # published moduli parse to the cached field; others to a private one
+    params = make_params(n) if modulus is None else FieldParams(n, modulus)
+    pk, sk = keygen(params, rng=random.Random(21))
+    cached = make_params.cache_info().currsize
     pub = codec.serialize_public_key(pk)
     priv = codec.serialize_private_key(sk)
-    assert codec.parse_public_key(pub) == pk
-    assert codec.parse_private_key(priv) == sk
+    parsed_pk, parsed_sk = codec.parse_public_key(pub), codec.parse_private_key(priv)
+    assert parsed_pk == pk
+    assert parsed_sk == sk
+    assert make_params.cache_info().currsize == cached
+    if modulus is None:
+        assert parsed_pk.group.params is params
+        assert parsed_sk.group.params is params
     # byte-exact the other way round too
-    assert hashlib.sha256(
-        codec.serialize_public_key(codec.parse_public_key(pub))
-    ).digest() == hashlib.sha256(pub).digest()
-    assert hashlib.sha256(
-        codec.serialize_private_key(codec.parse_private_key(priv))
-    ).digest() == hashlib.sha256(priv).digest()
+    assert hashlib.sha256(codec.serialize_public_key(parsed_pk)).digest() == (
+        hashlib.sha256(pub).digest()
+    )
+    assert hashlib.sha256(codec.serialize_private_key(parsed_sk)).digest() == (
+        hashlib.sha256(priv).digest()
+    )
 
 
 @pytest.mark.parametrize("n", [3, 9, 17, 65, 127])
@@ -101,10 +113,31 @@ def test_unknown_version_rejected():
 def test_truncation_and_trailing_bytes_rejected():
     _, (pk, _) = make_key(29)
     blob = codec.serialize_public_key(pk)
-    with pytest.raises(codec.CodecError, match="truncated"):
+    with pytest.raises(codec.CodecError, match="truncated") as err:
         codec.parse_public_key(blob[:-1])
+    # n = 3 elements are single bytes: the cut lands in gamma2's last one
+    assert str(err.value) == f"gamma2: truncated input at byte {len(blob) - 1}"
     with pytest.raises(codec.CodecError, match="trailing"):
         codec.parse_public_key(blob + b"\x00")
+
+
+def test_padding_bits_rejected_with_section_and_offset():
+    # the last element of each blob is the last byte pair at n = 9; its top
+    # byte holds bits 8..15, of which 9..15 must be zero
+    params, (pk, sk) = make_key(39, 9)
+    rng = random.Random(40)
+    ct = encrypt(pk, SuzukiGroup(params).random_element(rng), random_nonce(params, rng))
+    for blob, parse, section in (
+        (codec.serialize_public_key(pk), codec.parse_public_key, "gamma2"),
+        (codec.serialize_private_key(sk), codec.parse_private_key, "chain2"),
+        (codec.serialize_ciphertext(params, ct), codec.parse_ciphertext, "ciphertext"),
+    ):
+        bad = bytearray(blob)
+        bad[-1] |= 0x80
+        expected = f"{section}: element has nonzero padding bits at byte {len(blob) - 2}"
+        with pytest.raises(codec.CodecError, match="padding") as err:
+            parse(bytes(bad))
+        assert str(err.value) == expected
 
 
 def test_wrong_role_rejected():

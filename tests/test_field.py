@@ -232,26 +232,5 @@ def test_inverse_hypothesis(a):
     assert p.mul(a, p.inv(a)) == 1
 
 
-def test_serialization_round_trip():
-    rng = random.Random(35)
-    for n in (3, 9, 17, 65, 127):
-        p = make_params(n)
-        assert p.element_size == (n + 7) // 8
-        for _ in range(100):
-            a = p.random_element(rng)
-            data = p.to_bytes(a)
-            assert len(data) == p.element_size
-            assert p.from_bytes(data) == a
-        assert p.to_bytes(1)[0] == 1  # little-endian
-
-
-def test_serialization_errors():
-    p = make_params(9)
-    with pytest.raises(ValueError, match="length"):
-        p.from_bytes(b"\x00")
-    with pytest.raises(ValueError, match="padding"):
-        p.from_bytes(b"\xff\xff")  # bits above 2^9
-
-
 def test_elements_iterator():
     assert list(GF8.elements()) == list(range(8))
