@@ -257,6 +257,17 @@ def _selftest_checks():
         for a in range(1, 8):
             assert p.inv(a) == p._inv_euclid(a)
             assert p.mul(a, p.inv(a)) == 1
+        # n=19 is the smallest width without log/exp tables
+        p19 = make_params(19)
+        m, q = p19.modulus, p19.q
+        r19 = random.Random(19)
+        for _ in range(20):
+            a, b = p19.random_element(r19), p19.random_element(r19)
+            assert p19.mul(a, b) == _mul_mod(a, b, m, q)
+            v = a
+            for _ in range(p19.s + 1):
+                v = _mul_mod(v, v, m, q)
+            assert p19.frob_pow(a, p19.s + 1) == v
 
     def enumeration():
         els = list(G.elements())

@@ -12,11 +12,21 @@ The cryptosystem itself only uses odd widths n = 2s + 1 with 3 <= n <= 127
 accepts any degree and is used by tests that need extension fields.
 
 Each primitive has one route per field size.  Fields with q <= 2^18 use
-log/exp tables, filled by walking the powers of the first generator;
-larger fields multiply by shift-and-add and invert by extended Euclid.
-Frobenius powers x -> x^(2^k) there are GF(2)-linear maps whose columns
-come from the ring map itself: column i is (x^(2^k))^i.  The same
-shift-and-add routine fills the tables, the Frobenius columns and the
+log/exp tables for mul, inv and Frobenius, filled by walking the powers of
+the first generator.  Larger fields:
+
+* mul forms the carry-less product with a 4-bit window of a (16 multiples
+  of a per call, one XOR and shift per nibble of b), then reduces it as a
+  linear map: r mod m = (r mod x^n) + L(r div x^n), L: h -> h*x^n mod m,
+  whose column i is x^(n+i) mod m.  L is applied through 8-bit window
+  tables (``_byte_tables``), so the cost is the same for every modulus,
+  sparse or dense, including one read from an untrusted key header.
+* Frobenius powers x -> x^(2^k) are GF(2)-linear maps too, whose column i
+  is (x^(2^k))^i; each k used gets its own byte tables on first use.
+* inv is the extended Euclidean algorithm.
+
+Bit-serial shift-and-add (``_mul_mod``) is used only while a field is
+built: for the log/exp walk, the reduction and Frobenius columns and the
 squarings of ``is_irreducible``.
 
 WARNING: nothing here is constant-time.  This is a research artifact for
@@ -102,7 +112,7 @@ IRREDUCIBLE: dict[int, int] = {
     127: 0x80000000000000000000000000000003,
 }
 
-# Fields up to this order get log/exp tables; larger ones use shift-and-add.
+# Fields up to this order get log/exp tables; larger ones use byte tables.
 _TABLE_LIMIT = 1 << 18
 
 
@@ -145,14 +155,27 @@ def _mul_mod(a: int, b: int, m: int, q: int) -> int:
     return r
 
 
-def apply_linear(cols: Sequence[int], x: int) -> int:
-    """Apply the GF(2)-linear map with the given basis-image columns."""
-    r, i = 0, 0
-    while x:
-        if x & 1:
-            r ^= cols[i]
-        x >>= 1
-        i += 1
+def _byte_tables(cols: Sequence[int]) -> list[list[int]]:
+    """8-bit window tables of the GF(2)-linear map with these columns.
+
+    Table j maps byte j of the input to the XOR of columns 8j..8j+7 that
+    its bits select.
+    """
+    tables = []
+    for j in range(0, len(cols), 8):
+        t = [0]
+        for c in cols[j : j + 8]:
+            t += [v ^ c for v in t]
+        tables.append(t)
+    return tables
+
+
+def _apply_tables(tables: list[list[int]], x: int) -> int:
+    """Apply the linear map given by ``_byte_tables`` to x."""
+    r = 0
+    for t in tables:
+        r ^= t[x & 255]
+        x >>= 8
     return r
 
 
@@ -199,9 +222,12 @@ class BinaryField:
         self.modulus = modulus
         self._log: list[int] | None = None
         self._exp: list[int] | None = None
-        self._frob_cols: dict[int, list[int]] = {}
+        self._frob: dict[int, list[list[int]]] = {}
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
+        else:
+            self._nbytes = (n + 7) // 8
+            self._reduce = _byte_tables(self._powers(modulus ^ self.q, 0b10, n - 1))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, modulus=0x{self.modulus:X})"
@@ -229,7 +255,23 @@ class BinaryField:
             if a == 0 or b == 0:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
-        return _mul_mod(a, b, self.modulus, self.q)
+        # t[j] = a*j for every nibble j; b is read a byte (two nibbles) at a
+        # time, top byte first.  The product r has degree <= 2n-2.
+        a2 = a << 1
+        a3 = a2 ^ a
+        a4 = a << 2
+        a5 = a4 ^ a
+        a6 = a4 ^ a2
+        a7 = a4 ^ a3
+        a8 = a << 3
+        t = [0, a, a2, a3, a4, a5, a6, a7,
+             a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7]
+        r = 0
+        for y in b.to_bytes(self._nbytes, "big"):
+            r = r << 8 ^ t[y >> 4] << 4 ^ t[y & 15]
+        n = self.n
+        h = r >> n  # r mod m = (r mod x^n) + (h * x^n mod m)
+        return r ^ h << n ^ _apply_tables(self._reduce, h)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
@@ -262,22 +304,21 @@ class BinaryField:
             return a
         if self._log is not None:
             return self._exp[(self._log[a] << k) % (self.q - 1)]
-        cols = self._frob_cols.get(k)
-        if cols is None:
-            cols = self._build_frob(k)
-        return apply_linear(cols, a)
+        tables = self._frob.get(k)
+        if tables is None:
+            # Frobenius is a ring map, so column i of x -> x^(2^k) is
+            # (x^i)^(2^k) = (x^(2^k))^i.
+            y = 0b10
+            for _ in range(k):
+                y = _mul_mod(y, y, self.modulus, self.q)
+            tables = self._frob[k] = _byte_tables(self._powers(1, y, self.n))
+        return _apply_tables(tables, a)
 
-    def _build_frob(self, k: int) -> list[int]:
-        # Frobenius is a ring map, so column i of x -> x^(2^k) is
-        # (x^i)^(2^k) = (x^(2^k))^i: k squarings, then n-1 multiplies.
-        m, q = self.modulus, self.q
-        y = 0b10
-        for _ in range(k):
-            y = _mul_mod(y, y, m, q)
-        cols = [1]
-        for _ in range(self.n - 1):
-            cols.append(_mul_mod(cols[-1], y, m, q))
-        self._frob_cols[k] = cols
+    def _powers(self, c: int, y: int, count: int) -> list[int]:
+        """[c, c*y, c*y^2, ...], count terms, by shift-and-add."""
+        cols = [c]
+        for _ in range(count - 1):
+            cols.append(_mul_mod(cols[-1], y, self.modulus, self.q))
         return cols
 
     # -- helpers ---------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .field import apply_linear
 from .group import ALL_NONZERO, GroupElement, SuzukiGroup
 
 
@@ -142,6 +141,17 @@ def gen_random_cover(
 
 
 # -- tame signatures over (GF(q), +) ---------------------------------------
+
+
+def apply_linear(cols: tuple[int, ...], x: int) -> int:
+    """Apply the GF(2)-linear map with the given basis-image columns."""
+    r, i = 0, 0
+    while x:
+        if x & 1:
+            r ^= cols[i]
+        x >>= 1
+        i += 1
+    return r
 
 
 def invert_linear(cols: tuple[int, ...], n: int) -> tuple[int, ...] | None:

@@ -149,12 +149,17 @@ def test_frob_pow_matches_generic_pow():
             assert p.frob_pow(a, k) == oracle.pow_(a, 1 << k, p.modulus)
 
 
-# Every published width, plus one non-published modulus on each route:
-# x^17+x^5+1 (log/exp tables) and x^65+x^18+1 (shift-and-add).
-DIFFERENTIAL_FIELDS = [(n, None) for n in range(3, 128, 2)] + [
+# Non-published moduli on each route: sparse x^17+x^5+1 (log/exp tables) and
+# x^65+x^18+1 (byte tables), and dense random irreducible ones with bit n-1
+# set, as an untrusted key header may carry.
+EXTRA_MODULI = [
     (17, 0x20021),
     (65, 1 << 65 | 1 << 18 | 1),
+    (17, 0x36A07),
+    (65, 0x322A2D550DBD0CE07),
+    (127, 0xEB2F3AEF4C97F28B3A0A5295687ADEF7),
 ]
+DIFFERENTIAL_FIELDS = [(n, None) for n in range(3, 128, 2)] + EXTRA_MODULI
 
 
 @pytest.mark.parametrize("n,modulus", DIFFERENTIAL_FIELDS)
@@ -175,16 +180,17 @@ def test_primitives_match_oracle(n, modulus):
 
 
 # The oracle needs O(n^3) bit steps per matrix, so whole matrices are checked
-# at a spread of widths; frob_pow is checked at every width above.
+# at a spread of widths; frob_pow is checked at every width above.  The image
+# of each basis element x^i is one column of the Frobenius matrix.
 @pytest.mark.parametrize(
     "n,modulus",
-    [(n, None) for n in (3, 9, 17, 19, 33, 63, 65, 127)] + DIFFERENTIAL_FIELDS[-2:],
+    [(n, None) for n in (3, 9, 17, 19, 33, 63, 65, 127)] + EXTRA_MODULI,
 )
 def test_frobenius_columns_match_oracle(n, modulus):
     p = make_params(n, modulus)
     mod = p.modulus
     for k in (1, p.s + 1):
-        cols = p._build_frob(k)
+        cols = [p.frob_pow(1 << i, k) for i in range(n)]
         assert cols == [oracle.pow_(oracle.pow_(X, i, mod), 1 << k, mod) for i in range(n)]
 
 

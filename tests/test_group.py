@@ -60,6 +60,21 @@ def test_mul_matches_oracle():
             assert (got.a, got.b, got.c) == oracle.gmul(p, oracle.as_tuple(g1), oracle.as_tuple(g2))
 
 
+# Widths on the byte-table field route, and a dense n=65 modulus.
+@pytest.mark.parametrize(
+    "n,modulus", [(19, None), (65, None), (127, None), (65, 0x322A2D550DBD0CE07)]
+)
+def test_mul_inv_match_oracle_large(n, modulus):
+    p = make_params(n, modulus)
+    g = SuzukiGroup(p)
+    rng = random.Random(n)
+    for _ in range(20):
+        g1, g2 = rand_el(rng, g), rand_el(rng, g)
+        t1, t2 = oracle.as_tuple(g1), oracle.as_tuple(g2)
+        assert oracle.as_tuple(g.mul(g1, g2)) == oracle.gmul(p, t1, t2)
+        assert oracle.as_tuple(g.inv(g1)) == oracle.ginv(p, t1)
+
+
 def test_inverse_examples():
     for c in range(8):
         z = GroupElement(1, 0, c)
