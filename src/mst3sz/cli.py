@@ -289,6 +289,8 @@ def _selftest_checks():
                 prod = G.mul(u1, u2)
                 assert G.f2(prod) == G.mul(G.f2(u1), G.f2(u2))
                 assert prod.b == u1.b ^ u2.b
+                assert G.f1_product((u1, u2)) == G.mul(G.f1(u1), G.f1(u2))
+                assert G.f2_product((u1, u2)) == G.mul(G.f2(u1), G.f2(u2))
 
     def tame_round_trip():
         t = SignatureType((2, 2, 2))

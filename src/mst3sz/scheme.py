@@ -9,8 +9,8 @@ Key generation builds, for k = 1, 2:
     t_s(1) = t_0(2), and the published cover
     gamma_k[i][j] = t_(i-1)(k)^-1 * f_k(alpha_k[i][j]) * beta_k[i][j] * t_i(k).
 
-Every published quantity is computed as a product of whole group elements;
-no per-coordinate shortcut formulas are used anywhere.
+Every published cover entry is computed as a product of whole group
+elements; keygen uses no per-coordinate shortcut formulas.
 
 Encryption of m under nonce (R1, R2) emits
 
@@ -22,13 +22,17 @@ Encryption of m under nonce (R1, R2) emits
 where U multiplies the f1(alpha1)*beta1 factors and V the f2(alpha2)*beta2
 factors.  Note y3 is a product of f1 IMAGES: f1 is not a homomorphism, so
 this differs from f1 of the product, and only the image-product form makes
-the cancellation below work.
+the cancellation below work.  The images lie in subgroups, and the image
+products are computed there: ``SuzukiGroup.f1_product`` in the (1, b, c)
+subgroup for y3 and ``SuzukiGroup.f2_product`` in the center (XOR of the
+b-coordinates) for y4.
 
 Decryption strips the chain (t_0(1) * y2 * t_s(2)^-1 = U*V), divides out y3
 to leave exactly evaluate(beta1, R1) in the b-coordinate, factors it with
 the trapdoor, removes gamma1'(R1), repeats on the c-coordinate with y4 for
-R2, and unmasks y1.  Encryption is deterministic given the nonce; drawing
-the nonce is the caller's job (``random_nonce``).
+R2, and unmasks y1 with one inverse of alpha1'(R1) * alpha2'(R2).
+Encryption is deterministic given the nonce; drawing the nonce is the
+caller's job (``random_nonce``).
 """
 
 from __future__ import annotations
@@ -68,6 +72,14 @@ class PublicKey:
     alpha2: Cover
     gamma1: Cover
     gamma2: Cover
+
+    def __post_init__(self):
+        n = self.group.params.n
+        for cover in (self.alpha1, self.alpha2, self.gamma1, self.gamma2):
+            if not cover.type.covers_bits(n):
+                raise ValueError(
+                    f"signature type {cover.type.r} does not cover GF(2^{n})"
+                )
 
     @property
     def type1(self) -> SignatureType:
@@ -172,8 +184,8 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     y2 = group.mul(
         induced_map(group, pk.gamma1, r1), induced_map(group, pk.gamma2, r2)
     )
-    y3 = group.product(map(group.f1, pk.alpha1.select(r1)))
-    y4 = group.product(map(group.f2, pk.alpha2.select(r2)))
+    y3 = group.f1_product(pk.alpha1.select(r1))
+    y4 = group.f2_product(pk.alpha2.select(r2))
     return Ciphertext(y1, y2, y3, y4)
 
 
@@ -184,11 +196,12 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
         raise CiphertextError("y3 must have first coordinate 1")
     if ct.y4.a != 1 or ct.y4.b != 0:
         raise CiphertextError("y4 must be central")
-    d1 = group.mul(group.mul(sk.chain1[0], ct.y2), group.inv(sk.chain2[-1]))
+    ts_inv = group.inv(sk.chain2[-1])
+    d1 = group.mul(group.mul(sk.chain1[0], ct.y2), ts_inv)
     d1 = group.mul(group.inv(ct.y3), d1)
     r1 = factor_tame(sk.beta1, d1.b)
     y2p = group.mul(group.inv(induced_map(group, pk.gamma1, r1)), ct.y2)
-    d2 = group.mul(group.mul(sk.chain2[0], y2p), group.inv(sk.chain2[-1]))
+    d2 = group.mul(group.mul(sk.chain2[0], y2p), ts_inv)
     d2 = group.mul(group.inv(ct.y4), d2)
     r2 = factor_tame(sk.beta2, d2.c)
     return SessionNonce(r1, r2)
@@ -197,9 +210,10 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
 def decrypt(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> GroupElement:
     group = pk.group
     r1, r2 = recover_nonce(pk, sk, ct)
-    mask2 = group.inv(induced_map(group, pk.alpha2, r2))
-    mask1 = group.inv(induced_map(group, pk.alpha1, r1))
-    return group.mul(group.mul(mask2, mask1), ct.y1)
+    mask = group.mul(
+        induced_map(group, pk.alpha1, r1), induced_map(group, pk.alpha2, r2)
+    )
+    return group.mul(group.inv(mask), ct.y1)
 
 
 # -- byte payloads as group elements ----------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -161,19 +162,53 @@ def test_parse_checks_alpha_entry_constraint():
         codec.parse_public_key(codec.serialize_public_key(broken))
 
 
-def test_parse_rejects_non_covering_public_key_type():
+def _non_covering_covers():
     # (2,2,2,2) spans 4 bits, not 5: indexes above 15 would fail in encrypt
     from mst3sz.logsig import gen_random_cover
-    from mst3sz.scheme import PublicKey
 
-    params = make_params(5)
-    group = SuzukiGroup(params)
+    group = SuzukiGroup(make_params(5))
     rng = random.Random(38)
     t = SignatureType((2, 2, 2, 2))
-    covers = [gen_random_cover(group, t, rng) for _ in range(4)]
-    blob = codec.serialize_public_key(PublicKey(group, *covers))
+    return group, t, [gen_random_cover(group, t, rng) for _ in range(4)]
+
+
+def test_parse_rejects_non_covering_public_key_type():
+    from types import SimpleNamespace
+
+    group, t, covers = _non_covering_covers()
+    # PublicKey refuses this type, so the serializer gets a stand-in
+    names = ("alpha1", "alpha2", "gamma1", "gamma2")
+    fake = SimpleNamespace(group=group, type1=t, type2=t, **dict(zip(names, covers)))
+    blob = codec.serialize_public_key(fake)
     with pytest.raises(codec.CodecError, match="does not cover"):
         codec.parse_public_key(blob)
+
+
+def test_public_key_rejects_non_covering_type():
+    from mst3sz.scheme import PublicKey
+
+    group, _, covers = _non_covering_covers()
+    expected = r"signature type \(2, 2, 2, 2\) does not cover GF\(2\^5\)"
+    with pytest.raises(ValueError, match=expected):
+        PublicKey(group, *covers)
+    # dataclasses.replace re-runs the check
+    _, (pk, _) = make_key(38, n=5)
+    with pytest.raises(ValueError, match="does not cover"):
+        dataclasses.replace(pk, gamma2=covers[3])
+
+
+def test_cover_walks_leave_key_identity():
+    params, (pk, _) = make_key(39, n=9)
+    covers = (pk.alpha1, pk.alpha2, pk.gamma1, pk.gamma2)
+    before = [(hash(c), repr(c)) for c in covers], hash(pk)
+    blob = codec.serialize_public_key(pk)
+    parsed = codec.parse_public_key(blob)
+    rng = random.Random(40)
+    for _ in range(4):  # walks fill step terms in pk's covers only
+        encrypt(pk, GroupElement(1, 2, 3), random_nonce(params, rng))
+    assert ([(hash(c), repr(c)) for c in covers], hash(pk)) == before
+    assert codec.parse_public_key(codec.serialize_public_key(pk)) == pk == parsed
+    assert codec.serialize_public_key(pk) == blob
 
 
 def test_parse_checks_chain_joint():

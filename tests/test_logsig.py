@@ -142,6 +142,21 @@ def test_induced_map_matches_recomposition_oracle():
         assert oracle.as_tuple(got) == oracle.cover_product(P3, blocks, x)
 
 
+def test_step_terms_follow_the_field():
+    # one cover walked under the published n=17 modulus and a dense one, and
+    # back: terms built under one field must not serve the other
+    fields = [make_params(17), make_params(17, 0x36A07)]
+    group = SuzukiGroup(fields[0])
+    cover = gen_random_cover(group, covering_type(17), random.Random(17))
+    blocks = [[oracle.as_tuple(g) for g in blk] for blk in cover.blocks]
+    xs = random.Random(18).sample(range(cover.type.m), 4)
+    for p in fields + fields:
+        group = SuzukiGroup(p)
+        for x in xs:
+            got = induced_map(group, cover, x)
+            assert oracle.as_tuple(got) == oracle.cover_product(p, blocks, x)
+
+
 def test_linear_map_round_trip():
     rng = random.Random(5)
     for n in (3, 9, 65):

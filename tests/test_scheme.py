@@ -153,6 +153,38 @@ def test_round_trip_exhaustive_nonces():
                 assert decrypt(pk, sk, ct) == m
 
 
+# Widths on the byte-table field route, and a dense n=65 modulus.  The third
+# nonce takes R1 from the first and R2 from the second, so all its cover
+# walks run on step terms the earlier encryptions filled.
+@pytest.mark.parametrize(
+    "n,modulus", [(19, None), (65, None), (127, None), (65, 0x322A2D550DBD0CE07)]
+)
+def test_encrypt_matches_oracle_large(n, modulus):
+    params = make_params(n, modulus)
+    group = SuzukiGroup(params)
+    pk, sk = keygen(params, rng=random.Random(n))
+    rng = random.Random(n + 1)
+    first, second = random_nonce(params, rng), random_nonce(params, rng)
+    for nonce in (first, second, SessionNonce(first.r1, second.r2)):
+        m = group.random_element(rng)
+        ct = encrypt(pk, m, nonce)
+        got = tuple(oracle.as_tuple(y) for y in (ct.y1, ct.y2, ct.y3, ct.y4))
+        assert got == oracle.encrypt(params, pk, oracle.as_tuple(m), *nonce)
+        assert decrypt(pk, sk, ct) == m
+
+
+def test_image_products_match_oracle():
+    pk, _ = make_key(12)
+    for cover in (pk.alpha1, pk.alpha2):
+        f1_blocks = [[(1, g.a, g.b) for g in blk] for blk in cover.blocks]
+        f2_blocks = [[(1, 0, g.b) for g in blk] for blk in cover.blocks]
+        for r in range(P3.q):
+            sel = cover.select(r)
+            f1, f2 = G3.f1_product(sel), G3.f2_product(sel)
+            assert oracle.as_tuple(f1) == oracle.cover_product(P3, f1_blocks, r)
+            assert oracle.as_tuple(f2) == oracle.cover_product(P3, f2_blocks, r)
+
+
 @pytest.mark.parametrize("n", [9, 17])
 def test_round_trip_randomized(n):
     params = make_params(n)
