@@ -17,8 +17,7 @@ center (``in_center``) and (1, b, c) the q^2-element subgroup whose products
 add b-coordinates -- both facts carry the cryptosystem, and the image
 products ``f1_product`` (in that subgroup: 1 multiply and 1 Frobenius per
 factor) and ``f2_product`` (in the center: XOR only) use them directly.
-Cover walks apply the same law with the right factor's powers computed
-once per cover entry (``logsig.induced_map``).
+Cover walks (``logsig.induced_map``) are folds of ``mul``.
 """
 
 from __future__ import annotations

@@ -4,11 +4,9 @@ A signature type (r_1, ..., r_s) splits indexes 0 <= x < m = prod(r_i) into
 mixed-radix digits (j_1, ..., j_s), j_1 least significant (``tau`` /
 ``tau_inv``).  A ``Cover`` holds s blocks of group elements and maps x to
 the left-to-right product of one entry per block (``induced_map``, the one
-cover walk).  The walk applies the group law on field values; each cover
-entry's step terms (a, b, c, a^(2q0+1), b^(2q0)) are kept in the cover the
-first time a walk selects it, so every later step costs 4 field multiplies
-and no Frobenius map.  The terms are a cache tied to the field object they
-were computed in, outside the cover's equality, hash and repr.
+cover walk: a fold of ``SuzukiGroup.mul`` over ``Cover.select``).  A cover
+keeps no state derived from a field, so one cover can be walked in any
+field of its width.
 
 A ``TameSignature`` lives over the additive group of GF(q): every r_i is a
 power of two 2^h_i with sum(h_i) = n, the canonical entry for digit j of
@@ -22,10 +20,10 @@ beyond XOR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
-from .field import FieldParams
 from .group import ALL_NONZERO, GroupElement, SuzukiGroup
 
 
@@ -116,8 +114,6 @@ def tau_inv(sig_type: SignatureType, x: int) -> tuple[int, ...]:
 class Cover:
     type: SignatureType
     blocks: tuple[tuple[GroupElement, ...], ...]
-    # (field, per-block rows of step terms or None), filled by induced_map
-    _steps: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.blocks) != self.type.s or any(
@@ -129,39 +125,10 @@ class Cover:
         """The entry of each block that the digits of x select."""
         return [block[j] for block, j in zip(self.blocks, tau_inv(self.type, x))]
 
-    def step_rows(self, f: FieldParams) -> list[list]:
-        """Step-term slots of every entry under f; fresh rows for a new field."""
-        steps = self._steps
-        if steps is None or steps[0] is not f:
-            steps = (f, [[None] * ri for ri in self.type.r])
-            object.__setattr__(self, "_steps", steps)
-        return steps[1]
-
 
 def induced_map(group: SuzukiGroup, cover: Cover, x: int) -> GroupElement:
-    """Product of one entry per block, selected by the digits of x.
-
-    Each step is the group law with the right factor's powers taken from
-    its step terms, which are filled here the first time it is selected.
-    """
-    f = group.params
-    mul = f.mul
-    rows = cover.step_rows(f)
-    digits = tau_inv(cover.type, x)
-    first = cover.blocks[0][digits[0]]
-    a, b, c = first.a, first.b, first.c
-    for i in range(1, len(digits)):
-        row, j = rows[i], digits[i]
-        terms = row[j]
-        if terms is None:
-            g = cover.blocks[i][j]
-            terms = row[j] = (g.a, g.b, g.c, f.pow_2q0_plus_1(g.a), f.pow_2q0(g.b))
-        a2, b2, c2, a2_pow, b2_pow = terms
-        t = mul(a2, b)
-        a = mul(a, a2)
-        c = mul(a2_pow, c) ^ mul(t, b2_pow) ^ c2
-        b = t ^ b2
-    return GroupElement(a, b, c)
+    """Product of one entry per block, selected by the digits of x."""
+    return reduce(group.mul, cover.select(x))
 
 
 def gen_random_cover(

@@ -197,20 +197,6 @@ def test_public_key_rejects_non_covering_type():
         dataclasses.replace(pk, gamma2=covers[3])
 
 
-def test_cover_walks_leave_key_identity():
-    params, (pk, _) = make_key(39, n=9)
-    covers = (pk.alpha1, pk.alpha2, pk.gamma1, pk.gamma2)
-    before = [(hash(c), repr(c)) for c in covers], hash(pk)
-    blob = codec.serialize_public_key(pk)
-    parsed = codec.parse_public_key(blob)
-    rng = random.Random(40)
-    for _ in range(4):  # walks fill step terms in pk's covers only
-        encrypt(pk, GroupElement(1, 2, 3), random_nonce(params, rng))
-    assert ([(hash(c), repr(c)) for c in covers], hash(pk)) == before
-    assert codec.parse_public_key(codec.serialize_public_key(pk)) == pk == parsed
-    assert codec.serialize_public_key(pk) == blob
-
-
 def test_parse_checks_chain_joint():
     _, (pk, sk) = make_key(31)
     rng = random.Random(32)
