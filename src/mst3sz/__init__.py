@@ -7,22 +7,12 @@ applied to ciphertexts.  Do not use for real data.
 """
 
 from .field import BinaryField, FieldParams, IRREDUCIBLE, make_params
-from .group import (
-    ALL_NONZERO,
-    ANY,
-    NON_CENTRAL,
-    CurvePoint,
-    GroupElement,
-    GroupStats,
-    SuzukiGroup,
-)
+from .group import CurvePoint, GroupElement, GroupStats, SuzukiGroup
 from .logsig import (
     Cover,
     SignatureType,
     TameSignature,
     covering_type,
-    embed_in_b,
-    embed_in_c,
     evaluate_tame,
     factor_tame,
     gen_random_cover,

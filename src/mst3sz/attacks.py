@@ -48,7 +48,10 @@ def _verifier(pk: PublicKey, ct: Ciphertext):
     q = group.params.q
     g1 = [induced_map(group, pk.gamma1, r) for r in range(q)]
     g2 = [induced_map(group, pk.gamma2, r) for r in range(q)]
-    y3 = [group.f1_product(pk.alpha1.select(r)) for r in range(q)]
+    y3 = [
+        group.subgroup_product((g.a, g.b) for g in pk.alpha1.select(r))
+        for r in range(q)
+    ]
     y4 = [group.f2_product(pk.alpha2.select(r)) for r in range(q)]
 
     def consistent(r1: int, r2: int) -> bool:

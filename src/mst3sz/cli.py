@@ -289,7 +289,7 @@ def _selftest_checks():
                 prod = G.mul(u1, u2)
                 assert G.f2(prod) == G.mul(G.f2(u1), G.f2(u2))
                 assert prod.b == u1.b ^ u2.b
-                assert G.f1_product((u1, u2)) == G.mul(G.f1(u1), G.f1(u2))
+                assert G.subgroup_product(((u1.b, u1.c), (u2.b, u2.c))) == prod
                 assert G.f2_product((u1, u2)) == G.mul(G.f2(u1), G.f2(u2))
 
     def tame_round_trip():

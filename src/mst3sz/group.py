@@ -14,10 +14,10 @@ once for both the b and the c coordinate, so the law costs 5 field
 multiplies (one inside a2^(2q0+1)) and 2 Frobenius maps.  The group has
 order q^2*(q-1); the elements (1, 0, c) form the designated q-element
 center (``in_center``) and (1, b, c) the q^2-element subgroup whose products
-add b-coordinates -- both facts carry the cryptosystem, and the image
-products ``f1_product`` (in that subgroup: 1 multiply and 1 Frobenius per
-factor) and ``f2_product`` (in the center: XOR only) use them directly.
-Cover walks (``logsig.induced_map``) are folds of ``mul``.
+add b-coordinates -- both facts carry the cryptosystem.  ``subgroup_product``
+is the law of that subgroup on (b, c) pairs (1 multiply and 1 Frobenius per
+factor) and ``f2_product`` the product of f2 images in the center (XOR
+only).  Cover walks (``logsig.induced_map``) are folds of ``mul``.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .field import BinaryField, FieldParams
-
-# Constraint names for random_element / cover generation.
-ANY = "any"
-NON_CENTRAL = "non-central"
-ALL_NONZERO = "all-coordinates-nonzero"
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,18 +127,18 @@ class SuzukiGroup:
         """(a, b, c) -> (1, 0, b); defined on all triples, not just a = 1."""
         return GroupElement(1, 0, g.b)
 
-    def f1_product(self, gs) -> GroupElement:
-        """Left-to-right product of the f1 images of one or more elements.
+    def subgroup_product(self, pairs) -> GroupElement:
+        """Left-to-right product of one or more (1, b, c), given as (b, c).
 
-        The images (1, a, b) lie in the (1, b, c) subgroup, where the law is
+        In the (1, b, c) subgroup the law is
         (1,b1,c1) * (1,b2,c2) = (1, b1 + b2, c1 + b2^(2q0)*b1 + c2).
         """
         f = self.params
-        first, *rest = gs
-        b, c = first.a, first.b
-        for g in rest:
-            c ^= f.mul(f.pow_2q0(g.a), b) ^ g.b
-            b ^= g.a
+        pairs = iter(pairs)
+        b, c = next(pairs)
+        for b2, c2 in pairs:
+            c ^= f.mul(f.pow_2q0(b2), b) ^ c2
+            b ^= b2
         return GroupElement(1, b, c)
 
     def f2_product(self, gs) -> GroupElement:
@@ -164,23 +159,11 @@ class SuzukiGroup:
             rational_places=q * q + 1,
         )
 
-    def random_element(self, rng, constraint: str = ANY) -> GroupElement:
+    def random_element(self, rng) -> GroupElement:
         f = self.params
-        if constraint == ANY:
-            return GroupElement(
-                f.random_nonzero(rng), f.random_element(rng), f.random_element(rng)
-            )
-        if constraint == NON_CENTRAL:
-            while True:
-                a = f.random_nonzero(rng)
-                b = f.random_element(rng)
-                if a != 1 or b != 0:
-                    return GroupElement(a, b, f.random_element(rng))
-        if constraint == ALL_NONZERO:
-            return GroupElement(
-                f.random_nonzero(rng), f.random_nonzero(rng), f.random_nonzero(rng)
-            )
-        raise ValueError(f"unknown constraint {constraint!r}")
+        return GroupElement(
+            f.random_nonzero(rng), f.random_element(rng), f.random_element(rng)
+        )
 
     def elements(self) -> Iterator[GroupElement]:
         """All q^2*(q-1) elements; only sensible for small q."""

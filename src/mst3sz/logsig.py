@@ -12,10 +12,13 @@ A ``TameSignature`` lives over the additive group of GF(q): every r_i is a
 power of two 2^h_i with sum(h_i) = n, the canonical entry for digit j of
 block i is j shifted into block i's bit chunk, and the published entries
 are the canonical ones pushed through a secret invertible GF(2)-linear map
-plus per-block offsets.  Evaluation (XOR of one entry per block) is then a
-bijection Z_q -> GF(q) that the trapdoor inverts in O(n).  Only the bit
-width n matters here, not the field modulus: the construction uses nothing
-beyond XOR.
+plus per-block offsets.  Evaluation (XOR of the entries
+``TameSignature.select`` picks, one per block) is then a bijection
+Z_q -> GF(q).  The digits of x are the bit chunks of x itself, so the
+trapdoor inverts it by undoing the offsets and the linear map, in O(n).
+Only the bit width n matters here, not the field modulus: the construction
+uses nothing beyond XOR.  The scheme places the entries in the group itself,
+as (1, b, 0) or (1, 0, b).
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
+from operator import xor
 
-from .group import ALL_NONZERO, GroupElement, SuzukiGroup
+from .group import GroupElement, SuzukiGroup
 
 
 @dataclass(frozen=True)
@@ -131,14 +135,14 @@ def induced_map(group: SuzukiGroup, cover: Cover, x: int) -> GroupElement:
     return reduce(group.mul, cover.select(x))
 
 
-def gen_random_cover(
-    group: SuzukiGroup,
-    sig_type: SignatureType,
-    rng,
-    constraint: str = ALL_NONZERO,
-) -> Cover:
+def gen_random_cover(group: SuzukiGroup, sig_type: SignatureType, rng) -> Cover:
+    """Random cover whose entries have all three coordinates nonzero."""
+    f = group.params
     blocks = tuple(
-        tuple(group.random_element(rng, constraint) for _ in range(ri))
+        tuple(
+            GroupElement(f.random_nonzero(rng), f.random_nonzero(rng), f.random_nonzero(rng))
+            for _ in range(ri)
+        )
         for ri in sig_type.r
     )
     return Cover(sig_type, blocks)
@@ -216,6 +220,10 @@ class TameSignature:
         """Entries rebuilt from the trapdoor; equals ``blocks`` by invariant."""
         return _masked_blocks(self.type, self.lin_cols, self.offsets)
 
+    def select(self, x: int) -> list[int]:
+        """The entry of each block that the digits of x select."""
+        return [block[j] for block, j in zip(self.blocks, tau_inv(self.type, x))]
+
 
 def gen_tame(n: int, sig_type: SignatureType, rng) -> TameSignature:
     if not sig_type.covers_bits(n):
@@ -228,35 +236,13 @@ def gen_tame(n: int, sig_type: SignatureType, rng) -> TameSignature:
 
 def evaluate_tame(sig: TameSignature, x: int) -> int:
     """XOR of one entry per block, selected by the digits of x."""
-    v = 0
-    for block, j in zip(sig.blocks, tau_inv(sig.type, x)):
-        v ^= block[j]
-    return v
+    return reduce(xor, sig.select(x))
 
 
 def factor_tame(sig: TameSignature, v: int) -> int:
-    """The unique x with evaluate_tame(sig, x) = v."""
-    total = 0
-    for d in sig.offsets:
-        total ^= d
-    u = apply_linear(sig.lin_inv_cols, v ^ total)
-    digits = []
-    for shift, h in zip(sig.type.chunk_shifts(), sig.type.bit_widths()):
-        digits.append(u >> shift & ((1 << h) - 1))
-    return tau(sig.type, tuple(digits))
+    """The unique x with evaluate_tame(sig, x) = v.
 
-
-def embed_in_b(sig: TameSignature) -> Cover:
-    """Signature entries as group elements (1, b_ij, 0); b-coordinates add."""
-    return Cover(
-        sig.type,
-        tuple(tuple(GroupElement(1, b, 0) for b in block) for block in sig.blocks),
-    )
-
-
-def embed_in_c(sig: TameSignature) -> Cover:
-    """Signature entries as central elements (1, 0, b_ij); c-coordinates add."""
-    return Cover(
-        sig.type,
-        tuple(tuple(GroupElement(1, 0, b) for b in block) for block in sig.blocks),
-    )
+    For a covering type the digits of x are the bit chunks of x itself, so
+    undoing the offsets and the linear map gives x directly.
+    """
+    return apply_linear(sig.lin_inv_cols, reduce(xor, sig.offsets, v))

@@ -2,15 +2,17 @@
 
 Key generation builds, for k = 1, 2:
 
-  * a tame signature beta_k over GF(q), embedded in the group as
-    (1, b, 0) entries for k = 1 and (1, 0, b) entries for k = 2;
+  * a tame signature beta_k over GF(q), taken in the group as (1, b, 0)
+    for k = 1 (the (1, b, c) subgroup) and (1, 0, b) for k = 2 (the center);
   * a random cover alpha_k of the same type, all coordinates nonzero;
   * a chain t_0(k), ..., t_s(k) of non-central masking elements with
     t_s(1) = t_0(2), and the published cover
     gamma_k[i][j] = t_(i-1)(k)^-1 * f_k(alpha_k[i][j]) * beta_k[i][j] * t_i(k).
 
-Every published cover entry is computed as a product of whole group
-elements; keygen uses no per-coordinate shortcut formulas.
+Each factor f_k(alpha) * beta is defined once, in its subgroup: ``_u_factor``
+is (1, a, b) * (1, beta, 0) for k = 1 and ``_v_factor`` is (1, 0, b + beta)
+for k = 2.  Keygen masks a factor with two group multiplies per entry, and
+decryption builds U from the same ``_u_factor``.
 
 Encryption of m under nonce (R1, R2) emits
 
@@ -19,18 +21,22 @@ Encryption of m under nonce (R1, R2) emits
     y3 = product of f1 images of the selected alpha1 entries
     y4 = product of f2 images of the selected alpha2 entries
 
-where U multiplies the f1(alpha1)*beta1 factors and V the f2(alpha2)*beta2
+where U multiplies the R1-selected u factors and V the R2-selected v
 factors.  Note y3 is a product of f1 IMAGES: f1 is not a homomorphism, so
 this differs from f1 of the product, and only the image-product form makes
 the cancellation below work.  The images lie in subgroups, and the image
-products are computed there: ``SuzukiGroup.f1_product`` in the (1, b, c)
-subgroup for y3 and ``SuzukiGroup.f2_product`` in the center (XOR of the
-b-coordinates) for y4.
+products are computed there: ``SuzukiGroup.subgroup_product`` for y3 and
+``SuzukiGroup.f2_product`` in the center (XOR of the b-coordinates) for y4.
 
-Decryption strips the chain (t_0(1) * y2 * t_s(2)^-1 = U*V), divides out y3
-to leave exactly evaluate(beta1, R1) in the b-coordinate, factors it with
-the trapdoor, removes gamma1'(R1), repeats on the c-coordinate with y4 for
-R2, and unmasks y1 with one inverse of alpha1'(R1) * alpha2'(R2).
+Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  The
+b-coordinate of y3^-1 * X is exactly evaluate(beta1, R1), which the trapdoor
+factors.  The private key then rebuilds U from the R1-selected factors, and
+the c-coordinate of y4 * U^-1 * X (y4 is its own inverse) is
+evaluate(beta2, R2).  No public cover is walked to find the nonce.  y1 is
+unmasked with one inverse of alpha1'(R1) * alpha2'(R2).  With a private key
+from another key pair the recovered nonce is wrong, and the unmasked element
+almost always fails the padding check of ``decode_message``.
+
 Encryption is deterministic given the nonce; drawing the nonce is the
 caller's job (``random_nonce``).
 """
@@ -47,8 +53,6 @@ from .logsig import (
     SignatureType,
     TameSignature,
     covering_type,
-    embed_in_b,
-    embed_in_c,
     factor_tame,
     gen_random_cover,
     gen_tame,
@@ -113,20 +117,30 @@ def _random_masking_element(group: SuzukiGroup, rng) -> GroupElement:
     return GroupElement(f.random_nonzero(rng), f.random_nonzero(rng), f.random_element(rng))
 
 
+def _u_factor(group: SuzukiGroup, alpha: GroupElement, beta: int) -> GroupElement:
+    """f1(alpha) * (1, beta, 0), in the (1, b, c) subgroup."""
+    return group.subgroup_product(((alpha.a, alpha.b), (beta, 0)))
+
+
+def _v_factor(group: SuzukiGroup, alpha: GroupElement, beta: int) -> GroupElement:
+    """f2(alpha) * (1, 0, beta), in the center."""
+    return GroupElement(1, 0, alpha.b ^ beta)
+
+
 def _masked_cover(
     group: SuzukiGroup,
     alpha: Cover,
-    beta_cover: Cover,
-    fk: Callable[[GroupElement], GroupElement],
+    beta: TameSignature,
+    factor: Callable[[SuzukiGroup, GroupElement, int], GroupElement],
     chain: tuple[GroupElement, ...],
 ) -> Cover:
     blocks = []
-    for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta_cover.blocks)):
+    for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
         left = group.inv(chain[i])
         right = chain[i + 1]
         blocks.append(
             tuple(
-                group.mul(group.mul(group.mul(left, fk(a)), b), right)
+                group.mul(group.mul(left, factor(group, a, b)), right)
                 for a, b in zip(ablock, bblock)
             )
         )
@@ -159,8 +173,8 @@ def keygen(
         _random_masking_element(group, rng) for _ in range(type2.s)
     )
 
-    gamma1 = _masked_cover(group, alpha1, embed_in_b(beta1), group.f1, chain1)
-    gamma2 = _masked_cover(group, alpha2, embed_in_c(beta2), group.f2, chain2)
+    gamma1 = _masked_cover(group, alpha1, beta1, _u_factor, chain1)
+    gamma2 = _masked_cover(group, alpha2, beta2, _v_factor, chain2)
 
     pk = PublicKey(group, alpha1, alpha2, gamma1, gamma2)
     sk = PrivateKey(group, beta1, beta2, chain1, chain2)
@@ -184,7 +198,7 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     y2 = group.mul(
         induced_map(group, pk.gamma1, r1), induced_map(group, pk.gamma2, r2)
     )
-    y3 = group.f1_product(pk.alpha1.select(r1))
+    y3 = group.subgroup_product((g.a, g.b) for g in pk.alpha1.select(r1))
     y4 = group.f2_product(pk.alpha2.select(r2))
     return Ciphertext(y1, y2, y3, y4)
 
@@ -196,14 +210,15 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
         raise CiphertextError("y3 must have first coordinate 1")
     if ct.y4.a != 1 or ct.y4.b != 0:
         raise CiphertextError("y4 must be central")
-    ts_inv = group.inv(sk.chain2[-1])
-    d1 = group.mul(group.mul(sk.chain1[0], ct.y2), ts_inv)
-    d1 = group.mul(group.inv(ct.y3), d1)
-    r1 = factor_tame(sk.beta1, d1.b)
-    y2p = group.mul(group.inv(induced_map(group, pk.gamma1, r1)), ct.y2)
-    d2 = group.mul(group.mul(sk.chain2[0], y2p), ts_inv)
-    d2 = group.mul(group.inv(ct.y4), d2)
-    r2 = factor_tame(sk.beta2, d2.c)
+    x = group.mul(group.mul(sk.chain1[0], ct.y2), group.inv(sk.chain2[-1]))
+    r1 = factor_tame(sk.beta1, group.mul(group.inv(ct.y3), x).b)
+    factors = [
+        _u_factor(group, a, b)
+        for a, b in zip(pk.alpha1.select(r1), sk.beta1.select(r1))
+    ]
+    u = group.subgroup_product((g.b, g.c) for g in factors)
+    # y4 = (1, 0, c) squares to the identity: it is its own inverse
+    r2 = factor_tame(sk.beta2, group.mul(ct.y4, group.mul(group.inv(u), x)).c)
     return SessionNonce(r1, r2)
 
 

@@ -13,6 +13,7 @@ from mst3sz.logsig import SignatureType, TameSignature
 from mst3sz.scheme import (
     PrivateKey,
     decode_message,
+    decrypt,
     encrypt,
     keygen,
     random_nonce,
@@ -365,6 +366,27 @@ def test_cli_ciphertext_key_mismatch(tmp_path):
         "decrypt", "--pub", str(tmp_path / "pb.key"), "--priv", str(tmp_path / "sb.key"),
         "--in", str(ct), "--out", str(tmp_path / "o.bin"),
     ]) == 2
+
+
+@pytest.mark.parametrize("n", [3, 17, 65])
+def test_mismatched_key_pair_fails_cleanly(tmp_path, n):
+    # pk and sk of the same width from different key pairs: the trapdoors
+    # recover a wrong nonce, and the padding check rejects the result
+    params = make_params(n)
+    pub, priv = tmp_path / "p.key", tmp_path / "s.key"
+    assert cli(["keygen", "--n", str(n), "--pub", str(pub), "--priv", str(tmp_path / "unused.key"), "--seed", "1"]) == 0
+    assert cli(["keygen", "--n", str(n), "--pub", str(tmp_path / "other.key"), "--priv", str(priv), "--seed", "2"]) == 0
+    pk = codec.parse_public_key(pub.read_bytes())
+    sk = codec.parse_private_key(priv.read_bytes())
+    msg, ct, out = tmp_path / "m.bin", tmp_path / "c.bin", tmp_path / "o.bin"
+    msg.write_bytes(b"")
+    for seed in range(5):
+        assert cli(["encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(ct), "--seed", str(seed)]) == 0
+        _, parsed = codec.parse_ciphertext(ct.read_bytes())
+        with pytest.raises(ValueError, match="bad padding"):
+            decode_message(params, decrypt(pk, sk, parsed))
+        assert cli(["decrypt", "--pub", str(pub), "--priv", str(priv), "--in", str(ct), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_cli_attack_json(tmp_path, capsys):

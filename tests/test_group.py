@@ -5,14 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mst3sz.field import BinaryField, make_params
-from mst3sz.group import (
-    ALL_NONZERO,
-    ANY,
-    NON_CENTRAL,
-    CurvePoint,
-    GroupElement,
-    SuzukiGroup,
-)
+from mst3sz.group import CurvePoint, GroupElement, SuzukiGroup
 
 import oracle
 
@@ -220,14 +213,11 @@ def test_stats_formulas_other_widths():
 
 
 def test_random_element_constraints():
+    # a is never 0; b and c range over the whole field, 0 included
     rng = random.Random(7)
-    for _ in range(500):
-        g = G3.random_element(rng, NON_CENTRAL)
-        assert not (g.a == 1 and g.b == 0)
-        g = G3.random_element(rng, ALL_NONZERO)
-        assert g.a != 0 and g.b != 0 and g.c != 0
-    with pytest.raises(ValueError):
-        G3.random_element(rng, "bogus")
+    draws = [G3.random_element(rng) for _ in range(500)]
+    assert {g.a for g in draws} == set(range(1, 8))
+    assert {g.b for g in draws} == {g.c for g in draws} == set(range(8))
 
 
 def test_random_element_uniformity_chi2():
@@ -236,7 +226,7 @@ def test_random_element_uniformity_chi2():
     draws = 448 * 50
     counts = {}
     for _ in range(draws):
-        g = G3.random_element(rng, ANY)
+        g = G3.random_element(rng)
         counts[g] = counts.get(g, 0) + 1
     assert len(counts) == 448
     expected = draws / 448

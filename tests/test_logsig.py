@@ -12,8 +12,6 @@ from mst3sz.logsig import (
     TameSignature,
     apply_linear,
     covering_type,
-    embed_in_b,
-    embed_in_c,
     evaluate_tame,
     factor_tame,
     gen_random_cover,
@@ -113,7 +111,7 @@ def test_gen_random_cover():
     assert [len(b) for b in cover.blocks] == [2, 2, 2]
     for block in cover.blocks:
         for g in block:
-            assert g.a != 0 and g.b != 0 and g.c != 0  # default constraint
+            assert g.a != 0 and g.b != 0 and g.c != 0
             assert not G3.in_center(g)
     other = gen_random_cover(G3, T222, random.Random(2))
     assert cover != other  # distinct seeds give distinct covers
@@ -242,8 +240,12 @@ def test_corrupted_trapdoor_breaks_round_trip():
 def test_embedded_covers_track_signature():
     rng = random.Random(11)
     sig = gen_tame(3, T222, rng)
-    bcover = embed_in_b(sig)
-    ccover = embed_in_c(sig)
+
+    def embed(entry):
+        return Cover(sig.type, tuple(tuple(map(entry, blk)) for blk in sig.blocks))
+
+    bcover = embed(lambda b: GroupElement(1, b, 0))
+    ccover = embed(lambda b: GroupElement(1, 0, b))
     for x in range(8):
         v = evaluate_tame(sig, x)
         assert induced_map(G3, bcover, x).b == v

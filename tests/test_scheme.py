@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from mst3sz import codec
 from mst3sz.field import make_params
 from mst3sz.group import GroupElement, SuzukiGroup
-from mst3sz.logsig import (
-    SignatureType,
-    embed_in_b,
-    embed_in_c,
-    evaluate_tame,
-    tau_inv,
-)
+from mst3sz.logsig import SignatureType, evaluate_tame, tau_inv
 from mst3sz.scheme import (
     Ciphertext,
     CiphertextError,
@@ -57,13 +51,21 @@ def test_keygen_chain_constraint():
 
 
 def test_keygen_beta_embeddings():
+    # unmasked, gamma1 entries are f1(alpha1)*(1, beta1, 0) in the (1, b, c)
+    # subgroup and gamma2 entries f2(alpha2)*(1, 0, beta2) in the center
     pk, sk = make_key(2)
-    for block in embed_in_b(sk.beta1).blocks:
-        for g in block:
-            assert g.a == 1 and g.c == 0
-    for block in embed_in_c(sk.beta2).blocks:
-        for g in block:
-            assert g.a == 1 and g.b == 0
+    for gamma, alpha, beta, chain in (
+        (pk.gamma1, pk.alpha1, sk.beta1, sk.chain1),
+        (pk.gamma2, pk.alpha2, sk.beta2, sk.chain2),
+    ):
+        for i, (gblk, ablk, bblk) in enumerate(zip(gamma.blocks, alpha.blocks, beta.blocks)):
+            for g, a, b in zip(gblk, ablk, bblk):
+                u = G3.mul(G3.mul(chain[i], g), G3.inv(chain[i + 1]))
+                assert u.a == 1
+                if gamma is pk.gamma1:
+                    assert u.b == a.a ^ b
+                else:
+                    assert u == GroupElement(1, 0, a.b ^ b)
 
 
 def test_keygen_rejects_non_covering_types():
@@ -71,24 +73,37 @@ def test_keygen_rejects_non_covering_types():
         keygen(P3, SignatureType((2, 2)), T222, rng=random.Random(0))
 
 
-def test_gamma_recomputes_from_parts():
+# n=3 on the log/exp tables; larger widths and a dense n=65 modulus on the
+# byte-table route.
+@pytest.mark.parametrize(
+    "n,modulus",
+    [(3, None), (19, None), (65, None), (127, None), (65, 0x322A2D550DBD0CE07)],
+)
+def test_gamma_recomputes_from_parts(n, modulus):
     # gamma[i][j] = chain[i]^-1 * f_k(alpha[i][j]) * beta[i][j] * chain[i+1],
-    # recomputed with the independent reference law
-    pk, sk = make_key(3)
-    for k, (alpha, gamma, beta_cover, chain, fk) in enumerate(
+    # recomputed with the independent reference law, beta1 entries as
+    # (1, b, 0) and beta2 entries as (1, 0, b)
+    params = make_params(n, modulus)
+    if n == 3:
+        pk, sk = make_key(3)
+    else:
+        pk, sk = keygen(params, rng=random.Random(n))
+    for k, (alpha, gamma, beta, chain, fk, bk) in enumerate(
         (
-            (pk.alpha1, pk.gamma1, embed_in_b(sk.beta1), sk.chain1, lambda g: (1, g[0], g[1])),
-            (pk.alpha2, pk.gamma2, embed_in_c(sk.beta2), sk.chain2, lambda g: (1, 0, g[1])),
+            (pk.alpha1, pk.gamma1, sk.beta1, sk.chain1,
+             lambda g: (1, g[0], g[1]), lambda b: (1, b, 0)),
+            (pk.alpha2, pk.gamma2, sk.beta2, sk.chain2,
+             lambda g: (1, 0, g[1]), lambda b: (1, 0, b)),
         )
     ):
         for i, (ablk, gblk, bblk) in enumerate(
-            zip(alpha.blocks, gamma.blocks, beta_cover.blocks)
+            zip(alpha.blocks, gamma.blocks, beta.blocks)
         ):
-            left = oracle.ginv(P3, oracle.as_tuple(chain[i]))
+            left = oracle.ginv(params, oracle.as_tuple(chain[i]))
             right = oracle.as_tuple(chain[i + 1])
             for a, g, b in zip(ablk, gblk, bblk):
                 expect = oracle.gprod(
-                    P3, [left, fk(oracle.as_tuple(a)), oracle.as_tuple(b), right]
+                    params, [left, fk(oracle.as_tuple(a)), bk(b), right]
                 )
                 assert oracle.as_tuple(g) == expect, (k, i)
 
@@ -169,6 +184,7 @@ def test_encrypt_matches_oracle_large(n, modulus):
         ct = encrypt(pk, m, nonce)
         got = tuple(oracle.as_tuple(y) for y in (ct.y1, ct.y2, ct.y3, ct.y4))
         assert got == oracle.encrypt(params, pk, oracle.as_tuple(m), *nonce)
+        assert recover_nonce(pk, sk, ct) == nonce
         assert decrypt(pk, sk, ct) == m
 
 
@@ -179,7 +195,8 @@ def test_image_products_match_oracle():
         f2_blocks = [[(1, 0, g.b) for g in blk] for blk in cover.blocks]
         for r in range(P3.q):
             sel = cover.select(r)
-            f1, f2 = G3.f1_product(sel), G3.f2_product(sel)
+            f1 = G3.subgroup_product((g.a, g.b) for g in sel)
+            f2 = G3.f2_product(sel)
             assert oracle.as_tuple(f1) == oracle.cover_product(P3, f1_blocks, r)
             assert oracle.as_tuple(f2) == oracle.cover_product(P3, f2_blocks, r)
 
@@ -216,21 +233,20 @@ def test_telescoped_mask_factors():
     # V central from the f2(alpha2)*beta2 factors; coordinate sums match
     pk, sk = make_key(14)
     rng = random.Random(15)
-    b1cover, b2cover = embed_in_b(sk.beta1), embed_in_c(sk.beta2)
     for r1 in range(8):
         for r2 in range(8):
             ct = encrypt(pk, G3.random_element(rng), SessionNonce(r1, r2))
             lhs = G3.mul(G3.mul(sk.chain1[0], ct.y2), G3.inv(sk.chain2[-1]))
             u = G3.identity()
             for ablk, bblk, j in zip(
-                pk.alpha1.blocks, b1cover.blocks, tau_inv(pk.type1, r1)
+                pk.alpha1.blocks, sk.beta1.blocks, tau_inv(pk.type1, r1)
             ):
-                u = G3.mul(u, G3.mul(G3.f1(ablk[j]), bblk[j]))
+                u = G3.mul(u, G3.mul(G3.f1(ablk[j]), GroupElement(1, bblk[j], 0)))
             v = G3.identity()
             for ablk, bblk, j in zip(
-                pk.alpha2.blocks, b2cover.blocks, tau_inv(pk.type2, r2)
+                pk.alpha2.blocks, sk.beta2.blocks, tau_inv(pk.type2, r2)
             ):
-                v = G3.mul(v, G3.mul(G3.f2(ablk[j]), bblk[j]))
+                v = G3.mul(v, G3.mul(G3.f2(ablk[j]), GroupElement(1, 0, bblk[j])))
             assert u.a == 1
             assert G3.in_center(v)
             assert lhs == G3.mul(u, v)
