@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .group import GroupElement
+from .group import IDENTITY, GroupElement
 from .logsig import induced_map
 from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message
 
@@ -49,10 +49,10 @@ def _verifier(pk: PublicKey, ct: Ciphertext):
     g1 = [induced_map(group, pk.gamma1, r) for r in range(q)]
     g2 = [induced_map(group, pk.gamma2, r) for r in range(q)]
     y3 = [
-        group.subgroup_product((g.a, g.b) for g in pk.alpha1.select(r))
+        group.mul_subgroup(IDENTITY, [(g.a, g.b) for g in pk.alpha1.select(r)])
         for r in range(q)
     ]
-    y4 = [group.f2_product(pk.alpha2.select(r)) for r in range(q)]
+    y4 = [group.mul_center(IDENTITY, [g.b for g in pk.alpha2.select(r)]) for r in range(q)]
 
     def consistent(r1: int, r2: int) -> bool:
         return (
@@ -93,10 +93,10 @@ def attack1_bruteforce_ciphertext(
     _, _, consistent = _verifier(pk, ct)
     trials = 0
     for r1 in range(q):
-        left = group.inv(a1[r1])
+        left = group.mul(group.inv(a1[r1]), ct.y1)
         for r2 in range(q):
             trials += 1
-            cand = group.mul(group.mul(inv2[r2], left), ct.y1)
+            cand = group.mul(inv2[r2], left)
             if oracle(cand) and consistent(r1, r2):
                 return AttackResult(cand, trials, True, SessionNonce(r1, r2))
     return AttackResult(None, trials, False, None)

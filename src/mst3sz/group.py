@@ -14,10 +14,12 @@ once for both the b and the c coordinate, so the law costs 5 field
 multiplies (one inside a2^(2q0+1)) and 2 Frobenius maps.  The group has
 order q^2*(q-1); the elements (1, 0, c) form the designated q-element
 center (``in_center``) and (1, b, c) the q^2-element subgroup whose products
-add b-coordinates -- both facts carry the cryptosystem.  ``subgroup_product``
-is the law of that subgroup on (b, c) pairs (1 multiply and 1 Frobenius per
-factor) and ``f2_product`` the product of f2 images in the center (XOR
-only).  Cover walks (``logsig.induced_map``) are folds of ``mul``.
+add b-coordinates -- both facts carry the cryptosystem.  Right factors from
+either one take a cheaper law, from any left element g: ``mul_subgroup``
+multiplies g by (1, b, c) factors given as (b, c) pairs (1 multiply and 1
+Frobenius per factor) and ``mul_center`` by central (1, 0, c) factors given
+as c values (XOR only).  Cover walks (``logsig.induced_map``) are folds of
+``mul``.
 """
 
 from __future__ import annotations
@@ -96,13 +98,9 @@ class SuzukiGroup:
         )
 
     def apply_point(self, g: GroupElement, p: CurvePoint) -> CurvePoint:
-        f = self.params
-        return CurvePoint(
-            f.mul(g.a, p.x) ^ g.b,
-            f.mul(f.pow_2q0_plus_1(g.a), p.y)
-            ^ f.mul(f.mul(g.a, f.pow_2q0(g.b)), p.x)
-            ^ g.c,
-        )
+        """The affine map of g on p: the (b, c) of (1, p.x, p.y) * g."""
+        image = self.mul(GroupElement(1, p.x, p.y), g)
+        return CurvePoint(image.b, image.c)
 
     def on_curve(self, p: CurvePoint, field: BinaryField | None = None) -> bool:
         """Check y^q + y = x^(2q0) * (x^q + x).
@@ -127,26 +125,25 @@ class SuzukiGroup:
         """(a, b, c) -> (1, 0, b); defined on all triples, not just a = 1."""
         return GroupElement(1, 0, g.b)
 
-    def subgroup_product(self, pairs) -> GroupElement:
-        """Left-to-right product of one or more (1, b, c), given as (b, c).
+    def mul_subgroup(self, g: GroupElement, pairs) -> GroupElement:
+        """g * (1, b1, c1) * (1, b2, c2) * ..., the factors given as (b, c).
 
-        In the (1, b, c) subgroup the law is
-        (1,b1,c1) * (1,b2,c2) = (1, b1 + b2, c1 + b2^(2q0)*b1 + c2).
+        A right factor (1, b2, c2) keeps a and adds b2 to b:
+        (a, b, c) * (1, b2, c2) = (a, b + b2, c + b2^(2q0)*b + c2).
         """
         f = self.params
-        pairs = iter(pairs)
-        b, c = next(pairs)
+        b, c = g.b, g.c
         for b2, c2 in pairs:
             c ^= f.mul(f.pow_2q0(b2), b) ^ c2
             b ^= b2
-        return GroupElement(1, b, c)
+        return GroupElement(g.a, b, c)
 
-    def f2_product(self, gs) -> GroupElement:
-        """Left-to-right product of the f2 images of gs; central, so c adds up."""
-        c = 0
-        for g in gs:
-            c ^= g.b
-        return GroupElement(1, 0, c)
+    def mul_center(self, g: GroupElement, cs) -> GroupElement:
+        """g * (1, 0, c1) * (1, 0, c2) * ...: central factors add to c."""
+        c = g.c
+        for c2 in cs:
+            c ^= c2
+        return GroupElement(g.a, g.b, c)
 
     def stats(self) -> GroupStats:
         q = self.params.q

@@ -9,10 +9,12 @@ Key generation builds, for k = 1, 2:
     t_s(1) = t_0(2), and the published cover
     gamma_k[i][j] = t_(i-1)(k)^-1 * f_k(alpha_k[i][j]) * beta_k[i][j] * t_i(k).
 
-Each factor f_k(alpha) * beta is defined once, in its subgroup: ``_u_factor``
-is (1, a, b) * (1, beta, 0) for k = 1 and ``_v_factor`` is (1, 0, b + beta)
-for k = 2.  Keygen masks a factor with two group multiplies per entry, and
-decryption builds U from the same ``_u_factor``.
+Each factor f_k(alpha) * beta lies in a subgroup and is applied as a right
+factor, once, by its own law: ``_mask_u`` multiplies by (1, a, b) * (1, beta, 0)
+for k = 1 (``SuzukiGroup.mul_subgroup``) and ``_mask_v`` by the central
+(1, 0, b + beta) for k = 2 (``SuzukiGroup.mul_center``).  Keygen masks
+t_(i-1)^-1 that way and spends one general group multiply per entry on
+t_i; decryption builds U with the same ``_mask_u``.
 
 Encryption of m under nonce (R1, R2) emits
 
@@ -25,17 +27,18 @@ where U multiplies the R1-selected u factors and V the R2-selected v
 factors.  Note y3 is a product of f1 IMAGES: f1 is not a homomorphism, so
 this differs from f1 of the product, and only the image-product form makes
 the cancellation below work.  The images lie in subgroups, and the image
-products are computed there: ``SuzukiGroup.subgroup_product`` for y3 and
-``SuzukiGroup.f2_product`` in the center (XOR of the b-coordinates) for y4.
+products are computed there from the identity: ``mul_subgroup`` for y3 and
+``mul_center`` (XOR of the b-coordinates) for y4.
 
-Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  The
-b-coordinate of y3^-1 * X is exactly evaluate(beta1, R1), which the trapdoor
-factors.  The private key then rebuilds U from the R1-selected factors, and
-the c-coordinate of y4 * U^-1 * X (y4 is its own inverse) is
-evaluate(beta2, R2).  No public cover is walked to find the nonce.  y1 is
-unmasked with one inverse of alpha1'(R1) * alpha2'(R2).  With a private key
-from another key pair the recovered nonce is wrong, and the unmasked element
-almost always fails the padding check of ``decode_message``.
+Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  V is
+central, so X.b = U.b and X.c = U.c + V.c.  U.b is y3.b plus
+evaluate(beta1, R1), so X.b + y3.b is what the trapdoor factors into R1.
+The private key then rebuilds U from the R1-selected factors, and
+X.c + U.c + y4.c is evaluate(beta2, R2).  No public cover is walked and
+only t_s(2) is inverted to find the nonce.  y1 is unmasked with one inverse
+of alpha1'(R1) * alpha2'(R2).  With a private key from another key pair the
+recovered nonce is wrong, and the unmasked element almost always fails the
+padding check of ``decode_message``.
 
 Encryption is deterministic given the nonce; drawing the nonce is the
 caller's job (``random_nonce``).
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .field import FieldParams
-from .group import GroupElement, SuzukiGroup
+from .group import IDENTITY, GroupElement, SuzukiGroup
 from .logsig import (
     Cover,
     SignatureType,
@@ -117,21 +120,21 @@ def _random_masking_element(group: SuzukiGroup, rng) -> GroupElement:
     return GroupElement(f.random_nonzero(rng), f.random_nonzero(rng), f.random_element(rng))
 
 
-def _u_factor(group: SuzukiGroup, alpha: GroupElement, beta: int) -> GroupElement:
-    """f1(alpha) * (1, beta, 0), in the (1, b, c) subgroup."""
-    return group.subgroup_product(((alpha.a, alpha.b), (beta, 0)))
+def _mask_u(group: SuzukiGroup, g: GroupElement, a: GroupElement, b: int) -> GroupElement:
+    """g * f1(a) * (1, b, 0), for a cover entry a and its signature entry b."""
+    return group.mul_subgroup(g, ((a.a, a.b), (b, 0)))
 
 
-def _v_factor(group: SuzukiGroup, alpha: GroupElement, beta: int) -> GroupElement:
-    """f2(alpha) * (1, 0, beta), in the center."""
-    return GroupElement(1, 0, alpha.b ^ beta)
+def _mask_v(group: SuzukiGroup, g: GroupElement, a: GroupElement, b: int) -> GroupElement:
+    """g * f2(a) * (1, 0, b)."""
+    return group.mul_center(g, (a.b, b))
 
 
 def _masked_cover(
     group: SuzukiGroup,
     alpha: Cover,
     beta: TameSignature,
-    factor: Callable[[SuzukiGroup, GroupElement, int], GroupElement],
+    mask: Callable[..., GroupElement],
     chain: tuple[GroupElement, ...],
 ) -> Cover:
     blocks = []
@@ -140,7 +143,7 @@ def _masked_cover(
         right = chain[i + 1]
         blocks.append(
             tuple(
-                group.mul(group.mul(left, factor(group, a, b)), right)
+                group.mul(mask(group, left, a, b), right)
                 for a, b in zip(ablock, bblock)
             )
         )
@@ -173,8 +176,8 @@ def keygen(
         _random_masking_element(group, rng) for _ in range(type2.s)
     )
 
-    gamma1 = _masked_cover(group, alpha1, beta1, _u_factor, chain1)
-    gamma2 = _masked_cover(group, alpha2, beta2, _v_factor, chain2)
+    gamma1 = _masked_cover(group, alpha1, beta1, _mask_u, chain1)
+    gamma2 = _masked_cover(group, alpha2, beta2, _mask_v, chain2)
 
     pk = PublicKey(group, alpha1, alpha2, gamma1, gamma2)
     sk = PrivateKey(group, beta1, beta2, chain1, chain2)
@@ -191,6 +194,8 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     r1, r2 = nonce
     if not (0 <= r1 < q and 0 <= r2 < q):
         raise ValueError("nonce out of range")
+    if (m.a | m.b | m.c) >> group.params.n:
+        raise ValueError("message out of range")
     y1 = group.mul(
         group.mul(induced_map(group, pk.alpha1, r1), induced_map(group, pk.alpha2, r2)),
         m,
@@ -198,27 +203,32 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     y2 = group.mul(
         induced_map(group, pk.gamma1, r1), induced_map(group, pk.gamma2, r2)
     )
-    y3 = group.subgroup_product((g.a, g.b) for g in pk.alpha1.select(r1))
-    y4 = group.f2_product(pk.alpha2.select(r2))
+    y3 = group.mul_subgroup(IDENTITY, [(g.a, g.b) for g in pk.alpha1.select(r1)])
+    y4 = group.mul_center(IDENTITY, [g.b for g in pk.alpha2.select(r2)])
     return Ciphertext(y1, y2, y3, y4)
 
 
 def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce:
-    """The nonce the trapdoors derive from (y2, y3, y4)."""
+    """The nonce the trapdoors derive from (y2, y3, y4).
+
+    For an encryption under this key pair it is the encrypting nonce.  For
+    any other (y2, y3, y4) it is garbage, read off X = U*V as if it held.
+    """
     group = pk.group
+    if group != sk.group:
+        raise ValueError("public and private keys use different parameters")
+    if any((y.a | y.b | y.c) >> group.params.n for y in (ct.y1, ct.y2, ct.y3, ct.y4)):
+        raise CiphertextError("ciphertext coordinate outside GF(q)")
     if ct.y3.a != 1:
         raise CiphertextError("y3 must have first coordinate 1")
     if ct.y4.a != 1 or ct.y4.b != 0:
         raise CiphertextError("y4 must be central")
     x = group.mul(group.mul(sk.chain1[0], ct.y2), group.inv(sk.chain2[-1]))
-    r1 = factor_tame(sk.beta1, group.mul(group.inv(ct.y3), x).b)
-    factors = [
-        _u_factor(group, a, b)
-        for a, b in zip(pk.alpha1.select(r1), sk.beta1.select(r1))
-    ]
-    u = group.subgroup_product((g.b, g.c) for g in factors)
-    # y4 = (1, 0, c) squares to the identity: it is its own inverse
-    r2 = factor_tame(sk.beta2, group.mul(ct.y4, group.mul(group.inv(u), x)).c)
+    r1 = factor_tame(sk.beta1, x.b ^ ct.y3.b)
+    u = IDENTITY
+    for a, b in zip(pk.alpha1.select(r1), sk.beta1.select(r1)):
+        u = _mask_u(group, u, a, b)
+    r2 = factor_tame(sk.beta2, x.c ^ u.c ^ ct.y4.c)
     return SessionNonce(r1, r2)
 
 

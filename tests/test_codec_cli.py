@@ -11,9 +11,11 @@ from mst3sz.field import FieldParams, make_params
 from mst3sz.group import GroupElement, SuzukiGroup
 from mst3sz.logsig import SignatureType, TameSignature
 from mst3sz.scheme import (
+    CiphertextError,
     PrivateKey,
     decode_message,
     decrypt,
+    encode_message,
     encrypt,
     keygen,
     random_nonce,
@@ -262,6 +264,52 @@ def test_parsers_fail_only_with_codec_error():
                 pass
 
 
+def _mutated(rng, blob):
+    data = bytearray(blob)
+    op = rng.randrange(4)
+    if op == 0:
+        return bytes(data[: rng.randrange(len(data))])
+    if op == 1:
+        return bytes(data) + rng.randbytes(rng.randrange(1, 9))
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(data))
+        data[i] = data[i] ^ 1 << rng.randrange(8) if op == 2 else rng.getrandbits(8)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 17])
+def test_pipeline_fails_only_with_named_errors(n):
+    # whatever parses after a mutation goes through encrypt, decrypt and
+    # decode_message, and fails only at a named check
+    params, (pk, sk) = make_key(38, n)
+    rng = random.Random(n)
+    m = encode_message(params, b"")
+    ct = encrypt(pk, m, random_nonce(params, rng))
+    pub = codec.serialize_public_key(pk)
+    priv = codec.serialize_private_key(sk)
+    blob = codec.serialize_ciphertext(params, ct)
+
+    def via_pub(data):
+        pk2 = codec.parse_public_key(data)
+        return pk2, sk, encrypt(pk2, m, random_nonce(pk2.group.params, rng))
+
+    def via_priv(data):
+        return pk, codec.parse_private_key(data), ct
+
+    def via_ct(data):
+        return pk, sk, codec.parse_ciphertext(data)[1]
+
+    for original, run in ((pub, via_pub), (priv, via_priv), (blob, via_ct)):
+        for _ in range(600):
+            try:
+                pk2, sk2, ct2 = run(_mutated(rng, original))
+                decode_message(params, decrypt(pk2, sk2, ct2))
+            except (codec.CodecError, CiphertextError):
+                pass
+            except ValueError as e:
+                assert str(e).startswith("bad padding"), e
+
+
 def test_storage_report_counts():
     t222 = SignatureType((2, 2, 2))
     rep = codec.storage_report(P3, t222, t222)
@@ -293,6 +341,16 @@ def test_cli_params_output(capsys):
     assert out["group_order"] == 448
     assert out["center_order"] == 8
     assert out["genus"] == 14
+
+
+def test_cli_params_json_pinned(capsys):
+    assert cli(["params", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out.items()) == [
+        ("n", 3), ("s", 1), ("q0", 2), ("q", 8), ("modulus", "0xb"),
+        ("group_order", 448), ("center_order", 8), ("full_aut_order", 29120),
+        ("genus", 14), ("rational_places", 65),
+    ]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

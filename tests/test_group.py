@@ -68,6 +68,33 @@ def test_mul_inv_match_oracle_large(n, modulus):
         assert oracle.as_tuple(g.inv(g1)) == oracle.ginv(p, t1)
 
 
+def _fold(p, start, factors):
+    t = oracle.as_tuple(start)
+    for f in factors:
+        t = oracle.gmul(p, t, f)
+    return t
+
+
+# every start at n=3; seeded starts (a != 1 almost surely) on the byte-table
+# route and the dense n=65 modulus
+@pytest.mark.parametrize(
+    "n,modulus",
+    [(3, None), (19, None), (65, None), (127, None), (65, 0x322A2D550DBD0CE07)],
+)
+def test_right_factor_laws_match_oracle(n, modulus):
+    p = make_params(n, modulus)
+    g = SuzukiGroup(p)
+    rng = random.Random(n)
+    starts = list(g.elements()) if n == 3 else [rand_el(rng, g) for _ in range(20)]
+    for start in starts:
+        pairs = [(p.random_element(rng), p.random_element(rng)) for _ in range(rng.randrange(4))]
+        cs = [p.random_element(rng) for _ in range(rng.randrange(4))]
+        got = g.mul_subgroup(start, pairs)
+        assert oracle.as_tuple(got) == _fold(p, start, [(1, b, c) for b, c in pairs])
+        got = g.mul_center(start, cs)
+        assert oracle.as_tuple(got) == _fold(p, start, [(1, 0, c) for c in cs])
+
+
 def test_inverse_examples():
     for c in range(8):
         z = GroupElement(1, 0, c)

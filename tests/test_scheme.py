@@ -195,10 +195,38 @@ def test_image_products_match_oracle():
         f2_blocks = [[(1, 0, g.b) for g in blk] for blk in cover.blocks]
         for r in range(P3.q):
             sel = cover.select(r)
-            f1 = G3.subgroup_product((g.a, g.b) for g in sel)
-            f2 = G3.f2_product(sel)
+            f1 = G3.mul_subgroup(G3.identity(), [(g.a, g.b) for g in sel])
+            f2 = G3.mul_center(G3.identity(), [g.b for g in sel])
             assert oracle.as_tuple(f1) == oracle.cover_product(P3, f1_blocks, r)
             assert oracle.as_tuple(f2) == oracle.cover_product(P3, f2_blocks, r)
+
+
+def test_decrypt_rejects_ciphertext_from_wider_field():
+    params5, params17 = make_params(5), make_params(17)
+    pk5, sk5 = keygen(params5, rng=random.Random(1))
+    pk17, _ = keygen(params17, rng=random.Random(2))
+    rng = random.Random(3)
+    for _ in range(5):
+        m = SuzukiGroup(params17).random_element(rng)
+        ct = encrypt(pk17, m, random_nonce(params17, rng))
+        with pytest.raises(CiphertextError, match="outside GF"):
+            decrypt(pk5, sk5, ct)
+
+
+def test_decrypt_rejects_keys_of_different_widths():
+    pk5, sk5 = keygen(make_params(5), rng=random.Random(1))
+    pk17, sk17 = keygen(make_params(17), rng=random.Random(2))
+    ct = encrypt(pk5, encode_message(pk5.group.params, b""), SessionNonce(1, 2))
+    for pk, sk in ((pk5, sk17), (pk17, sk5)):
+        with pytest.raises(ValueError, match="different parameters"):
+            decrypt(pk, sk, ct)
+
+
+def test_encrypt_rejects_message_outside_field():
+    params = make_params(5)
+    pk, _ = keygen(params, rng=random.Random(1))
+    with pytest.raises(ValueError, match="message out of range"):
+        encrypt(pk, GroupElement(1, 1 << 20, 0), SessionNonce(0, 0))
 
 
 @pytest.mark.parametrize("n", [9, 17])
