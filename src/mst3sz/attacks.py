@@ -4,14 +4,19 @@ Attacks 1-3 are executable enumerations with operation counters, capped to
 small fields (n <= 5).  Attacks 4-5 have stated difficulties but no usable
 procedure, so they appear only in ``complexity_report``.
 
-A candidate nonce is accepted only when it is consistent with the whole
-ciphertext (y2, y3 and y4 reproduced).  The single-component matches the
-sketches suggest are not injective at these field sizes -- most keys admit
-several nonces with the same y2, or the same y4 -- while full consistency
-determines the nonce uniquely (decryption derives it as a function of
-(y2, y3, y4)).  Verification runs only on filter hits and is not counted
-as a trial; trials count enumeration steps, and their bounds (q^2 for
-attacks 1-2, 2q for attack 3) are unchanged.
+A candidate nonce is accepted only when ``scheme.encrypt`` under it
+reproduces the ciphertext's y2, y3 and y4 (attack 1's candidate message
+then reproduces y1 by construction).  Single-component matches are not
+injective at these field sizes -- most keys admit several nonces with the
+same y2, or the same y4 -- while full consistency determines the nonce
+uniquely (decryption derives it as a function of (y2, y3, y4)).
+Verification runs only on filter hits and is not counted as a trial;
+trials count enumeration steps, bounded by q^2 for attacks 1-2 and 2q for
+attack 3.  Each attack tabulates only what its enumeration reads: attack 1
+the alpha1 and inverted alpha2 walks, attack 2 the gamma walks whose
+product it compares with y2; attack 3 sweeps R1 and R2 with the scheme's
+own y3 and y4.  A ciphertext without the shape of an encryption raises
+``CiphertextError`` on entry, as it does in decryption.
 
 Enumeration order is fixed: pairs (R1, R2) with R1 outer, R2 inner.  Any
 parallel split must still report the lowest-index verified match.
@@ -24,7 +29,8 @@ from typing import Callable
 
 from .group import IDENTITY, GroupElement
 from .logsig import induced_map
-from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message
+from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message, encrypt
+from .scheme import _check_ciphertext, _y3, _y4
 
 _MAX_N = 5
 
@@ -37,31 +43,16 @@ class AttackResult:
     nonce: SessionNonce | None
 
 
-def _check_small(pk: PublicKey) -> None:
+def _check_input(pk: PublicKey, ct: Ciphertext) -> None:
     if pk.group.params.n > _MAX_N:
         raise ValueError("parameters too large for enumeration (need n <= 5)")
+    _check_ciphertext(pk.group.params, ct)
 
 
-def _verifier(pk: PublicKey, ct: Ciphertext):
-    """The y3/y4 mask tables and the whole-ciphertext check on a nonce."""
-    group = pk.group
-    q = group.params.q
-    g1 = [induced_map(group, pk.gamma1, r) for r in range(q)]
-    g2 = [induced_map(group, pk.gamma2, r) for r in range(q)]
-    y3 = [
-        group.mul_subgroup(IDENTITY, [(g.a, g.b) for g in pk.alpha1.select(r)])
-        for r in range(q)
-    ]
-    y4 = [group.mul_center(IDENTITY, [g.b for g in pk.alpha2.select(r)]) for r in range(q)]
-
-    def consistent(r1: int, r2: int) -> bool:
-        return (
-            group.mul(g1[r1], g2[r2]) == ct.y2
-            and y3[r1] == ct.y3
-            and y4[r2] == ct.y4
-        )
-
-    return y3, y4, consistent
+def _reproduces(pk: PublicKey, ct: Ciphertext, nonce: SessionNonce) -> bool:
+    """Whether encrypting under nonce gives the y2, y3 and y4 of ct."""
+    e = encrypt(pk, IDENTITY, nonce)
+    return (e.y2, e.y3, e.y4) == (ct.y2, ct.y3, ct.y4)
 
 
 def default_validity_predicate(pk: PublicKey) -> Callable[[GroupElement], bool]:
@@ -83,57 +74,54 @@ def attack1_bruteforce_ciphertext(
     oracle: Callable[[GroupElement], bool] | None = None,
 ) -> AttackResult:
     """Enumerate nonces, unmask y1, accept recognizable verified plaintext."""
-    _check_small(pk)
+    _check_input(pk, ct)
     if oracle is None:
         oracle = default_validity_predicate(pk)
     group = pk.group
     q = group.params.q
     a1 = [induced_map(group, pk.alpha1, r) for r in range(q)]
     inv2 = [group.inv(induced_map(group, pk.alpha2, r)) for r in range(q)]
-    _, _, consistent = _verifier(pk, ct)
     trials = 0
     for r1 in range(q):
         left = group.mul(group.inv(a1[r1]), ct.y1)
         for r2 in range(q):
             trials += 1
             cand = group.mul(inv2[r2], left)
-            if oracle(cand) and consistent(r1, r2):
+            if oracle(cand) and _reproduces(pk, ct, SessionNonce(r1, r2)):
                 return AttackResult(cand, trials, True, SessionNonce(r1, r2))
     return AttackResult(None, trials, False, None)
 
 
 def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     """Enumerate nonces until the masked-cover product matches y2."""
-    _check_small(pk)
-    q = pk.group.params.q
-    _, _, consistent = _verifier(pk, ct)
+    _check_input(pk, ct)
+    group = pk.group
+    q = group.params.q
+    g1 = [induced_map(group, pk.gamma1, r) for r in range(q)]
+    g2 = [induced_map(group, pk.gamma2, r) for r in range(q)]
     trials = 0
     for r1 in range(q):
         for r2 in range(q):
             trials += 1
-            if consistent(r1, r2):
+            if group.mul(g1[r1], g2[r2]) == ct.y2:
                 nonce = SessionNonce(r1, r2)
-                return AttackResult(nonce, trials, True, nonce)
+                if _reproduces(pk, ct, nonce):
+                    return AttackResult(nonce, trials, True, nonce)
     return AttackResult(None, trials, False, None)
 
 
 def attack3_session_key(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     """Recover R1 from y3 and R2 from y4, one coordinate at a time."""
-    _check_small(pk)
+    _check_input(pk, ct)
     q = pk.group.params.q
-    y3, y4, consistent = _verifier(pk, ct)
-    trials = 0
-    cand1 = []
-    for r1 in range(q):
-        trials += 1
-        if y3[r1] == ct.y3:
-            cand1.append(r1)
+    cand1 = [r1 for r1 in range(q) if _y3(pk, r1) == ct.y3]
+    trials = q  # the R1 sweep
     for r2 in range(q):
         trials += 1
-        if y4[r2] == ct.y4:
+        if _y4(pk, r2) == ct.y4:
             for r1 in cand1:
-                if consistent(r1, r2):
-                    nonce = SessionNonce(r1, r2)
+                nonce = SessionNonce(r1, r2)
+                if _reproduces(pk, ct, nonce):
                     return AttackResult(nonce, trials, True, nonce)
     return AttackResult(None, trials, False, None)
 

@@ -184,9 +184,10 @@ def _cmd_report(args) -> int:
 def _cmd_bench(args) -> int:
     if args.iters < 1:
         raise _UsageError("--iters must be >= 1")
-    widths = (
-        tuple(int(x) for x in args.sizes.split(",")) if args.sizes else BENCH_WIDTHS
-    )
+    try:
+        widths = tuple(map(int, args.sizes.split(","))) if args.sizes else BENCH_WIDTHS
+    except ValueError as e:
+        raise _UsageError(f"bad --sizes {args.sizes!r}: {e}") from None
     rng = random.Random(0xBE)
     rows = []
     for n in widths:

@@ -26,9 +26,9 @@ Encryption of m under nonce (R1, R2) emits
 where U multiplies the R1-selected u factors and V the R2-selected v
 factors.  Note y3 is a product of f1 IMAGES: f1 is not a homomorphism, so
 this differs from f1 of the product, and only the image-product form makes
-the cancellation below work.  The images lie in subgroups, and the image
-products are computed there from the identity: ``mul_subgroup`` for y3 and
-``mul_center`` (XOR of the b-coordinates) for y4.
+the cancellation below work.  The images lie in subgroups: ``_y3`` and
+``_y4`` form the products there from the identity, by ``mul_subgroup`` and
+``mul_center`` (XOR of the b-coordinates), and the attacks sweep them too.
 
 Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  V is
 central, so X.b = U.b and X.c = U.c + V.c.  U.b is y3.b plus
@@ -188,6 +188,26 @@ def random_nonce(params: FieldParams, rng) -> SessionNonce:
     return SessionNonce(rng.getrandbits(params.n), rng.getrandbits(params.n))
 
 
+def _y3(pk: PublicKey, r1: int) -> GroupElement:
+    """The product of the f1 images of the alpha1 entries R1 selects."""
+    return pk.group.mul_subgroup(IDENTITY, [(g.a, g.b) for g in pk.alpha1.select(r1)])
+
+
+def _y4(pk: PublicKey, r2: int) -> GroupElement:
+    """The product of the f2 images of the alpha2 entries R2 selects."""
+    return pk.group.mul_center(IDENTITY, [g.b for g in pk.alpha2.select(r2)])
+
+
+def _check_ciphertext(params: FieldParams, ct: Ciphertext) -> None:
+    """Raise ``CiphertextError`` unless ct has the shape of an encryption."""
+    if any((y.a | y.b | y.c) >> params.n for y in (ct.y1, ct.y2, ct.y3, ct.y4)):
+        raise CiphertextError("ciphertext coordinate outside GF(q)")
+    if ct.y3.a != 1:
+        raise CiphertextError("y3 must have first coordinate 1")
+    if ct.y4.a != 1 or ct.y4.b != 0:
+        raise CiphertextError("y4 must be central")
+
+
 def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     group = pk.group
     q = group.params.q
@@ -203,9 +223,7 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     y2 = group.mul(
         induced_map(group, pk.gamma1, r1), induced_map(group, pk.gamma2, r2)
     )
-    y3 = group.mul_subgroup(IDENTITY, [(g.a, g.b) for g in pk.alpha1.select(r1)])
-    y4 = group.mul_center(IDENTITY, [g.b for g in pk.alpha2.select(r2)])
-    return Ciphertext(y1, y2, y3, y4)
+    return Ciphertext(y1, y2, _y3(pk, r1), _y4(pk, r2))
 
 
 def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce:
@@ -217,12 +235,7 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
     group = pk.group
     if group != sk.group:
         raise ValueError("public and private keys use different parameters")
-    if any((y.a | y.b | y.c) >> group.params.n for y in (ct.y1, ct.y2, ct.y3, ct.y4)):
-        raise CiphertextError("ciphertext coordinate outside GF(q)")
-    if ct.y3.a != 1:
-        raise CiphertextError("y3 must have first coordinate 1")
-    if ct.y4.a != 1 or ct.y4.b != 0:
-        raise CiphertextError("y4 must be central")
+    _check_ciphertext(group.params, ct)
     x = group.mul(group.mul(sk.chain1[0], ct.y2), group.inv(sk.chain2[-1]))
     r1 = factor_tame(sk.beta1, x.b ^ ct.y3.b)
     u = IDENTITY

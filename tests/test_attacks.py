@@ -1,5 +1,9 @@
+import importlib.util
 import random
 import statistics
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +14,10 @@ from mst3sz.attacks import (
     complexity_report,
 )
 from mst3sz.field import make_params
-from mst3sz.group import SuzukiGroup
+from mst3sz.group import GroupElement, SuzukiGroup
 from mst3sz.logsig import induced_map
 from mst3sz.scheme import (
+    CiphertextError,
     SessionNonce,
     encode_message,
     encrypt,
@@ -20,6 +25,8 @@ from mst3sz.scheme import (
     random_nonce,
     recover_nonce,
 )
+
+import oracle
 
 P3 = make_params(3)
 G3 = SuzukiGroup(P3)
@@ -187,3 +194,94 @@ def test_complexity_report_monotone():
         if prev is not None:
             assert all(rep[k] > prev[k] for k in rep)
         prev = rep
+
+
+def _tampered(pk, ct, rng, kind):
+    group = pk.group
+    n = group.params.n
+    if kind == "swap":  # y2, y3, y4 of another nonce's encryption
+        other = encrypt(pk, ct.y1, random_nonce(group.params, rng))
+        return replace(other, y1=ct.y1)
+    if kind == "y2":
+        return replace(ct, y2=group.random_element(rng))
+    if kind == "y3":
+        return replace(ct, y3=GroupElement(1, ct.y3.b ^ 1 << rng.randrange(n), ct.y3.c))
+    if kind == "y4":
+        return replace(ct, y4=GroupElement(1, 0, ct.y4.c ^ 1 << rng.randrange(n)))
+    return ct
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_attacks_succeed_only_on_reproduced_ciphertexts(n):
+    # every accepted nonce re-encrypts, under the independent oracle, to the
+    # (possibly tampered) y2, y3, y4; every failure has exhausted the space.
+    # A bit flip may still give some other nonce's encryption, so failure is
+    # not asserted.
+    params, (pk, _) = make_key(19 + n, n)
+    group = SuzukiGroup(params)
+    q = params.q
+    rng = random.Random(20 + n)
+    for kind in ("valid", "swap", "y2", "y3", "y4"):
+        for _ in range(6):
+            m = group.random_element(rng)
+            ct = _tampered(pk, encrypt(pk, m, random_nonce(params, rng)), rng, kind)
+            want = tuple(oracle.as_tuple(y) for y in (ct.y1, ct.y2, ct.y3, ct.y4))
+            results = (
+                (attack1_bruteforce_ciphertext(pk, ct, oracle=lambda g: g == m), q * q),
+                (attack2_bruteforce_nonce(pk, ct), q * q),
+                (attack3_session_key(pk, ct), 2 * q),
+            )
+            for i, (res, space) in enumerate(results):
+                if not res.success:
+                    assert res.trials == space and res.nonce is None
+                    continue
+                assert res.trials <= space
+                got = oracle.encrypt(params, pk, (1, 0, 0), *res.nonce)
+                assert got[1:] == want[1:], (kind, i)
+                if i == 0:
+                    m_got = oracle.as_tuple(res.recovered)
+                    assert oracle.encrypt(params, pk, m_got, *res.nonce)[0] == want[0]
+            if kind == "valid":
+                assert all(res.success for res, _ in results)
+            if kind == "swap":  # another encryption's y2, y3, y4 are found
+                assert results[1][0].success and results[2][0].success
+
+
+@pytest.mark.parametrize(
+    "field,value,match",
+    [
+        ("y1", GroupElement(1, 99, 0), "outside GF"),
+        ("y2", GroupElement(33, 0, 0), "outside GF"),
+        ("y3", GroupElement(1, 0, 32), "outside GF"),
+        ("y3", GroupElement(2, 1, 1), "first coordinate 1"),
+        ("y4", GroupElement(1, 1, 0), "central"),
+        ("y4", GroupElement(3, 0, 1), "central"),
+    ],
+)
+def test_attacks_reject_malformed_ciphertext(field, value, match):
+    params, (pk, _) = make_key(27, 5)
+    ct = encrypt(pk, encode_message(params, b""), SessionNonce(3, 9))
+    bad = replace(ct, **{field: value})
+    for attack in (
+        attack1_bruteforce_ciphertext,
+        lambda pk, ct: attack1_bruteforce_ciphertext(pk, ct, oracle=lambda g: True),
+        attack2_bruteforce_nonce,
+        attack3_session_key,
+    ):
+        with pytest.raises(CiphertextError, match=match):
+            attack(pk, bad)
+
+
+def test_attack_scaling_script_smoke(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "attack_scaling.py"
+    spec = importlib.util.spec_from_file_location("attack_scaling", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["attack_scaling.py", "--cts", "3"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:4]]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    for _, m3, m5, _, b3, b5 in rows:
+        assert 1 <= float(m3) <= int(b3)
+        assert 1 <= float(m5) <= int(b5)

@@ -503,3 +503,5 @@ def test_cli_bench_smoke(capsys):
         assert {"keygen_ms_median", "encrypt_ms_median", "decrypt_ms_median",
                 "public_key_bytes", "private_key_bytes", "ciphertext_bytes"} <= set(row)
     assert cli(["bench", "--iters", "0"]) == 1
+    assert cli(["bench", "--sizes", "3,x", "--iters", "2"]) == 1
+    assert "bad --sizes '3,x'" in capsys.readouterr().err

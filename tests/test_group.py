@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mst3sz.field import BinaryField, make_params
+from mst3sz.field import BinaryField, FieldParams, is_irreducible, make_params
 from mst3sz.group import CurvePoint, GroupElement, SuzukiGroup
+from mst3sz.logsig import covering_type, gen_random_cover, induced_map
 
 import oracle
 
@@ -66,6 +67,42 @@ def test_mul_inv_match_oracle_large(n, modulus):
         t1, t2 = oracle.as_tuple(g1), oracle.as_tuple(g2)
         assert oracle.as_tuple(g.mul(g1, g2)) == oracle.gmul(p, t1, t2)
         assert oracle.as_tuple(g.inv(g1)) == oracle.ginv(p, t1)
+
+
+def _next_irreducible(n, low):
+    """The first irreducible degree-n modulus at or above x^n + low (odd)."""
+    q = 1 << n
+    for k in range(q):
+        f = q | (low + 2 * k) % q | 1
+        if is_irreducible(f):
+            return f
+    raise AssertionError(f"no irreducible modulus of degree {n}")
+
+
+# Random moduli, uncached: widths on the log/exp-table route (q <= 2^18) and
+# on the byte-table route, n = 19 always among them.
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.sampled_from([3, 5, 7, 9, 11, 13, 19, 21, 33, 65]),
+    low=st.integers(0, (1 << 65) - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=19, low=0, seed=0)
+def test_group_and_walks_match_oracle_at_random_moduli(n, low, seed):
+    p = FieldParams(n, _next_irreducible(n, low % (1 << n)))
+    g = SuzukiGroup(p)
+    rng = random.Random(seed)
+    for _ in range(4):
+        g1, g2 = rand_el(rng, g), rand_el(rng, g)
+        t1, t2 = oracle.as_tuple(g1), oracle.as_tuple(g2)
+        assert oracle.as_tuple(g.mul(g1, g2)) == oracle.gmul(p, t1, t2)
+        assert oracle.as_tuple(g.inv(g1)) == oracle.ginv(p, t1)
+    cover = gen_random_cover(g, covering_type(n), rng)
+    blocks = [[oracle.as_tuple(e) for e in block] for block in cover.blocks]
+    for _ in range(2):
+        x = rng.getrandbits(n)
+        want = oracle.cover_product(p, blocks, x)
+        assert oracle.as_tuple(induced_map(g, cover, x)) == want
 
 
 def _fold(p, start, factors):
