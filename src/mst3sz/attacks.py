@@ -14,9 +14,9 @@ Verification runs only on filter hits and is not counted as a trial;
 trials count enumeration steps, bounded by q^2 for attacks 1-2 and 2q for
 attack 3.  Each attack tabulates only what its enumeration reads: attack 1
 the alpha1 and inverted alpha2 walks, attack 2 the gamma walks whose
-product it compares with y2; attack 3 sweeps R1 and R2 with the scheme's
-own y3 and y4.  A ciphertext without the shape of an encryption raises
-``CiphertextError`` on entry, as it does in decryption.
+product it compares with y2, b-coordinate first; attack 3 sweeps R1 and R2
+with the scheme's own y3 and y4.  A ciphertext without the shape of an
+encryption raises ``CiphertextError`` on entry, as it does in decryption.
 
 Enumeration order is fixed: pairs (R1, R2) with R1 outer, R2 inner.  Any
 parallel split must still report the lowest-index verified match.
@@ -46,7 +46,7 @@ class AttackResult:
 def _check_input(pk: PublicKey, ct: Ciphertext) -> None:
     if pk.group.params.n > _MAX_N:
         raise ValueError("parameters too large for enumeration (need n <= 5)")
-    _check_ciphertext(pk.group.params, ct)
+    _check_ciphertext(pk.group, ct)
 
 
 def _reproduces(pk: PublicKey, ct: Ciphertext, nonce: SessionNonce) -> bool:
@@ -96,14 +96,17 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     """Enumerate nonces until the masked-cover product matches y2."""
     _check_input(pk, ct)
     group = pk.group
-    q = group.params.q
+    f = group.params
+    q = f.q
     g1 = [induced_map(group, pk.gamma1, r) for r in range(q)]
     g2 = [induced_map(group, pk.gamma2, r) for r in range(q)]
     trials = 0
-    for r1 in range(q):
-        for r2 in range(q):
+    # Screen on the product's b-coordinate, a2*b1 + b2 (one multiply): its
+    # a-coordinate is one value for all nonces (gamma's middle factors have a = 1).
+    for r1, h in enumerate(g1):
+        for r2, g in enumerate(g2):
             trials += 1
-            if group.mul(g1[r1], g2[r2]) == ct.y2:
+            if f.mul(g.a, h.b) ^ g.b == ct.y2.b and group.mul(h, g) == ct.y2:
                 nonce = SessionNonce(r1, r2)
                 if _reproduces(pk, ct, nonce):
                     return AttackResult(nonce, trials, True, nonce)

@@ -176,8 +176,8 @@ def _read_signature(
     inv = invert_linear(cols, f.n)
     if inv is None:
         raise CodecError(f"{section}: signature trapdoor map is singular")
-    sig = TameSignature(t, f.n, blocks, cols, inv, offsets)
-    if sig.canonical_blocks() != blocks:
+    sig = TameSignature(t, cols, inv, offsets)
+    if sig.blocks != blocks:
         raise CodecError(f"{section}: signature entries inconsistent with trapdoor")
     return sig
 

@@ -7,7 +7,8 @@ lexicographically least irreducible polynomial, table below) so that
 serialized keys and ciphertexts are interoperable.
 
 The cryptosystem itself only uses odd widths n = 2s + 1 with 3 <= n <= 127
-(``make_params``), for which q = 2^n, q0 = 2^s and the Suzuki exponents
+(``FieldParams``; ``make_params(n)`` is the one cached field per width, on
+the published modulus), for which q = 2^n, q0 = 2^s and the Suzuki exponents
 2*q0 = 2^(s+1) and 2*q0 + 1 are provided.  The plain ``BinaryField`` class
 accepts any degree and is used by tests that need extension fields.
 
@@ -248,8 +249,6 @@ class BinaryField:
         """Characteristic-2 sum; identical to subtraction."""
         return a ^ b
 
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         if self._log is not None:
             if a == 0 or b == 0:
@@ -282,9 +281,7 @@ class BinaryField:
         return self._inv_euclid(a)
 
     def _inv_euclid(self, a: int) -> int:
-        """Inverse via the extended Euclidean algorithm on polynomials."""
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(2^n)")
+        """Inverse of a != 0 via the extended Euclidean algorithm on polynomials."""
         r0, r1 = self.modulus, a
         s0, s1 = 0, 1
         while r1:
@@ -376,9 +373,10 @@ class FieldParams(BinaryField):
 
 
 @lru_cache(maxsize=None)
-def make_params(n: int, modulus: int | None = None) -> FieldParams:
-    """Field parameters for width n (odd, 3..127); published modulus by default.
+def make_params(n: int) -> FieldParams:
+    """The one cached field of width n (odd, 3..127), on the published modulus.
 
-    Cached: repeated calls share one instance (and its tables) per (n, modulus).
+    Repeated calls share one instance and its tables.  A field on any other
+    modulus is an uncached ``FieldParams(n, modulus)``.
     """
-    return FieldParams(n, modulus)
+    return FieldParams(n)

@@ -12,9 +12,10 @@ which matches composition of the affine maps
 in the order "apply g1's map first, then g2's".  ``mul`` forms t = a2*b1
 once for both the b and the c coordinate, so the law costs 5 field
 multiplies (one inside a2^(2q0+1)) and 2 Frobenius maps.  The group has
-order q^2*(q-1); the elements (1, 0, c) form the designated q-element
-center (``in_center``) and (1, b, c) the q^2-element subgroup whose products
-add b-coordinates -- both facts carry the cryptosystem.  Right factors from
+order q^2*(q-1) and identity ``IDENTITY`` = (1, 0, 0), the same element in
+every field.  The elements (1, 0, c) form the designated q-element center
+(``in_center``) and (1, b, c) the q^2-element subgroup whose products add
+b-coordinates -- both facts carry the cryptosystem.  Right factors from
 either one take a cheaper law, from any left element g: ``mul_subgroup``
 multiplies g by (1, b, c) factors given as (b, c) pairs (1 multiply and 1
 Frobenius per factor) and ``mul_center`` by central (1, 0, c) factors given
@@ -73,9 +74,6 @@ class SuzukiGroup:
 
     def __hash__(self) -> int:
         return hash(("SuzukiGroup", self.params))
-
-    def identity(self) -> GroupElement:
-        return IDENTITY
 
     def mul(self, g1: GroupElement, g2: GroupElement) -> GroupElement:
         f = self.params

@@ -2,28 +2,30 @@
 
 A signature type (r_1, ..., r_s) splits indexes 0 <= x < m = prod(r_i) into
 mixed-radix digits (j_1, ..., j_s), j_1 least significant (``tau`` /
-``tau_inv``).  A ``Cover`` holds s blocks of group elements and maps x to
-the left-to-right product of one entry per block (``induced_map``, the one
-cover walk: a fold of ``SuzukiGroup.mul`` over ``Cover.select``).  A cover
-keeps no state derived from a field, so one cover can be walked in any
-field of its width.
+``tau_inv``), and each digit selects one entry of its block (``select``,
+shared by covers and tame signatures).  A ``Cover`` holds s blocks of group
+elements and maps x to the left-to-right product of the selected entries
+(``induced_map``, the one cover walk: a fold of ``SuzukiGroup.mul`` over
+``Cover.select``).  A cover keeps no state derived from a field, so one
+cover can be walked in any field of its width.
 
 A ``TameSignature`` lives over the additive group of GF(q): every r_i is a
 power of two 2^h_i with sum(h_i) = n, the canonical entry for digit j of
 block i is j shifted into block i's bit chunk, and the published entries
 are the canonical ones pushed through a secret invertible GF(2)-linear map
-plus per-block offsets.  Evaluation (XOR of the entries
-``TameSignature.select`` picks, one per block) is then a bijection
-Z_q -> GF(q).  The digits of x are the bit chunks of x itself, so the
-trapdoor inverts it by undoing the offsets and the linear map, in O(n).
-Only the bit width n matters here, not the field modulus: the construction
-uses nothing beyond XOR.  The scheme places the entries in the group itself,
-as (1, b, 0) or (1, 0, b).
+plus per-block offsets.  That map, its inverse and the offsets are the
+trapdoor; a signature is built from them alone and derives its entries
+once, on construction.  Evaluation (XOR of the entries ``select`` picks,
+one per block) is then a bijection Z_q -> GF(q).  The digits of x are the
+bit chunks of x itself, so the trapdoor inverts it by undoing the offsets
+and the linear map, in O(n).  Only the bit width n matters here, not the
+field modulus: the construction uses nothing beyond XOR.  The scheme
+places the entries in the group itself, as (1, b, 0) or (1, 0, b).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
 from operator import xor
@@ -111,6 +113,11 @@ def tau_inv(sig_type: SignatureType, x: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _select(self, x: int) -> list:
+    """The entry of each block that the digits of x select."""
+    return [block[j] for block, j in zip(self.blocks, tau_inv(self.type, x))]
+
+
 # -- covers of group elements ---------------------------------------------
 
 
@@ -125,9 +132,7 @@ class Cover:
         ):
             raise ValueError("block shapes do not match type")
 
-    def select(self, x: int) -> list[GroupElement]:
-        """The entry of each block that the digits of x select."""
-        return [block[j] for block, j in zip(self.blocks, tau_inv(self.type, x))]
+    select = _select
 
 
 def induced_map(group: SuzukiGroup, cover: Cover, x: int) -> GroupElement:
@@ -196,33 +201,24 @@ def random_invertible(n: int, rng) -> tuple[tuple[int, ...], tuple[int, ...]]:
             return cols, inv
 
 
-def _masked_blocks(
-    sig_type: SignatureType,
-    cols: tuple[int, ...],
-    offsets: tuple[int, ...],
-) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for shift, ri, d in zip(sig_type.chunk_shifts(), sig_type.r, offsets):
-        out.append(tuple(apply_linear(cols, j << shift) ^ d for j in range(ri)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class TameSignature:
+    """A tame signature given by its trapdoor; ``blocks`` is derived from it."""
+
     type: SignatureType
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
     lin_cols: tuple[int, ...]
     lin_inv_cols: tuple[int, ...]
     offsets: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...] = field(init=False)
 
-    def canonical_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Entries rebuilt from the trapdoor; equals ``blocks`` by invariant."""
-        return _masked_blocks(self.type, self.lin_cols, self.offsets)
+    def __post_init__(self):
+        blocks = tuple(
+            tuple(apply_linear(self.lin_cols, j << shift) ^ d for j in range(ri))
+            for shift, ri, d in zip(self.type.chunk_shifts(), self.type.r, self.offsets)
+        )
+        object.__setattr__(self, "blocks", blocks)
 
-    def select(self, x: int) -> list[int]:
-        """The entry of each block that the digits of x select."""
-        return [block[j] for block, j in zip(self.blocks, tau_inv(self.type, x))]
+    select = _select
 
 
 def gen_tame(n: int, sig_type: SignatureType, rng) -> TameSignature:
@@ -230,8 +226,7 @@ def gen_tame(n: int, sig_type: SignatureType, rng) -> TameSignature:
         raise ValueError("type does not cover GF(2^n)")
     cols, inv = random_invertible(n, rng)
     offsets = tuple(rng.getrandbits(n) for _ in range(sig_type.s))
-    blocks = _masked_blocks(sig_type, cols, offsets)
-    return TameSignature(sig_type, n, blocks, cols, inv, offsets)
+    return TameSignature(sig_type, cols, inv, offsets)
 
 
 def evaluate_tame(sig: TameSignature, x: int) -> int:

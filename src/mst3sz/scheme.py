@@ -87,6 +87,11 @@ class PublicKey:
                 raise ValueError(
                     f"signature type {cover.type.r} does not cover GF(2^{n})"
                 )
+        pairs = ((self.alpha1, self.gamma1), (self.alpha2, self.gamma2))
+        for k, (alpha, gamma) in enumerate(pairs, 1):
+            if gamma.type != alpha.type:
+                t, u = gamma.type.r, alpha.type.r
+                raise ValueError(f"gamma{k} type {t} differs from alpha{k} type {u}")
 
     @property
     def type1(self) -> SignatureType:
@@ -188,6 +193,12 @@ def random_nonce(params: FieldParams, rng) -> SessionNonce:
     return SessionNonce(rng.getrandbits(params.n), rng.getrandbits(params.n))
 
 
+def _y1_mask(pk: PublicKey, r1: int, r2: int) -> GroupElement:
+    """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message."""
+    group = pk.group
+    return group.mul(induced_map(group, pk.alpha1, r1), induced_map(group, pk.alpha2, r2))
+
+
 def _y3(pk: PublicKey, r1: int) -> GroupElement:
     """The product of the f1 images of the alpha1 entries R1 selects."""
     return pk.group.mul_subgroup(IDENTITY, [(g.a, g.b) for g in pk.alpha1.select(r1)])
@@ -198,13 +209,13 @@ def _y4(pk: PublicKey, r2: int) -> GroupElement:
     return pk.group.mul_center(IDENTITY, [g.b for g in pk.alpha2.select(r2)])
 
 
-def _check_ciphertext(params: FieldParams, ct: Ciphertext) -> None:
+def _check_ciphertext(group: SuzukiGroup, ct: Ciphertext) -> None:
     """Raise ``CiphertextError`` unless ct has the shape of an encryption."""
-    if any((y.a | y.b | y.c) >> params.n for y in (ct.y1, ct.y2, ct.y3, ct.y4)):
+    if any((y.a | y.b | y.c) >> group.params.n for y in (ct.y1, ct.y2, ct.y3, ct.y4)):
         raise CiphertextError("ciphertext coordinate outside GF(q)")
     if ct.y3.a != 1:
         raise CiphertextError("y3 must have first coordinate 1")
-    if ct.y4.a != 1 or ct.y4.b != 0:
+    if not group.in_center(ct.y4):
         raise CiphertextError("y4 must be central")
 
 
@@ -216,10 +227,7 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
         raise ValueError("nonce out of range")
     if (m.a | m.b | m.c) >> group.params.n:
         raise ValueError("message out of range")
-    y1 = group.mul(
-        group.mul(induced_map(group, pk.alpha1, r1), induced_map(group, pk.alpha2, r2)),
-        m,
-    )
+    y1 = group.mul(_y1_mask(pk, r1, r2), m)
     y2 = group.mul(
         induced_map(group, pk.gamma1, r1), induced_map(group, pk.gamma2, r2)
     )
@@ -235,7 +243,7 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
     group = pk.group
     if group != sk.group:
         raise ValueError("public and private keys use different parameters")
-    _check_ciphertext(group.params, ct)
+    _check_ciphertext(group, ct)
     x = group.mul(group.mul(sk.chain1[0], ct.y2), group.inv(sk.chain2[-1]))
     r1 = factor_tame(sk.beta1, x.b ^ ct.y3.b)
     u = IDENTITY
@@ -248,10 +256,7 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
 def decrypt(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> GroupElement:
     group = pk.group
     r1, r2 = recover_nonce(pk, sk, ct)
-    mask = group.mul(
-        induced_map(group, pk.alpha1, r1), induced_map(group, pk.alpha2, r2)
-    )
-    return group.mul(group.inv(mask), ct.y1)
+    return group.mul(group.inv(_y1_mask(pk, r1, r2)), ct.y1)
 
 
 # -- byte payloads as group elements ----------------------------------------

@@ -17,7 +17,7 @@ from mst3sz.attacks import (
 )
 from mst3sz.cli import cli
 from mst3sz.field import make_params
-from mst3sz.group import CurvePoint, GroupElement, SuzukiGroup
+from mst3sz.group import IDENTITY, CurvePoint, GroupElement, SuzukiGroup
 from mst3sz.logsig import (
     SignatureType,
     covering_type,
@@ -127,13 +127,13 @@ def test_criterion_5_telescoping_identity():
             for r2 in range(8):
                 ct = encrypt(pk, G3.random_element(rng), SessionNonce(r1, r2))
                 lhs = G3.mul(G3.mul(sk.chain1[0], ct.y2), G3.inv(sk.chain2[-1]))
-                u = G3.identity()
+                u = IDENTITY
                 bsum = 0
                 for ablk, bblk, j in zip(pk.alpha1.blocks, sk.beta1.blocks,
                                          tau_inv(pk.type1, r1)):
                     u = G3.mul(u, G3.mul(G3.f1(ablk[j]), GroupElement(1, bblk[j], 0)))
                     bsum ^= ablk[j].a ^ bblk[j]
-                v = G3.identity()
+                v = IDENTITY
                 csum = 0
                 for ablk, bblk, j in zip(pk.alpha2.blocks, sk.beta2.blocks,
                                          tau_inv(pk.type2, r2)):

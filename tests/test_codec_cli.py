@@ -8,7 +8,7 @@ import pytest
 from mst3sz import codec
 from mst3sz.cli import cli
 from mst3sz.field import FieldParams, make_params
-from mst3sz.group import GroupElement, SuzukiGroup
+from mst3sz.group import IDENTITY, GroupElement, SuzukiGroup
 from mst3sz.logsig import SignatureType, TameSignature
 from mst3sz.scheme import (
     CiphertextError,
@@ -96,7 +96,7 @@ def test_bad_magic_rejected():
         (codec.serialize_private_key(sk), codec.parse_private_key),
         (
             codec.serialize_ciphertext(
-                params, encrypt(pk, G3.identity(), random_nonce(params, random.Random(1)))
+                params, encrypt(pk, IDENTITY, random_nonce(params, random.Random(1)))
             ),
             codec.parse_ciphertext,
         ),
@@ -200,6 +200,20 @@ def test_public_key_rejects_non_covering_type():
         dataclasses.replace(pk, gamma2=covers[3])
 
 
+def test_public_key_rejects_gamma_type_mismatch():
+    # gamma1 re-blocked from (4, 8) to (8, 4): both types cover GF(2^5), but
+    # the file stores one type per half, so such a key would not survive
+    # serialize/parse
+    from mst3sz.logsig import Cover
+
+    _, (pk, _) = make_key(39, n=5)
+    assert pk.type1.r == (4, 8)
+    entries = [g for block in pk.gamma1.blocks for g in block]
+    reblocked = Cover(SignatureType((8, 4)), (tuple(entries[:8]), tuple(entries[8:])))
+    with pytest.raises(ValueError, match=r"gamma1 type \(8, 4\) differs from alpha1 type \(4, 8\)"):
+        dataclasses.replace(pk, gamma1=reblocked)
+
+
 def test_parse_checks_chain_joint():
     _, (pk, sk) = make_key(31)
     rng = random.Random(32)
@@ -214,20 +228,35 @@ def test_parse_checks_chain_joint():
         codec.parse_private_key(codec.serialize_private_key(broken))
 
 
-def test_parse_checks_signature_trapdoor_consistency():
-    _, (pk, sk) = make_key(33)
-    b = sk.beta1
-    tampered_blocks = ((b.blocks[0][0] ^ 1,) + b.blocks[0][1:],) + b.blocks[1:]
-    bad = TameSignature(b.type, b.n, tampered_blocks, b.lin_cols, b.lin_inv_cols, b.offsets)
-    broken = PrivateKey(sk.group, bad, sk.beta2, sk.chain1, sk.chain2)
-    with pytest.raises(codec.CodecError, match="inconsistent"):
+def test_parse_rejects_central_chain_element():
+    # the middle of chain1 (n=5 has two blocks), not the joint, with b = 0
+    _, (pk, sk) = make_key(40, n=5)
+    assert len(sk.chain1) == 3
+    g = sk.chain1[1]
+    chain1 = sk.chain1[:1] + (GroupElement(g.a, 0, g.c),) + sk.chain1[2:]
+    broken = dataclasses.replace(sk, chain1=chain1)
+    with pytest.raises(codec.CodecError, match="central masking element in chain"):
         codec.parse_private_key(codec.serialize_private_key(broken))
+
+
+def test_parse_checks_signature_trapdoor_consistency():
+    # A signature derives its entries from the trapdoor, so an inconsistent
+    # one exists only as bytes: flip a bit of beta1's first entry, which
+    # follows the header (magic, version, n, modulus, role) and both types.
+    params, (pk, sk) = make_key(33)
+    n, t1, t2 = params.n, sk.beta1.type, sk.beta2.type
+    at = 7 + 1 + 1 + (n + 8) // 8 + 1 + (1 + 4 * t1.s) + (1 + 4 * t2.s)
+    blob = bytearray(codec.serialize_private_key(sk))
+    assert blob[at] == sk.beta1.blocks[0][0] & 0xFF
+    blob[at] ^= 1
+    with pytest.raises(codec.CodecError, match="beta1: signature entries inconsistent"):
+        codec.parse_private_key(bytes(blob))
 
 
 def test_parse_checks_singular_trapdoor():
     _, (pk, sk) = make_key(34)
     b = sk.beta1
-    bad = TameSignature(b.type, b.n, b.blocks, (0,) * b.n, b.lin_inv_cols, b.offsets)
+    bad = TameSignature(b.type, (0,) * len(b.lin_cols), b.lin_inv_cols, b.offsets)
     broken = PrivateKey(sk.group, bad, sk.beta2, sk.chain1, sk.chain2)
     with pytest.raises(codec.CodecError, match="singular"):
         codec.parse_private_key(codec.serialize_private_key(broken))
@@ -388,6 +417,18 @@ def test_cli_pipeline_round_trip(tmp_path, armor):
     assert out.read_bytes() == b"hi!"
 
 
+def test_cli_decrypt_rejects_bad_armor(tmp_path, capsys):
+    pub, priv = tmp_path / "p.key", tmp_path / "s.key"
+    assert cli(["keygen", "--n", "5", "--pub", str(pub), "--priv", str(priv), "--seed", "1"]) == 0
+    ct, out = tmp_path / "c.hex", tmp_path / "o.bin"
+    ct.write_bytes(b"not hex at all\n")
+    capsys.readouterr()
+    args = ["decrypt", "--pub", str(pub), "--priv", str(priv), "--in", str(ct), "--out", str(out)]
+    assert cli([*args, "--hex"]) == 2
+    assert "bad armor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [3, 17])
 def test_cli_pipeline_matches_library(tmp_path, n):
     params = make_params(n)
@@ -493,6 +534,26 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("ok") >= 7
+
+
+@pytest.mark.parametrize("exc", [AssertionError, IndexError])
+def test_cli_selftest_reports_failing_check(monkeypatch, capsys, exc):
+    # a check that raises, whether by assertion or by crashing, is reported
+    # and the remaining checks still run
+    import mst3sz.cli as cli_module
+
+    def broken():
+        raise exc("injected")
+
+    monkeypatch.setattr(
+        cli_module, "_selftest_checks",
+        lambda: [("first", lambda: None), ("broken", broken), ("last", lambda: None)],
+    )
+    assert cli(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["ok   first", "FAIL broken", "ok   last"]
+    assert "injected" in captured.err
+    assert "1 selftest check(s) failed" in captured.err
 
 
 def test_cli_bench_smoke(capsys):

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mst3sz import codec
-from mst3sz.field import make_params
-from mst3sz.group import GroupElement, SuzukiGroup
+from mst3sz.field import FieldParams, make_params
+from mst3sz.group import IDENTITY, GroupElement, SuzukiGroup
 from mst3sz.logsig import SignatureType, evaluate_tame, tau_inv
 from mst3sz.scheme import (
     Ciphertext,
@@ -83,7 +83,7 @@ def test_gamma_recomputes_from_parts(n, modulus):
     # gamma[i][j] = chain[i]^-1 * f_k(alpha[i][j]) * beta[i][j] * chain[i+1],
     # recomputed with the independent reference law, beta1 entries as
     # (1, b, 0) and beta2 entries as (1, 0, b)
-    params = make_params(n, modulus)
+    params = FieldParams(n, modulus)
     if n == 3:
         pk, sk = make_key(3)
     else:
@@ -174,7 +174,7 @@ def test_round_trip_exhaustive_nonces():
     "n,modulus", [(19, None), (65, None), (127, None), (65, 0x322A2D550DBD0CE07)]
 )
 def test_encrypt_matches_oracle_large(n, modulus):
-    params = make_params(n, modulus)
+    params = FieldParams(n, modulus)
     group = SuzukiGroup(params)
     pk, sk = keygen(params, rng=random.Random(n))
     rng = random.Random(n + 1)
@@ -195,8 +195,8 @@ def test_image_products_match_oracle():
         f2_blocks = [[(1, 0, g.b) for g in blk] for blk in cover.blocks]
         for r in range(P3.q):
             sel = cover.select(r)
-            f1 = G3.mul_subgroup(G3.identity(), [(g.a, g.b) for g in sel])
-            f2 = G3.mul_center(G3.identity(), [g.b for g in sel])
+            f1 = G3.mul_subgroup(IDENTITY, [(g.a, g.b) for g in sel])
+            f2 = G3.mul_center(IDENTITY, [g.b for g in sel])
             assert oracle.as_tuple(f1) == oracle.cover_product(P3, f1_blocks, r)
             assert oracle.as_tuple(f2) == oracle.cover_product(P3, f2_blocks, r)
 
@@ -265,12 +265,12 @@ def test_telescoped_mask_factors():
         for r2 in range(8):
             ct = encrypt(pk, G3.random_element(rng), SessionNonce(r1, r2))
             lhs = G3.mul(G3.mul(sk.chain1[0], ct.y2), G3.inv(sk.chain2[-1]))
-            u = G3.identity()
+            u = IDENTITY
             for ablk, bblk, j in zip(
                 pk.alpha1.blocks, sk.beta1.blocks, tau_inv(pk.type1, r1)
             ):
                 u = G3.mul(u, G3.mul(G3.f1(ablk[j]), GroupElement(1, bblk[j], 0)))
-            v = G3.identity()
+            v = IDENTITY
             for ablk, bblk, j in zip(
                 pk.alpha2.blocks, sk.beta2.blocks, tau_inv(pk.type2, r2)
             ):
