@@ -189,10 +189,16 @@ def _cmd_bench(args) -> int:
         widths = tuple(map(int, args.sizes.split(","))) if args.sizes else BENCH_WIDTHS
     except ValueError as e:
         raise _UsageError(f"bad --sizes {args.sizes!r}: {e}") from None
+    fields = []
+    for n in widths:  # every width is checked before anything is timed
+        try:
+            fields.append(make_params(n))
+        except ValueError as e:
+            raise _UsageError(f"bad --sizes width {n}: {e}") from None
     rng = random.Random(0xBE)
     rows = []
-    for n in widths:
-        p = make_params(n)
+    for p in fields:
+        n = p.n
         times_kg = []
         for _ in range(args.iters):
             t0 = time.perf_counter()

@@ -9,12 +9,13 @@ elements and maps x to the left-to-right product of the selected entries
 ``Cover.select``).  A cover keeps no state derived from a field, so one
 cover can be walked in any field of its width.
 
-A ``TameSignature`` lives over the additive group of GF(q): every r_i is a
-power of two 2^h_i with sum(h_i) = n, the canonical entry for digit j of
-block i is j shifted into block i's bit chunk, and the published entries
-are the canonical ones pushed through a secret invertible GF(2)-linear map
-plus per-block offsets.  That map, its inverse and the offsets are the
-trapdoor; a signature is built from them alone and derives its entries
+A ``TameSignature`` lives over the additive group of GF(q).  Its type
+covers GF(2^n) when the block sizes multiply to 2^n.  The canonical entry
+for digit j of block i is j * m_i, so the canonical signature evaluates to
+``tau`` itself; the published entries are the canonical ones pushed through
+a secret invertible GF(2)-linear map plus per-block offsets.  That map, its
+inverse and the offsets are the trapdoor; a signature is built from them
+alone, checks that its type covers the map's width, and derives its entries
 once, on construction.  Evaluation (XOR of the entries ``select`` picks,
 one per block) is then a bijection Z_q -> GF(q).  The digits of x are the
 bit chunks of x itself, so the trapdoor inverts it by undoing the offsets
@@ -27,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import accumulate
 from math import prod
-from operator import xor
+from operator import mul, xor
 
 from .group import GroupElement, SuzukiGroup
 
@@ -52,35 +54,11 @@ class SignatureType:
     @property
     def weights(self) -> tuple[int, ...]:
         """m_i = product of the block sizes before block i (m_1 = 1)."""
-        w, acc = [], 1
-        for ri in self.r:
-            w.append(acc)
-            acc *= ri
-        return tuple(w)
-
-    def bit_widths(self) -> tuple[int, ...]:
-        """h_i with r_i = 2^h_i; error if any block size is not a 2-power."""
-        widths = []
-        for ri in self.r:
-            h = ri.bit_length() - 1
-            if 1 << h != ri:
-                raise ValueError(f"block size {ri} is not a power of two")
-            widths.append(h)
-        return tuple(widths)
-
-    def chunk_shifts(self) -> tuple[int, ...]:
-        """Bit offset of each block's chunk, chunk 1 at the low end."""
-        sh, acc = [], 0
-        for h in self.bit_widths():
-            sh.append(acc)
-            acc += h
-        return tuple(sh)
+        return tuple(accumulate(self.r[:-1], mul, initial=1))
 
     def covers_bits(self, n: int) -> bool:
-        try:
-            return sum(self.bit_widths()) == n
-        except ValueError:
-            return False
+        """Whether the block sizes multiply to 2^n (each is then a power of 2)."""
+        return self.m == 1 << n
 
 
 def covering_type(n: int) -> SignatureType:
@@ -172,24 +150,24 @@ def invert_linear(cols: tuple[int, ...], n: int) -> tuple[int, ...] | None:
 
     Row-style Gauss-Jordan on the column list computes the inverse of the
     transpose in row form, which is exactly the inverse in column form.
+    Each row carries its identity row above bit n, col_i | 1 << (n + i), so
+    one swap and one XOR per step eliminate both halves at once.
     """
-    a = list(cols)
-    inv = [1 << i for i in range(n)]
+    rows = [col | 1 << (n + i) for i, col in enumerate(cols)]
     for c in range(n):
-        pivot = None
+        bit = 1 << c
         for r in range(c, n):
-            if a[r] >> c & 1:
-                pivot = r
+            if rows[r] & bit:
                 break
-        if pivot is None:
+        else:
             return None
-        a[c], a[pivot] = a[pivot], a[c]
-        inv[c], inv[pivot] = inv[pivot], inv[c]
-        for r in range(n):
-            if r != c and a[r] >> c & 1:
-                a[r] ^= a[c]
-                inv[r] ^= inv[c]
-    return tuple(inv)
+        pivot = rows[r]
+        rows[r] = rows[c]
+        for i in range(n):  # row c is overwritten with the pivot below
+            if rows[i] & bit:
+                rows[i] ^= pivot
+        rows[c] = pivot
+    return tuple(row >> n for row in rows)
 
 
 def random_invertible(n: int, rng) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -212,9 +190,16 @@ class TameSignature:
     blocks: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
+        t, n = self.type, len(self.lin_cols)
+        if not t.covers_bits(n):
+            raise ValueError(f"type does not cover GF(2^{n}): block sizes {t.r}")
+        if len(self.offsets) != t.s:
+            raise ValueError(f"{len(self.offsets)} offsets for {t.s} blocks")
+        if len(self.lin_inv_cols) != n:
+            raise ValueError(f"{len(self.lin_inv_cols)} inverse map columns, not {n}")
         blocks = tuple(
-            tuple(apply_linear(self.lin_cols, j << shift) ^ d for j in range(ri))
-            for shift, ri, d in zip(self.type.chunk_shifts(), self.type.r, self.offsets)
+            tuple(apply_linear(self.lin_cols, j * w) ^ d for j in range(ri))
+            for w, ri, d in zip(t.weights, t.r, self.offsets)
         )
         object.__setattr__(self, "blocks", blocks)
 
@@ -222,8 +207,6 @@ class TameSignature:
 
 
 def gen_tame(n: int, sig_type: SignatureType, rng) -> TameSignature:
-    if not sig_type.covers_bits(n):
-        raise ValueError("type does not cover GF(2^n)")
     cols, inv = random_invertible(n, rng)
     offsets = tuple(rng.getrandbits(n) for _ in range(sig_type.s))
     return TameSignature(sig_type, cols, inv, offsets)

@@ -169,7 +169,7 @@ def keygen(
     if type2 is None:
         type2 = covering_type(n)
 
-    # gen_tame rejects a type that does not cover GF(2^n)
+    # TameSignature rejects a type that does not cover GF(2^n)
     beta1 = gen_tame(n, type1, rng)
     beta2 = gen_tame(n, type2, rng)
     alpha1 = gen_random_cover(group, type1, rng)
@@ -243,6 +243,11 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
     group = pk.group
     if group != sk.group:
         raise ValueError("public and private keys use different parameters")
+    if (sk.beta1.type, sk.beta2.type) != (pk.type1, pk.type2):
+        raise ValueError(
+            f"private key types {sk.beta1.type.r}, {sk.beta2.type.r} differ"
+            f" from public key types {pk.type1.r}, {pk.type2.r}"
+        )
     _check_ciphertext(group, ct)
     x = group.mul(group.mul(sk.chain1[0], ct.y2), group.inv(sk.chain2[-1]))
     r1 = factor_tame(sk.beta1, x.b ^ ct.y3.b)

@@ -4,6 +4,8 @@ Everything here works on plain ints/tuples and avoids the library's code
 paths: multiplication forms the whole carry-less product before one long
 division, exponentiation is generic square-and-multiply, and the group law
 is evaluated directly from its defining formula on coordinate tuples.
+GF(2) rank comes from a basis keyed on each vector's top bit, not from
+elimination.
 """
 
 
@@ -109,3 +111,25 @@ def encrypt(params, pk, m: tuple, r1: int, r2: int) -> tuple:
     y3 = cover_product(params, f1, r1)
     y4 = cover_product(params, f2, r2)
     return y1, y2, y3, y4
+
+
+def gf2_apply(cols, x: int) -> int:
+    """The GF(2)-linear map with these basis-image columns, applied to x."""
+    out = 0
+    for i, col in enumerate(cols):
+        if x >> i & 1:
+            out ^= col
+    return out
+
+
+def gf2_rank(cols) -> int:
+    """Rank over GF(2): reduce each column by a basis keyed on its top bit."""
+    basis = {}
+    for v in cols:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)

@@ -76,6 +76,31 @@ def test_ciphertext_blob_size_and_round_trip(n):
     assert parsed == ct  # fixed coordinates re-imposed exactly
 
 
+# SHA-256 over the public key, private key and 3 ciphertexts of 3 seeded keys
+# per field, recorded before the signature layer dropped its bit-width
+# methods.  Any change to keygen, encrypt, the rng draw order or the byte
+# formats moves it.
+BYTES_DIGEST = "2d2e7dd511263206e10e28da25b31bba776e44da3759e3697607eb643857df9c"
+
+
+def test_key_and_ciphertext_bytes_pinned():
+    fields = [make_params(n) for n in (3, 5, 9, 17, 19, 33, 65, 127)]
+    fields.append(FieldParams(65, 0x322A2D550DBD0CE07))
+    h = hashlib.sha256()
+    for params in fields:
+        group = SuzukiGroup(params)
+        for k in range(3):
+            rng = random.Random(f"bytes/{params.n}/{params.modulus:x}/{k}")
+            pk, sk = keygen(params, rng=rng)
+            h.update(codec.serialize_public_key(pk))
+            h.update(codec.serialize_private_key(sk))
+            for _ in range(3):
+                m = group.random_element(rng)
+                ct = encrypt(pk, m, random_nonce(params, rng))
+                h.update(codec.serialize_ciphertext(params, ct))
+    assert h.hexdigest() == BYTES_DIGEST
+
+
 def test_ciphertext_fixed_coordinates_elided():
     params, (pk, sk) = make_key(25)
     rng = random.Random(26)
@@ -467,6 +492,23 @@ def test_cli_ciphertext_key_mismatch(tmp_path):
     ]) == 2
 
 
+def test_cli_decrypt_rejects_private_key_of_other_types(tmp_path, capsys):
+    # same width, types (4, 8) against (8, 4): a named error, exit 2
+    keys = {}
+    for tag, t in (("a", "4,8"), ("b", "8,4")):
+        keys[tag] = tmp_path / f"p{tag}.key", tmp_path / f"s{tag}.key"
+        assert cli(["keygen", "--n", "5", "--type1", t, "--type2", t,
+                    "--pub", str(keys[tag][0]), "--priv", str(keys[tag][1])]) == 0
+    msg, ct, out = tmp_path / "m.bin", tmp_path / "c.bin", tmp_path / "o.bin"
+    msg.write_bytes(b"")
+    assert cli(["encrypt", "--pub", str(keys["a"][0]), "--in", str(msg), "--out", str(ct)]) == 0
+    capsys.readouterr()
+    assert cli(["decrypt", "--pub", str(keys["a"][0]), "--priv", str(keys["b"][1]),
+                "--in", str(ct), "--out", str(out)]) == 2
+    assert "private key types (8, 4), (8, 4) differ" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [3, 17, 65])
 def test_mismatched_key_pair_fails_cleanly(tmp_path, n):
     # pk and sk of the same width from different key pairs: the trapdoors
@@ -566,3 +608,9 @@ def test_cli_bench_smoke(capsys):
     assert cli(["bench", "--iters", "0"]) == 1
     assert cli(["bench", "--sizes", "3,x", "--iters", "2"]) == 1
     assert "bad --sizes '3,x'" in capsys.readouterr().err
+    # a width the field rejects is a usage error, found before any timing
+    for sizes, width in (("4", "4"), ("3,129", "129")):
+        assert cli(["bench", "--sizes", sizes, "--iters", "2"]) == 1
+        captured = capsys.readouterr()
+        assert f"bad --sizes width {width}:" in captured.err
+        assert captured.out == ""

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +40,6 @@ def test_type_validation():
     t = SignatureType((3, 5, 7))
     assert t.m == 105
     assert t.weights == (1, 3, 15)
-    with pytest.raises(ValueError, match="power of two"):
-        t.bit_widths()
     assert not t.covers_bits(7)
 
 
@@ -165,6 +165,38 @@ def test_linear_map_round_trip():
     assert invert_linear((0, 1, 2), 3) is None  # singular
 
 
+def _singular_maps(n, rng):
+    """A zero column, a repeated column and a map of rank n - 1."""
+    cols = [rng.getrandbits(n) for _ in range(n)]
+    i = rng.randrange(n)
+    others = [k for k in range(n) if k != i]
+    maps = [cols[:i] + [0] + cols[i + 1 :]]
+    if others:
+        maps.append(cols[:i] + [cols[rng.choice(others)]] + cols[i + 1 :])
+    # an invertible map whose column i becomes a sum of some other columns
+    full = list(random_invertible(n, rng)[0])
+    picked = rng.sample(others, rng.randint(1, len(others))) if others else []
+    full[i] = reduce(xor, (full[k] for k in picked), 0)
+    assert oracle.gf2_rank(full) == n - 1
+    return [tuple(m) for m in maps + [full]]
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 65, 127])
+def test_invert_linear_matches_rank_oracle(n):
+    # either None and rank below n, or L * L^-1 = L^-1 * L = I on every column
+    rng = random.Random(n)
+    singular = [m for _ in range(3) for m in _singular_maps(n, rng)]
+    for cols in [tuple(rng.getrandbits(n) for _ in range(n)) for _ in range(20)] + singular:
+        inv = invert_linear(cols, n)
+        if inv is None or cols in singular:
+            assert inv is None
+            assert oracle.gf2_rank(cols) < n
+            continue
+        for i in range(n):
+            assert oracle.gf2_apply(cols, inv[i]) == 1 << i
+            assert oracle.gf2_apply(inv, cols[i]) == 1 << i
+
+
 def test_gen_tame_requires_covering_type():
     rng = random.Random(6)
     with pytest.raises(ValueError, match="cover"):
@@ -173,15 +205,30 @@ def test_gen_tame_requires_covering_type():
         gen_tame(7, SignatureType((3, 5)), rng)
 
 
+@pytest.mark.parametrize(
+    "r, cols, inv, offsets, match",
+    [
+        ((4, 4, 4), 5, 5, 3, r"type does not cover GF\(2\^5\)"),  # 6 bits
+        ((4, 4), 5, 5, 2, r"type does not cover GF\(2\^5\)"),  # 4 bits
+        ((3, 5), 4, 4, 2, "type does not cover"),  # 15 is not 2^4
+        ((4, 8), 5, 5, 1, "1 offsets for 2 blocks"),
+        ((4, 8), 5, 5, 3, "3 offsets for 2 blocks"),
+        ((4, 8), 5, 4, 2, "4 inverse map columns, not 5"),
+    ],
+    ids=["6-bits", "4-bits", "15-entries", "few-offsets", "many-offsets", "short-inverse"],
+)
+def test_tame_signature_checks_its_shape(r, cols, inv, offsets, match):
+    ident = tuple(1 << i for i in range(5))
+    with pytest.raises(ValueError, match=match):
+        TameSignature(SignatureType(r), ident[:cols], ident[:inv], (0,) * offsets)
+
+
 def test_canonical_signature_is_bit_pattern():
     # identity map, zero offsets: evaluating x yields the bits of x
     n = 9
     t = SignatureType((8, 8, 8))
     ident = tuple(1 << i for i in range(n))
-    blocks = tuple(
-        tuple(j << shift for j in range(ri))
-        for shift, ri in zip(t.chunk_shifts(), t.r)
-    )
+    blocks = tuple(tuple(j << shift for j in range(8)) for shift in (0, 3, 6))
     sig = TameSignature(t, ident, ident, (0, 0, 0))
     assert sig.blocks == blocks
     for x in range(512):

@@ -222,6 +222,23 @@ def test_decrypt_rejects_keys_of_different_widths():
             decrypt(pk, sk, ct)
 
 
+def test_decrypt_rejects_private_key_of_other_types():
+    # one width, types (4, 8) and (8, 4): the selections differ in length,
+    # and recovering the nonce from them returned a garbage element
+    params = make_params(5)
+    t48, t84 = SignatureType((4, 8)), SignatureType((8, 4))
+    pk, _ = keygen(params, t48, t48, rng=random.Random(1))
+    ct = encrypt(pk, encode_message(params, b""), SessionNonce(1, 2))
+    for t1, t2 in ((t84, t84), (t48, t84), (t84, t48)):
+        _, sk = keygen(params, t1, t2, rng=random.Random(2))
+        with pytest.raises(ValueError) as err:
+            decrypt(pk, sk, ct)
+        assert str(err.value) == (
+            f"private key types {t1.r}, {t2.r} differ"
+            " from public key types (4, 8), (4, 8)"
+        )
+
+
 def test_encrypt_rejects_message_outside_field():
     params = make_params(5)
     pk, _ = keygen(params, rng=random.Random(1))
