@@ -15,7 +15,7 @@ Key file::
     cover:      entries in block order, 3 field elements each
     signature:  entries in block order, 1 field element each,
                 then the n columns of the secret linear map,
-                then s per-block offsets
+                then s per-block offsets (no inverse map: parsing derives it)
     chain:      s+1 group elements, 3 field elements each
 
 Ciphertext blob::
@@ -42,7 +42,7 @@ from itertools import chain, islice
 
 from .field import IRREDUCIBLE, FieldParams, make_params
 from .group import GroupElement, SuzukiGroup
-from .logsig import Cover, SignatureType, TameSignature, invert_linear
+from .logsig import Cover, SignatureType, TameSignature
 from .scheme import Ciphertext, PrivateKey, PublicKey
 
 KEY_MAGIC = b"MST3SZ1"
@@ -173,10 +173,10 @@ def _read_signature(
     blocks = _blocks(vals[:entries], t.r)
     cols = tuple(vals[entries : entries + f.n])
     offsets = tuple(vals[entries + f.n :])
-    inv = invert_linear(cols, f.n)
-    if inv is None:
-        raise CodecError(f"{section}: signature trapdoor map is singular")
-    sig = TameSignature(t, cols, inv, offsets)
+    try:
+        sig = TameSignature(t, cols, offsets)
+    except ValueError as e:
+        raise CodecError(f"{section}: {e}") from None
     if sig.blocks != blocks:
         raise CodecError(f"{section}: signature entries inconsistent with trapdoor")
     return sig

@@ -13,15 +13,16 @@ A ``TameSignature`` lives over the additive group of GF(q).  Its type
 covers GF(2^n) when the block sizes multiply to 2^n.  The canonical entry
 for digit j of block i is j * m_i, so the canonical signature evaluates to
 ``tau`` itself; the published entries are the canonical ones pushed through
-a secret invertible GF(2)-linear map plus per-block offsets.  That map, its
-inverse and the offsets are the trapdoor; a signature is built from them
-alone, checks that its type covers the map's width, and derives its entries
-once, on construction.  Evaluation (XOR of the entries ``select`` picks,
-one per block) is then a bijection Z_q -> GF(q).  The digits of x are the
-bit chunks of x itself, so the trapdoor inverts it by undoing the offsets
-and the linear map, in O(n).  Only the bit width n matters here, not the
-field modulus: the construction uses nothing beyond XOR.  The scheme
-places the entries in the group itself, as (1, b, 0) or (1, 0, b).
+a secret invertible GF(2)-linear map plus per-block offsets.  That map and
+the offsets are the trapdoor; a signature is built from them alone, checks
+that the type covers the map's width and that the map inverts, and derives
+the inverse map and its entries once, on construction.  Evaluation (XOR of
+the entries ``select`` picks, one per block) is then a bijection Z_q ->
+GF(q).  The digits of x are the bit chunks of x itself, so the trapdoor
+inverts it by undoing the offsets and the linear map, in O(n).  Only the
+bit width n matters here, not the field modulus: the construction uses
+nothing beyond XOR.  The scheme places the entries in the group itself, as
+(1, b, 0) or (1, 0, b).
 """
 
 from __future__ import annotations
@@ -146,47 +147,39 @@ def apply_linear(cols: tuple[int, ...], x: int) -> int:
 
 
 def invert_linear(cols: tuple[int, ...], n: int) -> tuple[int, ...] | None:
-    """Columns of the inverse map, or None if singular.
+    """Columns of the inverse of the map on n bits, or None if it is singular.
 
-    Row-style Gauss-Jordan on the column list computes the inverse of the
-    transpose in row form, which is exactly the inverse in column form.
-    Each row carries its identity row above bit n, col_i | 1 << (n + i), so
-    one swap and one XOR per step eliminate both halves at once.
+    Row reduction on the column list inverts the transpose in row form, which
+    is the inverse in column form; each row carries its identity row above
+    bit n, col_i | 1 << (n + i).  A row is reduced against the kept rows by
+    its top set bit below n, so a singular map shows as soon as one row
+    reaches zero there; one back-substitution pass then clears the rest.
     """
-    rows = [col | 1 << (n + i) for i, col in enumerate(cols)]
-    for c in range(n):
-        bit = 1 << c
-        for r in range(c, n):
-            if rows[r] & bit:
-                break
-        else:
+    low = (1 << n) - 1
+    rows = [0] * n  # rows[k]: the kept row whose top set bit below n is k
+    for i in range(n):
+        row = cols[i] | 1 << (n + i)
+        while (top := (row & low).bit_length()) and rows[top - 1]:
+            row ^= rows[top - 1]
+        if not top:
             return None
-        pivot = rows[r]
-        rows[r] = rows[c]
-        for i in range(n):  # row c is overwritten with the pivot below
-            if rows[i] & bit:
-                rows[i] ^= pivot
-        rows[c] = pivot
+        rows[top - 1] = row
+    for k in range(1, n):  # the rows below k are already reduced to their key
+        row, mask = rows[k], (1 << k) - 1
+        while below := row & mask:
+            row ^= rows[below.bit_length() - 1]
+        rows[k] = row
     return tuple(row >> n for row in rows)
-
-
-def random_invertible(n: int, rng) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Random invertible GF(2)-linear map on n bits, with its inverse."""
-    while True:
-        cols = tuple(rng.getrandbits(n) for _ in range(n))
-        inv = invert_linear(cols, n)
-        if inv is not None:
-            return cols, inv
 
 
 @dataclass(frozen=True)
 class TameSignature:
-    """A tame signature given by its trapdoor; ``blocks`` is derived from it."""
+    """A tame signature given by its trapdoor; the rest is derived from it."""
 
     type: SignatureType
     lin_cols: tuple[int, ...]
-    lin_inv_cols: tuple[int, ...]
     offsets: tuple[int, ...]
+    lin_inv_cols: tuple[int, ...] = field(init=False)
     blocks: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
@@ -195,10 +188,15 @@ class TameSignature:
             raise ValueError(f"type does not cover GF(2^{n}): block sizes {t.r}")
         if len(self.offsets) != t.s:
             raise ValueError(f"{len(self.offsets)} offsets for {t.s} blocks")
-        if len(self.lin_inv_cols) != n:
-            raise ValueError(f"{len(self.lin_inv_cols)} inverse map columns, not {n}")
+        for kind, vals in (("column", self.lin_cols), ("offset", self.offsets)):
+            if wide := [i for i, v in enumerate(vals) if v >> n]:  # -1 if v < 0
+                raise ValueError(f"trapdoor {kind} {wide[0]} does not fit in {n} bits")
+        object.__setattr__(self, "lin_inv_cols", invert_linear(self.lin_cols, n))
+        if self.lin_inv_cols is None:
+            raise ValueError("signature trapdoor map is singular")
+        # block i weighs m_i = 2^k_i: digit j selects the columns from k_i on
         blocks = tuple(
-            tuple(apply_linear(self.lin_cols, j * w) ^ d for j in range(ri))
+            tuple(apply_linear(self.lin_cols[w.bit_length() - 1 :], j) ^ d for j in range(ri))
             for w, ri, d in zip(t.weights, t.r, self.offsets)
         )
         object.__setattr__(self, "blocks", blocks)
@@ -207,9 +205,10 @@ class TameSignature:
 
 
 def gen_tame(n: int, sig_type: SignatureType, rng) -> TameSignature:
-    cols, inv = random_invertible(n, rng)
+    while invert_linear(cols := tuple(rng.getrandbits(n) for _ in range(n)), n) is None:
+        pass  # redraw: about 71% of random maps are singular
     offsets = tuple(rng.getrandbits(n) for _ in range(sig_type.s))
-    return TameSignature(sig_type, cols, inv, offsets)
+    return TameSignature(sig_type, cols, offsets)
 
 
 def evaluate_tame(sig: TameSignature, x: int) -> int:

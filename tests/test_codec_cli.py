@@ -9,7 +9,7 @@ from mst3sz import codec
 from mst3sz.cli import cli
 from mst3sz.field import FieldParams, make_params
 from mst3sz.group import IDENTITY, GroupElement, SuzukiGroup
-from mst3sz.logsig import SignatureType, TameSignature
+from mst3sz.logsig import SignatureType
 from mst3sz.scheme import (
     CiphertextError,
     PrivateKey,
@@ -279,12 +279,17 @@ def test_parse_checks_signature_trapdoor_consistency():
 
 
 def test_parse_checks_singular_trapdoor():
-    _, (pk, sk) = make_key(34)
-    b = sk.beta1
-    bad = TameSignature(b.type, (0,) * len(b.lin_cols), b.lin_inv_cols, b.offsets)
-    broken = PrivateKey(sk.group, bad, sk.beta2, sk.chain1, sk.chain2)
-    with pytest.raises(codec.CodecError, match="singular"):
-        codec.parse_private_key(codec.serialize_private_key(broken))
+    # A signature cannot hold a singular map, so one exists only as bytes:
+    # zero beta1's n columns, which follow its sum(r) entries.
+    params, (pk, sk) = make_key(34)
+    n, t1, t2, size = params.n, sk.beta1.type, sk.beta2.type, (params.n + 7) // 8
+    at = 7 + 1 + 1 + (n + 8) // 8 + 1 + (1 + 4 * t1.s) + (1 + 4 * t2.s) + size * sum(t1.r)
+    end = at + n * size
+    blob = bytearray(codec.serialize_private_key(sk))
+    assert blob[at:end] == b"".join(c.to_bytes(size, "little") for c in sk.beta1.lin_cols)
+    blob[at:end] = bytes(n * size)
+    with pytest.raises(codec.CodecError, match="beta1: signature trapdoor map is singular"):
+        codec.parse_private_key(bytes(blob))
 
 
 def test_parsers_fail_only_with_codec_error():
