@@ -13,10 +13,14 @@ uniquely (decryption derives it as a function of (y2, y3, y4)).
 Verification runs only on filter hits and is not counted as a trial;
 trials count enumeration steps, bounded by q^2 for attacks 1-2 and 2q for
 attack 3.  Each attack tabulates only what its enumeration reads: attack 1
-the alpha1 and inverted alpha2 walks, attack 2 the gamma walks whose
-product it compares with y2, b-coordinate first; attack 3 sweeps R1 and R2
-with the scheme's own y3 and y4.  A ciphertext without the shape of an
-encryption raises ``CiphertextError`` on entry, as it does in decryption.
+the alpha1 and inverted alpha2 walks, attack 2 the gamma walks (the
+scheme's structured ``_gamma1`` and ``_gamma2``) whose product it compares
+with y2, b-coordinate first; attack 3 sweeps R1 and R2 with the scheme's
+own y3 and y4.  With the default padding oracle, attack 1 skips (but
+counts) each candidate whose a-coordinate is not 1, since no valid padding
+at n <= 5 has another; a caller's oracle sees every candidate.  A
+ciphertext without the shape of an encryption raises ``CiphertextError``
+on entry, as it does in decryption.
 
 Enumeration order is fixed: pairs (R1, R2) with R1 outer, R2 inner.  Any
 parallel split must still report the lowest-index verified match.
@@ -30,7 +34,7 @@ from typing import Callable
 from .group import IDENTITY, GroupElement
 from .logsig import induced_map
 from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message, encrypt
-from .scheme import _check_ciphertext, _y3, _y4
+from .scheme import _check_ciphertext, _gamma1, _gamma2, _y3, _y4
 
 _MAX_N = 5
 
@@ -75,18 +79,25 @@ def attack1_bruteforce_ciphertext(
 ) -> AttackResult:
     """Enumerate nonces, unmask y1, accept recognizable verified plaintext."""
     _check_input(pk, ct)
+    # n <= 5 leaves a valid padding no length bits to set, so a = 1: skip
+    # a candidate inv2[r2] * left unless inv2[r2].a = left.a^-1
+    screen = oracle is None
     if oracle is None:
         oracle = default_validity_predicate(pk)
     group = pk.group
-    q = group.params.q
+    f = group.params
+    q = f.q
     a1 = [induced_map(group, pk.alpha1, r) for r in range(q)]
     inv2 = [group.inv(induced_map(group, pk.alpha2, r)) for r in range(q)]
     trials = 0
     for r1 in range(q):
         left = group.mul(group.inv(a1[r1]), ct.y1)
-        for r2 in range(q):
+        want = f.inv(left.a)
+        for r2, g in enumerate(inv2):
             trials += 1
-            cand = group.mul(inv2[r2], left)
+            if screen and g.a != want:
+                continue
+            cand = group.mul(g, left)
             if oracle(cand) and _reproduces(pk, ct, SessionNonce(r1, r2)):
                 return AttackResult(cand, trials, True, SessionNonce(r1, r2))
     return AttackResult(None, trials, False, None)
@@ -98,8 +109,8 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     group = pk.group
     f = group.params
     q = f.q
-    g1 = [induced_map(group, pk.gamma1, r) for r in range(q)]
-    g2 = [induced_map(group, pk.gamma2, r) for r in range(q)]
+    g1 = [_gamma1(pk, r) for r in range(q)]
+    g2 = [_gamma2(pk, r) for r in range(q)]
     trials = 0
     # Screen on the product's b-coordinate, a2*b1 + b2 (one multiply): its
     # a-coordinate is one value for all nonces (gamma's middle factors have a = 1).

@@ -154,7 +154,10 @@ def invert_linear(cols: tuple[int, ...], n: int) -> tuple[int, ...] | None:
     bit n, col_i | 1 << (n + i).  A row is reduced against the kept rows by
     its top set bit below n, so a singular map shows as soon as one row
     reaches zero there; one back-substitution pass then clears the rest.
+    A column list of any length but n raises ``ValueError``.
     """
+    if len(cols) != n:
+        raise ValueError(f"{len(cols)} columns for a map on {n} bits")
     low = (1 << n) - 1
     rows = [0] * n  # rows[k]: the kept row whose top set bit below n is k
     for i in range(n):

@@ -10,11 +10,22 @@ Key generation builds, for k = 1, 2:
     gamma_k[i][j] = t_(i-1)(k)^-1 * f_k(alpha_k[i][j]) * beta_k[i][j] * t_i(k).
 
 Each factor f_k(alpha) * beta lies in a subgroup and is applied as a right
-factor, once, by its own law: ``_mask_u`` multiplies by (1, a, b) * (1, beta, 0)
-for k = 1 (``SuzukiGroup.mul_subgroup``) and ``_mask_v`` by the central
-(1, 0, b + beta) for k = 2 (``SuzukiGroup.mul_center``).  Keygen masks
-t_(i-1)^-1 that way and spends one general group multiply per entry on
-t_i; decryption builds U with the same ``_mask_u``.
+factor, once, by its own law.  For k = 1, ``_mask_u`` multiplies
+t_(i-1)^-1 by (1, a, b) * (1, beta, 0) (``SuzukiGroup.mul_subgroup``) and
+one general group multiply per entry adds t_i; decryption builds U with
+the same ``_mask_u``.  For k = 2 the factor is (1, 0, v), v = b + beta,
+and (1, 0, v) * t = t * (1, 0, t.a^(2q0+1) * v), so an entry is
+E_i = t_(i-1)^-1 * t_i with t_i.a^(2q0+1) * v added to c: one group
+multiply per block and one field multiply per entry.
+
+The middle factors have a = 1, which gives the gamma covers a block
+structure that every key has and ``PublicKey`` checks: every gamma1 entry
+of block i has the same a-coordinate, and every gamma2 entry of block i
+the same a and b, differing only in c.  The key derives its walk terms
+from that once, and encryption walks the covers by them (``_gamma1``,
+``_gamma2``): a gamma1 step skips the a-chain (3 field multiplies and
+1 Frobenius map instead of 5 and 2), and the gamma2 walk is one fixed
+product times (1, 0, h), h a Horner sum with one multiply per block.
 
 Encryption of m under nonce (R1, R2) emits
 
@@ -46,8 +57,9 @@ caller's job (``random_nonce``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import NamedTuple
 
 from .field import FieldParams
 from .group import IDENTITY, GroupElement, SuzukiGroup
@@ -74,11 +86,25 @@ class SessionNonce(NamedTuple):
 
 @dataclass(frozen=True)
 class PublicKey:
+    """The published covers, and the gamma walk terms derived from them.
+
+    Every gamma1 block shares one a-coordinate A_i, and every gamma2 block
+    one (a, b); the constructor rejects a gamma cover without that shape.
+    The terms: ``gamma1_a``, the product of the A_i (the a of every gamma1
+    walk); ``gamma1_k``, A_i^(2q0+1) for the blocks after the first;
+    ``gamma2_base``, the product of the gamma2 blocks' (a, b, 0); and
+    ``gamma2_k``, a^(2q0+1) of the gamma2 blocks after the first.
+    """
+
     group: SuzukiGroup
     alpha1: Cover
     alpha2: Cover
     gamma1: Cover
     gamma2: Cover
+    gamma1_a: int = field(init=False, repr=False, compare=False)
+    gamma1_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    gamma2_base: GroupElement = field(init=False, repr=False, compare=False)
+    gamma2_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.group.params.n
@@ -92,6 +118,30 @@ class PublicKey:
             if gamma.type != alpha.type:
                 t, u = gamma.type.r, alpha.type.r
                 raise ValueError(f"gamma{k} type {t} differs from alpha{k} type {u}")
+        for i, block in enumerate(self.gamma1.blocks):
+            a = block[0].a
+            for g in block:
+                if g.a != a:
+                    raise ValueError(f"gamma1 block {i}: entries differ in a")
+        for i, block in enumerate(self.gamma2.blocks):
+            e = block[0]
+            for g in block:
+                if g.a != e.a or g.b != e.b:
+                    raise ValueError(f"gamma2 block {i}: entries differ outside c")
+        f = self.group.params
+        a1 = [block[0].a for block in self.gamma1.blocks]
+        heads = [block[0] for block in self.gamma2.blocks]
+        k2 = tuple(f.pow_2q0_plus_1(g.a) for g in heads[1:])
+        # the product of the heads is gamma2'(0) = base * (1, 0, h(0))
+        b, c = _walk(f, heads, k2)
+        base = GroupElement(reduce(f.mul, [g.a for g in heads]), b, c ^ _horner(f, heads, k2))
+        for name, value in (
+            ("gamma1_a", reduce(f.mul, a1)),
+            ("gamma1_k", tuple(map(f.pow_2q0_plus_1, a1[1:]))),
+            ("gamma2_base", base),
+            ("gamma2_k", k2),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def type1(self) -> SignatureType:
@@ -130,27 +180,35 @@ def _mask_u(group: SuzukiGroup, g: GroupElement, a: GroupElement, b: int) -> Gro
     return group.mul_subgroup(g, ((a.a, a.b), (b, 0)))
 
 
-def _mask_v(group: SuzukiGroup, g: GroupElement, a: GroupElement, b: int) -> GroupElement:
-    """g * f2(a) * (1, 0, b)."""
-    return group.mul_center(g, (a.b, b))
-
-
 def _masked_cover(
-    group: SuzukiGroup,
-    alpha: Cover,
-    beta: TameSignature,
-    mask: Callable[..., GroupElement],
-    chain: tuple[GroupElement, ...],
+    group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain: tuple[GroupElement, ...]
 ) -> Cover:
+    """gamma1: t_(i-1)^-1 * f1(alpha) * (1, beta, 0) * t_i, entry by entry."""
     blocks = []
     for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
         left = group.inv(chain[i])
         right = chain[i + 1]
         blocks.append(
-            tuple(
-                group.mul(mask(group, left, a, b), right)
-                for a, b in zip(ablock, bblock)
-            )
+            tuple(group.mul(_mask_u(group, left, a, b), right) for a, b in zip(ablock, bblock))
+        )
+    return Cover(alpha.type, tuple(blocks))
+
+
+def _masked_central_cover(
+    group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain: tuple[GroupElement, ...]
+) -> Cover:
+    """gamma2: t_(i-1)^-1 * (1, 0, alpha.b + beta) * t_i, one group multiply per block.
+
+    (1, 0, v) * t = t * (1, 0, t.a^(2q0+1) * v), so an entry is
+    t_(i-1)^-1 * t_i with t_i.a^(2q0+1) * (alpha.b + beta) added to c.
+    """
+    f = group.params
+    blocks = []
+    for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
+        e = group.mul(group.inv(chain[i]), chain[i + 1])
+        k = f.pow_2q0_plus_1(chain[i + 1].a)
+        blocks.append(
+            tuple(GroupElement(e.a, e.b, e.c ^ f.mul(k, a.b ^ b)) for a, b in zip(ablock, bblock))
         )
     return Cover(alpha.type, tuple(blocks))
 
@@ -181,8 +239,8 @@ def keygen(
         _random_masking_element(group, rng) for _ in range(type2.s)
     )
 
-    gamma1 = _masked_cover(group, alpha1, beta1, _mask_u, chain1)
-    gamma2 = _masked_cover(group, alpha2, beta2, _mask_v, chain2)
+    gamma1 = _masked_cover(group, alpha1, beta1, chain1)
+    gamma2 = _masked_central_cover(group, alpha2, beta2, chain2)
 
     pk = PublicKey(group, alpha1, alpha2, gamma1, gamma2)
     sk = PrivateKey(group, beta1, beta2, chain1, chain2)
@@ -197,6 +255,49 @@ def _y1_mask(pk: PublicKey, r1: int, r2: int) -> GroupElement:
     """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message."""
     group = pk.group
     return group.mul(induced_map(group, pk.alpha1, r1), induced_map(group, pk.alpha2, r2))
+
+
+def _walk(f: FieldParams, entries, ks) -> tuple[int, int]:
+    """(b, c) of the product of the entries; the caller knows its a.
+
+    ks holds a^(2q0+1) of each entry after the first, so a step by
+    (a2, b2, c2) skips the a-chain: t = a2*b; b <- t + b2;
+    c <- a2^(2q0+1)*c + t*b2^(2q0) + c2 (3 multiplies and 1 Frobenius).
+    """
+    first, *rest = entries
+    b, c = first.b, first.c
+    for g, k in zip(rest, ks):
+        t = f.mul(g.a, b)
+        c = f.mul(k, c) ^ f.mul(t, f.pow_2q0(g.b)) ^ g.c
+        b = t ^ g.b
+    return b, c
+
+
+def _gamma1(pk: PublicKey, r1: int) -> GroupElement:
+    """gamma1'(R1): every block has one a, so every walk has a = ``gamma1_a``."""
+    return GroupElement(pk.gamma1_a, *_walk(pk.group.params, pk.gamma1.select(r1), pk.gamma1_k))
+
+
+def _horner(f: FieldParams, entries, ks) -> int:
+    """h <- a^(2q0+1)*h + c over the entries, ks as in ``_walk``."""
+    first, *rest = entries
+    h = first.c
+    for g, k in zip(rest, ks):
+        h = f.mul(k, h) ^ g.c
+    return h
+
+
+def _gamma2(pk: PublicKey, r2: int) -> GroupElement:
+    """gamma2'(R2) = ``gamma2_base`` * (1, 0, h), one multiply per block.
+
+    Block i shares (a_i, b_i), so an entry is (a_i, b_i, 0) * (1, 0, c);
+    as (1, 0, h) * (a_i, b_i, 0) = (a_i, b_i, 0) * (1, 0, a_i^(2q0+1)*h),
+    the walk is the product of the (a_i, b_i, 0), the base, times
+    (1, 0, h) for the ``_horner`` sum h of the selected c-coordinates.
+    """
+    base = pk.gamma2_base
+    h = _horner(pk.group.params, pk.gamma2.select(r2), pk.gamma2_k)
+    return GroupElement(base.a, base.b, base.c ^ h)
 
 
 def _y3(pk: PublicKey, r1: int) -> GroupElement:
@@ -228,9 +329,7 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     if (m.a | m.b | m.c) >> group.params.n:
         raise ValueError("message out of range")
     y1 = group.mul(_y1_mask(pk, r1, r2), m)
-    y2 = group.mul(
-        induced_map(group, pk.gamma1, r1), induced_map(group, pk.gamma2, r2)
-    )
+    y2 = group.mul(_gamma1(pk, r1), _gamma2(pk, r2))
     return Ciphertext(y1, y2, _y3(pk, r1), _y4(pk, r2))
 
 

@@ -12,6 +12,7 @@ from mst3sz.attacks import (
     attack2_bruteforce_nonce,
     attack3_session_key,
     complexity_report,
+    default_validity_predicate,
 )
 from mst3sz.field import make_params
 from mst3sz.group import GroupElement, SuzukiGroup
@@ -90,6 +91,24 @@ def test_attack1_failure_exhausts_space():
     assert not res.success
     assert res.recovered is None and res.nonce is None
     assert res.trials == 64
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_attack1_screen_keeps_results_and_caller_oracles(n):
+    # the default oracle screens on a; passing the same predicate explicitly
+    # turns the screen off, and both must give the same result
+    params, (pk, _) = make_key(14, n)
+    group = SuzukiGroup(params)
+    rng = random.Random(15)
+    q = params.q
+    for m in (encode_message(params, b""), group.random_element(rng)):
+        ct = encrypt(pk, m, random_nonce(params, rng))
+        unscreened = attack1_bruteforce_ciphertext(pk, ct, default_validity_predicate(pk))
+        assert attack1_bruteforce_ciphertext(pk, ct) == unscreened
+        assert unscreened.success == default_validity_predicate(pk)(m)
+    seen = []
+    res = attack1_bruteforce_ciphertext(pk, ct, oracle=lambda g: seen.append(g) and False)
+    assert res.trials == len(seen) == q * q and not res.success
 
 
 def test_attack2_finds_encrypting_nonce_all_nonces():

@@ -239,6 +239,27 @@ def test_public_key_rejects_gamma_type_mismatch():
         dataclasses.replace(pk, gamma1=reblocked)
 
 
+@pytest.mark.parametrize(
+    "cover, block, coord, expected",
+    [
+        ("gamma1", 1, 0, "gamma1 block 1: entries differ in a"),
+        ("gamma2", 0, 1, "gamma2 block 0: entries differ outside c"),
+    ],
+)
+def test_parse_rejects_unstructured_gamma(cover, block, coord, expected):
+    # flip the low bit of one coordinate of entry 1 in the block; at n = 9
+    # an element is two bytes, and the gamma covers end the file
+    params, (pk, _) = make_key(41, n=9)
+    blob = bytearray(codec.serialize_public_key(pk))
+    esz, t = 2, pk.type1
+    start = len(blob) - 3 * esz * sum(t.r) * (2 if cover == "gamma1" else 1)
+    at = start + 3 * esz * (sum(t.r[:block]) + 1) + esz * coord
+    blob[at] ^= 1
+    with pytest.raises(codec.CodecError) as err:
+        codec.parse_public_key(bytes(blob))
+    assert str(err.value) == expected
+
+
 def test_parse_checks_chain_joint():
     _, (pk, sk) = make_key(31)
     rng = random.Random(32)

@@ -165,6 +165,13 @@ def test_linear_map_round_trip():
     assert invert_linear((0, 1, 2), 3) is None  # singular
 
 
+def test_invert_linear_rejects_wrong_column_count():
+    with pytest.raises(ValueError, match=r"^4 columns for a map on 3 bits$"):
+        invert_linear((1, 2, 4, 8), 3)
+    with pytest.raises(ValueError, match=r"^2 columns for a map on 3 bits$"):
+        invert_linear((1, 2), 3)
+
+
 def _singular_maps(n, rng):
     """A zero column, a repeated column and a map of rank n - 1."""
     cols = [rng.getrandbits(n) for _ in range(n)]

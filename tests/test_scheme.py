@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 from mst3sz import codec
 from mst3sz.field import FieldParams, make_params
 from mst3sz.group import IDENTITY, GroupElement, SuzukiGroup
-from mst3sz.logsig import SignatureType, evaluate_tame, tau_inv
+from mst3sz.logsig import Cover, SignatureType, covering_type, evaluate_tame, induced_map, tau_inv
 from mst3sz.scheme import (
     Ciphertext,
     CiphertextError,
+    PublicKey,
     SessionNonce,
+    _gamma1,
+    _gamma2,
     decode_message,
     decrypt,
     encode_message,
@@ -106,6 +110,71 @@ def test_gamma_recomputes_from_parts(n, modulus):
                     params, [left, fk(oracle.as_tuple(a)), bk(b), right]
                 )
                 assert oracle.as_tuple(g) == expect, (k, i)
+
+
+def _check_gamma_walks(pk, nonces):
+    # every nonce against the generic fold, the last also against the
+    # reference law (slow at large n)
+    params = pk.group.params
+    for cover, walk in ((pk.gamma1, _gamma1), (pk.gamma2, _gamma2)):
+        for r in nonces:
+            assert walk(pk, r) == induced_map(pk.group, cover, r)
+        blocks = [[oracle.as_tuple(g) for g in blk] for blk in cover.blocks]
+        want = oracle.cover_product(params, blocks, nonces[-1])
+        assert oracle.as_tuple(walk(pk, nonces[-1])) == want
+
+
+# every odd width: log/exp tables up to n = 17, byte tables above
+@pytest.mark.parametrize(
+    "params",
+    [*(make_params(n) for n in range(3, 128, 2)), FieldParams(65, 0x322A2D550DBD0CE07)],
+    ids=lambda p: f"{p.n}-{p.modulus:x}",
+)
+def test_gamma_walks_match_induced_map_and_oracle(params):
+    n = params.n
+    rng = random.Random(n)
+    pk, _ = keygen(params, rng=rng)
+    _check_gamma_walks(pk, [0, params.q - 1, rng.getrandbits(n), rng.getrandbits(n)])
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 19, 65])
+def test_gamma_walks_follow_the_law_on_any_structured_cover(n):
+    # covers keygen could not make: random entries that share only a per
+    # gamma1 block and (a, b) per gamma2 block, with a fresh type
+    params = make_params(n)
+    group = SuzukiGroup(params)
+    rng = random.Random(n)
+    t = SignatureType((2,) * n) if n < 9 else covering_type(n)
+    alpha = Cover(t, tuple(tuple(group.random_element(rng) for _ in range(r)) for r in t.r))
+
+    def block(r, k):
+        a, b = params.random_nonzero(rng), params.random_element(rng)
+        return tuple(
+            GroupElement(a, b if k == 2 else params.random_element(rng), params.random_element(rng))
+            for _ in range(r)
+        )
+
+    gamma1 = Cover(t, tuple(block(r, 1) for r in t.r))
+    gamma2 = Cover(t, tuple(block(r, 2) for r in t.r))
+    pk = PublicKey(group, alpha, alpha, gamma1, gamma2)
+    _check_gamma_walks(pk, [0, params.q - 1] + [rng.getrandbits(n) for _ in range(6)])
+
+
+def test_public_key_rejects_unstructured_gamma():
+    pk, _ = make_key(7, t1=SignatureType((2, 4)), t2=SignatureType((4, 2)))
+    g1, g2 = pk.gamma1.blocks, pk.gamma2.blocks
+    e = g1[1][2]
+    bad1 = (g1[0], g1[1][:2] + (GroupElement(e.a ^ 1 or 2, e.b, e.c),) + g1[1][3:])
+    e = g2[0][3]
+    bad2 = (g2[0][:3] + (GroupElement(e.a, e.b ^ 1, e.c),), g2[1])
+    with pytest.raises(ValueError, match=r"^gamma1 block 1: entries differ in a$"):
+        dataclasses.replace(pk, gamma1=Cover(pk.type1, bad1))
+    with pytest.raises(ValueError, match=r"^gamma2 block 0: entries differ outside c$"):
+        dataclasses.replace(pk, gamma2=Cover(pk.type2, bad2))
+    # gamma2 entries may differ in c
+    e = g2[1][1]
+    free = (g2[0], (g2[1][0], GroupElement(e.a, e.b, e.c ^ 1)))
+    dataclasses.replace(pk, gamma2=Cover(pk.type2, free))
 
 
 def test_encrypt_deterministic():
