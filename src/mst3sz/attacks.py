@@ -114,10 +114,13 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     trials = 0
     # Screen on the product's b-coordinate, a2*b1 + b2 (one multiply): its
     # a-coordinate is one value for all nonces (gamma's middle factors have a = 1).
+    y2b = ct.y2.b
     for r1, h in enumerate(g1):
+        hb = h.b
         for r2, g in enumerate(g2):
             trials += 1
-            if f.mul(g.a, h.b) ^ g.b == ct.y2.b and group.mul(h, g) == ct.y2:
+            ga, gb, _ = g
+            if f.mul(ga, hb) ^ gb == y2b and group.mul(h, g) == ct.y2:
                 nonce = SessionNonce(r1, r2)
                 if _reproduces(pk, ct, nonce):
                     return AttackResult(nonce, trials, True, nonce)

@@ -31,13 +31,14 @@ Parsers read each section (a cover, a signature with its trapdoor columns
 and offsets, a chain, the nine ciphertext elements) whole, with one
 ``struct`` unpack whose size the header and the types fix: each element
 splits into little-endian Q/I/H/B words that are then joined.  Every
-failure is a ``CodecError``; those about truncation, padding and the
-per-section checks name the section and, where it is known, the byte
-offset of the bad element, e.g. ``alpha1: element has nonzero padding
-bits at byte 51``.  A public key whose gamma cover lacks the block
-structure every generated key has (one a per gamma1 block, one (a, b) per
-gamma2 block) is rejected at parse time with the cover and the block
-named, e.g. ``gamma2 block 3: entries differ outside c``.
+failure is a ``CodecError``; those about truncation, padding, the header's
+width and modulus and the per-section checks name the section and, where
+it is known, the byte offset of the bad element, e.g. ``alpha1: element
+has nonzero padding bits at byte 51`` or ``header: n must be odd at byte
+8``.  A public key whose gamma cover lacks the block structure every
+generated key has (one a per gamma1 block, one (a, b) per gamma2 block) is
+rejected at parse time with the cover and the block named, e.g. ``gamma2
+block 3: entries differ outside c``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import struct
 from functools import lru_cache, wraps
 from itertools import chain, islice
 
-from .field import IRREDUCIBLE, FieldParams, make_params
+from .field import IRREDUCIBLE, FieldParams, check_width, make_params
 from .group import GroupElement, SuzukiGroup
 from .logsig import Cover, SignatureType, TameSignature
 from .scheme import Ciphertext, PrivateKey, PublicKey
@@ -99,19 +100,26 @@ class _Reader:
     def u8(self, section: str) -> int:
         return self.take(1, section)[0]
 
-    def u32(self, section: str) -> int:
-        return int.from_bytes(self.take(4, section), "little")
+    def _span(self, count: int, size: int, section: str) -> int:
+        """Skip ``count`` items of ``size`` bytes and return where they start;
+        a short input names the first item it leaves incomplete."""
+        start, end = self.pos, self.pos + count * size
+        if end > len(self.data):
+            at = start + (len(self.data) - start) // size * size
+            raise CodecError(f"{section}: truncated input at byte {at}")
+        self.pos = end
+        return start
+
+    def u32s(self, count: int, section: str) -> tuple[int, ...]:
+        """The next ``count`` u32 words, read in one unpack."""
+        return struct.unpack_from(f"<{count}I", self.data, self._span(count, 4, section))
 
     def elements(self, f: FieldParams, count: int, section: str) -> list[int]:
         """The next ``count`` field elements, read in one unpack and checked."""
         size = _element_bytes(f.n)
-        start, data = self.pos, self.data
-        end = start + count * size
-        if end > len(data):
-            at = start + (len(data) - start) // size * size
-            raise CodecError(f"{section}: truncated input at byte {at}")
+        start = self._span(count, size, section)
         layout, shifts = _section_struct(size, count)
-        words = layout.unpack_from(data, start)
+        words = layout.unpack_from(self.data, start)
         vals = list(words[:: len(shifts)])
         for k, shift in enumerate(shifts[1:], 1):
             vals = [v | w << shift for v, w in zip(vals, words[k :: len(shifts)])]
@@ -120,7 +128,6 @@ class _Reader:
             raise CodecError(
                 f"{section}: element has nonzero padding bits at byte {at}"
             )
-        self.pos = end
         return vals
 
     def done(self) -> None:
@@ -149,11 +156,7 @@ def _pack(f: FieldParams, values) -> bytes:
 
 
 def _coords(elements) -> list[int]:
-    return [v for g in elements for v in (g.a, g.b, g.c)]
-
-
-def _triples(vals: list[int]) -> list[GroupElement]:
-    return list(map(GroupElement, vals[0::3], vals[1::3], vals[2::3]))
+    return list(chain.from_iterable(elements))
 
 
 def _blocks(items, sizes) -> tuple[tuple, ...]:
@@ -172,7 +175,7 @@ def _read_type(r: _Reader, f: FieldParams, section: str) -> SignatureType:
     s = r.u8(section)
     if s == 0:
         raise CodecError(f"{section}: type with zero blocks at byte {start}")
-    t = SignatureType(tuple(r.u32(section) for _ in range(s)))
+    t = SignatureType(r.u32s(s, section))
     if not t.covers_bits(f.n):
         raise CodecError(
             f"{section}: signature type does not cover the field at byte {start}"
@@ -182,7 +185,7 @@ def _read_type(r: _Reader, f: FieldParams, section: str) -> SignatureType:
 
 def _read_cover(r: _Reader, f: FieldParams, t: SignatureType, section: str) -> Cover:
     vals = r.elements(f, 3 * sum(t.r), section)
-    return Cover(t, _blocks(_triples(vals), t.r))
+    return Cover(t, _blocks(GroupElement.triples(vals), t.r))
 
 
 def _read_signature(
@@ -211,19 +214,33 @@ def _key_header(f: FieldParams, role: int) -> bytearray:
     return out
 
 
+def _read_width(r: _Reader) -> int:
+    at = r.pos
+    n = r.u8("header")
+    try:
+        check_width(n)
+    except ValueError as e:
+        raise CodecError(f"header: {e} at byte {at}") from None
+    return n
+
+
 def _parse_key_header(r: _Reader, expect_role: int) -> FieldParams:
     if r.take(7, "header") != KEY_MAGIC:
         raise CodecError("bad magic")
     if r.u8("header") != VERSION:
         raise CodecError("unknown version")
-    n = r.u8("header")
+    n = _read_width(r)
+    at = r.pos
     modulus = int.from_bytes(r.take((n + 1 + 7) // 8, "header"), "little")
     # Only the published moduli share the process-wide cache; any other
     # irreducible modulus from a header gets a field of its own.
-    if modulus == IRREDUCIBLE.get(n):
+    if modulus == IRREDUCIBLE[n]:
         params = make_params(n)
     else:
-        params = FieldParams(n, modulus)
+        try:
+            params = FieldParams(n, modulus)
+        except ValueError as e:
+            raise CodecError(f"header: {e} at byte {at}") from None
     if r.u8("header") != expect_role:
         raise CodecError("wrong key role for this operation")
     return params
@@ -277,8 +294,8 @@ def parse_private_key(data: bytes) -> PrivateKey:
     t2 = _read_type(r, params, "type2")
     beta1 = _read_signature(r, params, t1, "beta1")
     beta2 = _read_signature(r, params, t2, "beta2")
-    chain1 = tuple(_triples(r.elements(params, 3 * (t1.s + 1), "chain1")))
-    chain2 = tuple(_triples(r.elements(params, 3 * (t2.s + 1), "chain2")))
+    chain1 = tuple(GroupElement.triples(r.elements(params, 3 * (t1.s + 1), "chain1")))
+    chain2 = tuple(GroupElement.triples(r.elements(params, 3 * (t2.s + 1), "chain2")))
     r.done()
     if chain1[-1] != chain2[0]:
         raise CodecError("chains do not share their joint element")
@@ -313,7 +330,7 @@ def parse_ciphertext(data: bytes) -> tuple[int, Ciphertext]:
         raise CodecError("bad magic")
     if r.u8("header") != VERSION:
         raise CodecError("unknown version")
-    n = r.u8("header")
+    n = _read_width(r)
     params = make_params(n)
     v = r.elements(params, 9, "ciphertext")
     r.done()

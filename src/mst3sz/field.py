@@ -13,8 +13,8 @@ the published modulus), for which q = 2^n, q0 = 2^s and the Suzuki exponents
 accepts any degree and is used by tests that need extension fields.
 
 Each primitive has one route per field size.  Fields with q <= 2^18 use
-log/exp tables for mul, inv and Frobenius, filled by walking the powers of
-the first generator.  Larger fields:
+log/exp tables for mul, inv, Frobenius and a^(2q0+1), filled by walking the
+powers of the first generator.  Larger fields:
 
 * mul forms the carry-less product with a 4-bit window of a (16 multiples
   of a per call, one XOR and shift per nibble of b), then reduces it as a
@@ -351,25 +351,33 @@ class BinaryField:
         self._log = log
 
 
+def check_width(n: int) -> None:
+    """Raise ``ValueError`` unless n is a width the cryptosystem uses."""
+    if n % 2 == 0:
+        raise ValueError("n must be odd")
+    if not 3 <= n <= 127:
+        raise ValueError("n must be in 3..127")
+
+
 class FieldParams(BinaryField):
     """GF(2^n) for odd n = 2s + 1, with the exponents the group law needs."""
 
     def __init__(self, n: int, modulus: int | None = None):
-        if n % 2 == 0:
-            raise ValueError("n must be odd")
-        if not 3 <= n <= 127:
-            raise ValueError("n must be in 3..127")
+        check_width(n)
         super().__init__(n, modulus)
         self.s = (n - 1) // 2
         self.q0 = 1 << self.s
+        self._e = 2 * self.q0 + 1  # the exponent of pow_2q0_plus_1
 
     def pow_2q0(self, a: int) -> int:
         """a^(2*q0) = a^(2^(s+1))."""
         return self.frob_pow(a, self.s + 1)
 
     def pow_2q0_plus_1(self, a: int) -> int:
-        """a^(2*q0 + 1)."""
-        return self.mul(self.frob_pow(a, self.s + 1), a)
+        """a^(2*q0 + 1); on the log/exp tables one read of each."""
+        if self._log is None:
+            return self.mul(self.frob_pow(a, self.s + 1), a)
+        return self._exp[self._log[a] * self._e % (self.q - 1)] if a else 0
 
 
 @lru_cache(maxsize=None)

@@ -21,25 +21,52 @@ multiplies g by (1, b, c) factors given as (b, c) pairs (1 multiply and 1
 Frobenius per factor) and ``mul_center`` by central (1, 0, c) factors given
 as c values (XOR only).  Cover walks (``logsig.induced_map``) are folds of
 ``mul``.
+
+A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
+so building one costs about what building a tuple does.  Every constructor
+it offers (the class call, ``triples`` for many at once, ``copy`` and
+``pickle``) rejects a = 0.  Equality and hashing are the tuple's:
+``GroupElement(1, 2, 3) == (1, 2, 3)`` is true.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterator
 
 from .field import BinaryField, FieldParams
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
-    a: int
-    b: int
-    c: int
+class GroupElement(tuple):
+    """The triple (a, b, c), a != 0."""
 
-    def __post_init__(self):
-        if self.a == 0:
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int):
+        if a == 0:
             raise ValueError("group element needs a != 0")
+        return tuple.__new__(cls, (a, b, c))
+
+    @classmethod
+    def triples(cls, coords: list[int]) -> list[GroupElement]:
+        """The elements whose coordinates coords lists three at a time,
+        built after one check that no a is 0."""
+        a = coords[0::3]
+        if 0 in a:
+            raise ValueError("group element needs a != 0")
+        return list(map(tuple.__new__, repeat(cls), zip(a, coords[1::3], coords[2::3])))
+
+    def __getnewargs__(self) -> tuple[int, int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "GroupElement(a=%r, b=%r, c=%r)" % self
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,22 +104,24 @@ class SuzukiGroup:
 
     def mul(self, g1: GroupElement, g2: GroupElement) -> GroupElement:
         f = self.params
-        a2, b2 = g2.a, g2.b
-        t = f.mul(a2, g1.b)
+        a1, b1, c1 = g1
+        a2, b2, c2 = g2
+        t = f.mul(a2, b1)
         return GroupElement(
-            f.mul(g1.a, a2),
+            f.mul(a1, a2),
             t ^ b2,
-            f.mul(f.pow_2q0_plus_1(a2), g1.c) ^ f.mul(t, f.pow_2q0(b2)) ^ g2.c,
+            f.mul(f.pow_2q0_plus_1(a2), c1) ^ f.mul(t, f.pow_2q0(b2)) ^ c2,
         )
 
     def inv(self, g: GroupElement) -> GroupElement:
         f = self.params
-        ai = f.inv(g.a)
-        t = f.mul(ai, g.b)
+        a, b, c = g
+        ai = f.inv(a)
+        t = f.mul(ai, b)
         return GroupElement(
             ai,
             t,
-            f.pow_2q0_plus_1(t) ^ f.mul(f.pow_2q0_plus_1(ai), g.c),
+            f.pow_2q0_plus_1(t) ^ f.mul(f.pow_2q0_plus_1(ai), c),
         )
 
     def apply_point(self, g: GroupElement, p: CurvePoint) -> CurvePoint:
@@ -130,11 +159,11 @@ class SuzukiGroup:
         (a, b, c) * (1, b2, c2) = (a, b + b2, c + b2^(2q0)*b + c2).
         """
         f = self.params
-        b, c = g.b, g.c
+        a, b, c = g
         for b2, c2 in pairs:
             c ^= f.mul(f.pow_2q0(b2), b) ^ c2
             b ^= b2
-        return GroupElement(g.a, b, c)
+        return GroupElement(a, b, c)
 
     def mul_center(self, g: GroupElement, cs) -> GroupElement:
         """g * (1, 0, c1) * (1, 0, c2) * ...: central factors add to c."""

@@ -197,12 +197,17 @@ class TameSignature:
         object.__setattr__(self, "lin_inv_cols", invert_linear(self.lin_cols, n))
         if self.lin_inv_cols is None:
             raise ValueError("signature trapdoor map is singular")
-        # block i weighs m_i = 2^k_i: digit j selects the columns from k_i on
-        blocks = tuple(
-            tuple(apply_linear(self.lin_cols[w.bit_length() - 1 :], j) ^ d for j in range(ri))
-            for w, ri, d in zip(t.weights, t.r, self.offsets)
-        )
-        object.__setattr__(self, "blocks", blocks)
+        # block i weighs m_i = 2^k_i and holds r_i = 2^b_i entries: digit j
+        # selects columns k_i..k_i+b_i-1 by its bits, so doubling the entry
+        # list once per column builds the block in index order
+        blocks = []
+        for w, ri, d in zip(t.weights, t.r, self.offsets):
+            k = w.bit_length() - 1
+            entries = [d]
+            for col in self.lin_cols[k : k + ri.bit_length() - 1]:
+                entries += [e ^ col for e in entries]
+            blocks.append(tuple(entries))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     select = _select
 

@@ -150,6 +150,47 @@ def test_truncation_and_trailing_bytes_rejected():
         codec.parse_public_key(blob + b"\x00")
 
 
+@pytest.mark.parametrize("cut", [0, 1, 4, 6, 15])
+def test_truncation_inside_type_block_sizes(cut):
+    # at n = 9 the header is 12 bytes and type1 is s = 4 then four u32
+    # sizes; a cut reports the first size it leaves incomplete
+    _, (pk, _) = make_key(29, n=9)
+    blob = codec.serialize_public_key(pk)
+    sizes_at = 12 + 1
+    assert blob[12] == pk.type1.s == 4
+    with pytest.raises(codec.CodecError) as err:
+        codec.parse_public_key(blob[: sizes_at + cut])
+    assert str(err.value) == f"type1: truncated input at byte {sizes_at + cut // 4 * 4}"
+
+
+@pytest.mark.parametrize(
+    "at, value, expected",
+    [
+        (8, 4, "header: n must be odd at byte 8"),
+        (8, 1, "header: n must be in 3..127 at byte 8"),
+        (8, 129, "header: n must be in 3..127 at byte 8"),
+        (9, 0x09, "header: modulus 0x9 is reducible at byte 9"),  # x^3 + 1
+        (9, 0x05, "header: modulus degree does not match n at byte 9"),
+    ],
+)
+def test_bad_header_field_named_with_offset(at, value, expected):
+    # n = 3: magic (7 bytes), version, n at byte 8, one modulus byte at 9
+    params, (pk, sk) = make_key(42)
+    ct = encrypt(pk, IDENTITY, random_nonce(params, random.Random(43)))
+    blobs = [
+        (codec.serialize_public_key(pk), codec.parse_public_key),
+        (codec.serialize_private_key(sk), codec.parse_private_key),
+    ]
+    if at == 8:  # a ciphertext header has n but no modulus
+        blobs.append((codec.serialize_ciphertext(params, ct), codec.parse_ciphertext))
+    for blob, parse in blobs:
+        bad = bytearray(blob)
+        bad[at] = value
+        with pytest.raises(codec.CodecError) as err:
+            parse(bytes(bad))
+        assert str(err.value) == expected
+
+
 def test_padding_bits_rejected_with_section_and_offset():
     # the last element of each blob is the last byte pair at n = 9; its top
     # byte holds bits 8..15, of which 9..15 must be zero

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -22,6 +24,32 @@ def rand_el(rng, g=G3):
 def test_element_requires_nonzero_a():
     with pytest.raises(ValueError):
         GroupElement(0, 1, 1)
+
+
+def test_element_is_an_immutable_checked_triple():
+    g = GroupElement(3, 5, 6)
+    assert (g.a, g.b, g.c) == tuple(g) == (3, 5, 6) == g
+    assert repr(g) == "GroupElement(a=3, b=5, c=6)"
+    assert g == GroupElement(3, 5, 6) and hash(g) == hash(GroupElement(3, 5, 6))
+    assert g != GroupElement(3, 5, 7)
+    for name in ("a", "b", "c", "d"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+    for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(h) is GroupElement and h == g
+    # no constructor skips the a != 0 check: the class call, the bulk
+    # one, and the __new__ call that copy and pickle rebuild an element with
+    with pytest.raises(ValueError, match="a != 0"):
+        GroupElement(0, 5, 6)
+    assert GroupElement.triples([3, 5, 6, 1, 0, 0]) == [g, IDENTITY]
+    assert type(GroupElement.triples([3, 5, 6])[0]) is GroupElement
+    with pytest.raises(ValueError, match="a != 0"):
+        GroupElement.triples([3, 5, 6, 0, 5, 6])
+    rebuild, args = g.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+    assert rebuild(*args) == g
+    with pytest.raises(ValueError, match="a != 0"):
+        rebuild(args[0], 0, *args[2:])
+    assert not hasattr(g, "_make") and not hasattr(g, "_replace")
 
 
 def test_identity_laws():

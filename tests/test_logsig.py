@@ -269,6 +269,24 @@ def test_tame_round_trip_exhaustive():
             assert len(values) == 1 << n  # evaluation is a bijection
 
 
+@pytest.mark.parametrize(
+    "n, r", [(7, (2, 16, 4)), (5, (2,) * 5), (3, (8,)), (9, (32, 2, 8))]
+)
+def test_tame_entries_match_oracle(n, r):
+    # entry j of block i is the map applied to j * m_i, plus the offset
+    t = SignatureType(r)
+    rng = random.Random(n)
+    for _ in range(5):
+        sig = gen_tame(n, t, rng)
+        expected = tuple(
+            tuple(oracle.gf2_apply(sig.lin_cols, j * mi) ^ d for j in range(ri))
+            for ri, mi, d in zip(r, t.weights, sig.offsets)
+        )
+        assert sig.blocks == expected
+        for x in range(1 << n):
+            assert factor_tame(sig, evaluate_tame(sig, x)) == x
+
+
 def test_evaluate_offsets_only():
     rng = random.Random(8)
     sig = gen_tame(9, SignatureType((8, 8, 8)), rng)
