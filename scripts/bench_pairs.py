@@ -14,6 +14,9 @@ goes into one JSON file:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --out BENCH_change.json --pairs 10 --first-seed 101
 
+A run that exits nonzero, computes a wrong result or fails an operation
+stops the script with a message; no such run is summarized.
+
 Only the standard library is used.  Both checkouts must hold the program
 and the benchmark; the command, run length, workloads and metrics come
 from this repository's BENCHMARK.json.
@@ -34,14 +37,22 @@ REPORT_SEED = 1
 
 def run(checkout: Path, command: list[str], workload: str, seed: int, seconds: float,
         trace: int) -> dict:
-    """One benchmark run; its last stdout line, parsed."""
+    """One benchmark run; its last stdout line, parsed.  Exits unless the run
+    finished, computed correct results and failed no operation."""
     args = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
+    where = f"{checkout}: {' '.join(args)}"
+    if proc.returncode != 0:
+        sys.exit(f"{where} exited with {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     if not lines:
-        sys.exit(f"{checkout}: {' '.join(args)} printed nothing:\n{proc.stderr}")
-    return json.loads(lines[-1])
+        sys.exit(f"{where} printed nothing:\n{proc.stderr}")
+    last = json.loads(lines[-1])
+    if not last["correct"] or last["failed"]:
+        sys.exit(f"{where}: correct={last['correct']}, {last['failed']} of "
+                 f"{last['attempted']} operations failed")
+    return last
 
 
 def report(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -98,14 +109,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
     parser.add_argument("--workload", action="append", help="repeatable (default: all)")
     parser.add_argument("--description", default="", help="text kept in the output")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = bench["command"]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))

@@ -159,6 +159,10 @@ def _coords(elements) -> list[int]:
     return list(chain.from_iterable(elements))
 
 
+def _triples(vals: list[int]) -> list[GroupElement]:
+    return list(map(GroupElement, vals[0::3], vals[1::3], vals[2::3]))
+
+
 def _blocks(items, sizes) -> tuple[tuple, ...]:
     it = iter(items)
     return tuple(tuple(islice(it, k)) for k in sizes)
@@ -185,7 +189,7 @@ def _read_type(r: _Reader, f: FieldParams, section: str) -> SignatureType:
 
 def _read_cover(r: _Reader, f: FieldParams, t: SignatureType, section: str) -> Cover:
     vals = r.elements(f, 3 * sum(t.r), section)
-    return Cover(t, _blocks(GroupElement.triples(vals), t.r))
+    return Cover(t, _blocks(_triples(vals), t.r))
 
 
 def _read_signature(
@@ -294,8 +298,8 @@ def parse_private_key(data: bytes) -> PrivateKey:
     t2 = _read_type(r, params, "type2")
     beta1 = _read_signature(r, params, t1, "beta1")
     beta2 = _read_signature(r, params, t2, "beta2")
-    chain1 = tuple(GroupElement.triples(r.elements(params, 3 * (t1.s + 1), "chain1")))
-    chain2 = tuple(GroupElement.triples(r.elements(params, 3 * (t2.s + 1), "chain2")))
+    chain1 = tuple(_triples(r.elements(params, 3 * (t1.s + 1), "chain1")))
+    chain2 = tuple(_triples(r.elements(params, 3 * (t2.s + 1), "chain2")))
     r.done()
     if chain1[-1] != chain2[0]:
         raise CodecError("chains do not share their joint element")

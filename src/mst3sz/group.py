@@ -24,15 +24,13 @@ as c values (XOR only).  Cover walks (``logsig.induced_map``) are folds of
 
 A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
 so building one costs about what building a tuple does.  Every constructor
-it offers (the class call, ``triples`` for many at once, ``copy`` and
-``pickle``) rejects a = 0.  Equality and hashing are the tuple's:
+it offers (the class call, ``copy`` and ``pickle``) rejects a = 0.  Equality and hashing are the tuple's:
 ``GroupElement(1, 2, 3) == (1, 2, 3)`` is true.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -48,15 +46,6 @@ class GroupElement(tuple):
         if a == 0:
             raise ValueError("group element needs a != 0")
         return tuple.__new__(cls, (a, b, c))
-
-    @classmethod
-    def triples(cls, coords: list[int]) -> list[GroupElement]:
-        """The elements whose coordinates coords lists three at a time,
-        built after one check that no a is 0."""
-        a = coords[0::3]
-        if 0 in a:
-            raise ValueError("group element needs a != 0")
-        return list(map(tuple.__new__, repeat(cls), zip(a, coords[1::3], coords[2::3])))
 
     def __getnewargs__(self) -> tuple[int, int, int]:
         return tuple(self)

@@ -37,14 +37,10 @@ def test_element_is_an_immutable_checked_triple():
             setattr(g, name, 1)
     for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert type(h) is GroupElement and h == g
-    # no constructor skips the a != 0 check: the class call, the bulk
-    # one, and the __new__ call that copy and pickle rebuild an element with
+    # no constructor skips the a != 0 check: the class call and the
+    # __new__ call that copy and pickle rebuild an element with
     with pytest.raises(ValueError, match="a != 0"):
         GroupElement(0, 5, 6)
-    assert GroupElement.triples([3, 5, 6, 1, 0, 0]) == [g, IDENTITY]
-    assert type(GroupElement.triples([3, 5, 6])[0]) is GroupElement
-    with pytest.raises(ValueError, match="a != 0"):
-        GroupElement.triples([3, 5, 6, 0, 5, 6])
     rebuild, args = g.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
     assert rebuild(*args) == g
     with pytest.raises(ValueError, match="a != 0"):
