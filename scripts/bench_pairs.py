@@ -8,8 +8,9 @@ side that runs first alternates from pair to pair.  It keeps each run's
 last-line JSON and, per end-to-end metric, both sides' medians and
 quartiles and the number of pairs the change won (ties count for neither
 side).  It also keeps the full seed-1 report of each side, untraced and
-traced, as the benchmark writes it under ``.perfbench_out/``.  Everything
-goes into one JSON file:
+traced, as the benchmark writes it under ``.perfbench_out/``, and sets
+each per-layer count metric of the two traced reports side by side under
+``pairs[workload]["counts"]``.  Everything goes into one JSON file:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --out BENCH_change.json --pairs 10 --first-seed 101
@@ -102,6 +103,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def counts(traced: dict[str, dict], metrics: list[dict]) -> dict:
+    """Per-layer ``count`` metrics of each side's traced report, by name."""
+    return {
+        m["name"]: {side: rep["metrics"][m["name"]]["value"] for side, rep in traced.items()}
+        for m in metrics
+        if m["unit"] == "count" and all(m["name"] in rep["metrics"] for rep in traced.values())
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -131,6 +141,7 @@ def main(argv=None) -> int:
         "pairs": {},
     }
     for workload in workloads:
+        traced = {}
         for side, path in sides.items():
             for trace in (0, 1):
                 print(f"{workload} {side} seed {REPORT_SEED} trace {trace}", file=sys.stderr)
@@ -138,6 +149,8 @@ def main(argv=None) -> int:
                 rep = report(path, workload, REPORT_SEED, trace)
                 rep["meta"]["side"] = side
                 out["runs"].append(rep)
+                if trace:
+                    traced[side] = rep
         runs = []
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -152,6 +165,7 @@ def main(argv=None) -> int:
                       f"{row.get('op_ms_p50', float('nan')):.4f}", file=sys.stderr)
         out["pairs"][workload] = {
             "runs": runs, "summary": summarize(runs, bench["end_to_end"]),
+            "counts": counts(traced, bench["per_layer"]),
         }
         args.out.write_text(json.dumps(out, indent=1) + "\n")  # keep what is done
     return 0

@@ -272,8 +272,8 @@ def parse_public_key(data: bytes) -> PublicKey:
     gamma2 = _read_cover(r, params, t2, "gamma2")
     r.done()
     for name, cover in (("alpha1", alpha1), ("alpha2", alpha2)):
-        for g in chain.from_iterable(cover.blocks):
-            if g.b == 0 or g.c == 0:
+        for _, b, c in chain.from_iterable(cover.blocks):
+            if b == 0 or c == 0:
                 raise CodecError(f"{name}: cover entry with zero coordinate")
     return PublicKey(SuzukiGroup(params), alpha1, alpha2, gamma1, gamma2)
 

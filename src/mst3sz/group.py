@@ -9,18 +9,21 @@ which matches composition of the affine maps
 
     x -> a*x + b,   y -> a^(2q0+1)*y + a*b^(2q0)*x + c
 
-in the order "apply g1's map first, then g2's".  ``mul`` forms t = a2*b1
-once for both the b and the c coordinate, so the law costs 5 field
-multiplies (one inside a2^(2q0+1)) and 2 Frobenius maps.  The group has
-order q^2*(q-1) and identity ``IDENTITY`` = (1, 0, 0), the same element in
-every field.  The elements (1, 0, c) form the designated q-element center
-(``in_center``) and (1, b, c) the q^2-element subgroup whose products add
-b-coordinates -- both facts carry the cryptosystem.  Right factors from
-either one take a cheaper law, from any left element g: ``mul_subgroup``
-multiplies g by (1, b, c) factors given as (b, c) pairs (1 multiply and 1
-Frobenius per factor) and ``mul_center`` by central (1, 0, c) factors given
-as c values (XOR only).  Cover walks (``logsig.induced_map``) are folds of
-``mul``.
+in the order "apply g1's map first, then g2's".  The law lives in ``step``,
+which takes the right factor as its ``terms`` (a2, b2, c2, a2^(2q0+1),
+b2^(2q0)) and forms t = a2*b1 once for both the b and the c coordinate:
+4 field multiplies and no Frobenius map.  ``mul`` is ``step`` with g2's
+terms, so it costs 5 multiplies (one inside a2^(2q0+1)) and 2 Frobenius
+maps; a caller that multiplies many elements by one right factor takes its
+terms once.  The group has order q^2*(q-1) and identity ``IDENTITY`` =
+(1, 0, 0), the same element in every field.  The elements (1, 0, c) form
+the designated q-element center (``in_center``) and (1, b, c) the
+q^2-element subgroup whose products add b-coordinates -- both facts carry
+the cryptosystem.  Right factors from either one take a cheaper law, from
+any left element g: ``mul_subgroup`` multiplies g by (1, b, c) factors
+given as (b, c) pairs (1 multiply and 1 Frobenius per factor) and
+``mul_center`` by central (1, 0, c) factors given as c values (XOR only).
+Cover walks (``logsig.induced_map``) are folds of ``mul``.
 
 A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
 so building one costs about what building a tuple does.  Every constructor
@@ -91,16 +94,24 @@ class SuzukiGroup:
     def __hash__(self) -> int:
         return hash(("SuzukiGroup", self.params))
 
-    def mul(self, g1: GroupElement, g2: GroupElement) -> GroupElement:
+    def terms(self, g: GroupElement) -> tuple[int, int, int, int, int]:
+        """(a, b, c, a^(2q0+1), b^(2q0)): g as a right factor of ``step``."""
+        f = self.params
+        a, b, c = g
+        return a, b, c, f.pow_2q0_plus_1(a), f.pow_2q0(b)
+
+    def step(self, g1: GroupElement, terms) -> GroupElement:
+        """g1 * g2 for g2's ``terms``: the group law."""
         f = self.params
         a1, b1, c1 = g1
-        a2, b2, c2 = g2
+        a2, b2, c2, k2, p2 = terms
         t = f.mul(a2, b1)
-        return GroupElement(
-            f.mul(a1, a2),
-            t ^ b2,
-            f.mul(f.pow_2q0_plus_1(a2), c1) ^ f.mul(t, f.pow_2q0(b2)) ^ c2,
-        )
+        return GroupElement(f.mul(a1, a2), t ^ b2, f.mul(k2, c1) ^ f.mul(t, p2) ^ c2)
+
+    def mul(self, g1: GroupElement, g2: GroupElement) -> GroupElement:
+        f = self.params
+        a, b, c = g2
+        return self.step(g1, (a, b, c, f.pow_2q0_plus_1(a), f.pow_2q0(b)))
 
     def inv(self, g: GroupElement) -> GroupElement:
         f = self.params

@@ -16,10 +16,12 @@ for digit j of block i is j * m_i, so the canonical signature evaluates to
 a secret invertible GF(2)-linear map plus per-block offsets.  That map and
 the offsets are the trapdoor; a signature is built from them alone, checks
 that the type covers the map's width and that the map inverts, and derives
-the inverse map and its entries once, on construction.  Evaluation (XOR of
-the entries ``select`` picks, one per block) is then a bijection Z_q ->
-GF(q).  The digits of x are the bit chunks of x itself, so the trapdoor
-inverts it by undoing the offsets and the linear map, in O(n).  Only the
+its entries and a row-echelon basis of the map (``echelon_rows``) once, on
+construction; no inverse map is formed.  Evaluation (XOR of the entries
+``select`` picks, one per block) is then a bijection Z_q -> GF(q).  The
+digits of x are the bit chunks of x itself, so the trapdoor inverts it by
+undoing the offsets and reducing the result against the echelon rows
+(``solve_echelon``), in O(n).  Only the
 bit width n matters here, not the field modulus: the construction uses
 nothing beyond XOR.  The scheme places the entries in the group itself, as
 (1, b, 0) or (1, 0, b).
@@ -39,18 +41,16 @@ from .group import GroupElement, SuzukiGroup
 @dataclass(frozen=True)
 class SignatureType:
     r: tuple[int, ...]
+    m: int = field(init=False, repr=False, compare=False)  # prod(r), read on every select
 
     def __post_init__(self):
         if not self.r or any(ri < 2 for ri in self.r):
             raise ValueError("block sizes must all be >= 2")
+        object.__setattr__(self, "m", prod(self.r))
 
     @property
     def s(self) -> int:
         return len(self.r)
-
-    @property
-    def m(self) -> int:
-        return prod(self.r)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -135,31 +135,21 @@ def gen_random_cover(group: SuzukiGroup, sig_type: SignatureType, rng) -> Cover:
 # -- tame signatures over (GF(q), +) ---------------------------------------
 
 
-def apply_linear(cols: tuple[int, ...], x: int) -> int:
-    """Apply the GF(2)-linear map with the given basis-image columns."""
-    r, i = 0, 0
-    while x:
-        if x & 1:
-            r ^= cols[i]
-        x >>= 1
-        i += 1
-    return r
+def echelon_rows(cols: tuple[int, ...], n: int) -> tuple[int, ...] | None:
+    """A row-echelon basis of the map on n bits, or None if it is singular.
 
-
-def invert_linear(cols: tuple[int, ...], n: int) -> tuple[int, ...] | None:
-    """Columns of the inverse of the map on n bits, or None if it is singular.
-
-    Row reduction on the column list inverts the transpose in row form, which
-    is the inverse in column form; each row carries its identity row above
-    bit n, col_i | 1 << (n + i).  A row is reduced against the kept rows by
-    its top set bit below n, so a singular map shows as soon as one row
-    reaches zero there; one back-substitution pass then clears the rest.
-    A column list of any length but n raises ``ValueError``.
+    Row i starts as col_i | 1 << (n + i): the column below bit n, and above
+    it the columns it combines.  Each row is reduced against the kept rows
+    by its top set bit below n and kept under that bit, so a singular map
+    shows as soon as one row reaches zero there.  rows[k] is then the kept
+    row with top bit k below n, and the XOR of the columns its high part
+    names is its low part; ``solve_echelon`` reads x off them.  A column
+    list of any length but n raises ``ValueError``.
     """
     if len(cols) != n:
         raise ValueError(f"{len(cols)} columns for a map on {n} bits")
     low = (1 << n) - 1
-    rows = [0] * n  # rows[k]: the kept row whose top set bit below n is k
+    rows = [0] * n
     for i in range(n):
         row = cols[i] | 1 << (n + i)
         while (top := (row & low).bit_length()) and rows[top - 1]:
@@ -167,12 +157,23 @@ def invert_linear(cols: tuple[int, ...], n: int) -> tuple[int, ...] | None:
         if not top:
             return None
         rows[top - 1] = row
-    for k in range(1, n):  # the rows below k are already reduced to their key
-        row, mask = rows[k], (1 << k) - 1
-        while below := row & mask:
-            row ^= rows[below.bit_length() - 1]
-        rows[k] = row
-    return tuple(row >> n for row in rows)
+    return tuple(rows)
+
+
+def solve_echelon(rows: tuple[int, ...], v: int) -> int:
+    """The x that the map with columns cols sends to v, for its echelon rows.
+
+    rows = echelon_rows(cols, n) and v < 2^n.  The kept row under v's top
+    bit clears that bit; its high part names the columns that cancel it.
+    """
+    n = len(rows)
+    low = (1 << n) - 1
+    x = 0
+    while v:
+        r = rows[v.bit_length() - 1]
+        v ^= r & low
+        x ^= r >> n
+    return x
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ class TameSignature:
     type: SignatureType
     lin_cols: tuple[int, ...]
     offsets: tuple[int, ...]
-    lin_inv_cols: tuple[int, ...] = field(init=False)
+    lin_rows: tuple[int, ...] = field(init=False)
     blocks: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
@@ -194,8 +195,8 @@ class TameSignature:
         for kind, vals in (("column", self.lin_cols), ("offset", self.offsets)):
             if wide := [i for i, v in enumerate(vals) if v >> n]:  # -1 if v < 0
                 raise ValueError(f"trapdoor {kind} {wide[0]} does not fit in {n} bits")
-        object.__setattr__(self, "lin_inv_cols", invert_linear(self.lin_cols, n))
-        if self.lin_inv_cols is None:
+        object.__setattr__(self, "lin_rows", echelon_rows(self.lin_cols, n))
+        if self.lin_rows is None:
             raise ValueError("signature trapdoor map is singular")
         # block i weighs m_i = 2^k_i and holds r_i = 2^b_i entries: digit j
         # selects columns k_i..k_i+b_i-1 by its bits, so doubling the entry
@@ -213,7 +214,7 @@ class TameSignature:
 
 
 def gen_tame(n: int, sig_type: SignatureType, rng) -> TameSignature:
-    while invert_linear(cols := tuple(rng.getrandbits(n) for _ in range(n)), n) is None:
+    while echelon_rows(cols := tuple(rng.getrandbits(n) for _ in range(n)), n) is None:
         pass  # redraw: about 71% of random maps are singular
     offsets = tuple(rng.getrandbits(n) for _ in range(sig_type.s))
     return TameSignature(sig_type, cols, offsets)
@@ -228,6 +229,7 @@ def factor_tame(sig: TameSignature, v: int) -> int:
     """The unique x with evaluate_tame(sig, x) = v.
 
     For a covering type the digits of x are the bit chunks of x itself, so
-    undoing the offsets and the linear map gives x directly.
+    undoing the offsets and solving the linear map on its echelon rows gives
+    x directly.
     """
-    return apply_linear(sig.lin_inv_cols, reduce(xor, sig.offsets, v))
+    return solve_echelon(sig.lin_rows, reduce(xor, sig.offsets, v))

@@ -12,11 +12,13 @@ Key generation builds, for k = 1, 2:
 Each factor f_k(alpha) * beta lies in a subgroup and is applied as a right
 factor, once, by its own law.  For k = 1, ``_mask_u`` multiplies
 t_(i-1)^-1 by (1, a, b) * (1, beta, 0) (``SuzukiGroup.mul_subgroup``) and
-one general group multiply per entry adds t_i; decryption builds U with
-the same ``_mask_u``.  For k = 2 the factor is (1, 0, v), v = b + beta,
-and (1, 0, v) * t = t * (1, 0, t.a^(2q0+1) * v), so an entry is
-E_i = t_(i-1)^-1 * t_i with t_i.a^(2q0+1) * v added to c: one group
-multiply per block and one field multiply per entry.
+the group law adds t_i, whose step terms (``SuzukiGroup.terms``) are taken
+once per block, so each entry pays 4 field multiplies for it and no
+Frobenius map; decryption builds U with the same ``_mask_u``.  For k = 2
+the factor is (1, 0, v), v = b + beta, and (1, 0, v) * t =
+t * (1, 0, t.a^(2q0+1) * v), so an entry is E_i = t_(i-1)^-1 * t_i with
+t_i.a^(2q0+1) * v added to c: one step per block, by t_i's terms, which
+also hold t_i.a^(2q0+1), and one field multiply per entry.
 
 The middle factors have a = 1, which gives the gamma covers a block
 structure that every key has and ``PublicKey`` checks: every gamma1 entry
@@ -120,21 +122,22 @@ class PublicKey:
                 raise ValueError(f"gamma{k} type {t} differs from alpha{k} type {u}")
         for i, block in enumerate(self.gamma1.blocks):
             a = block[0].a
-            for g in block:
-                if g.a != a:
+            for x, _, _ in block:
+                if x != a:
                     raise ValueError(f"gamma1 block {i}: entries differ in a")
         for i, block in enumerate(self.gamma2.blocks):
-            e = block[0]
-            for g in block:
-                if g.a != e.a or g.b != e.b:
+            a, b, _ = block[0]
+            for x, y, _ in block:
+                if x != a or y != b:
                     raise ValueError(f"gamma2 block {i}: entries differ outside c")
         f = self.group.params
         a1 = [block[0].a for block in self.gamma1.blocks]
         heads = [block[0] for block in self.gamma2.blocks]
-        k2 = tuple(f.pow_2q0_plus_1(g.a) for g in heads[1:])
-        # the product of the heads is gamma2'(0) = base * (1, 0, h(0))
-        b, c = _walk(f, heads, k2)
-        base = GroupElement(reduce(f.mul, [g.a for g in heads]), b, c ^ _horner(f, heads, k2))
+        a2 = [a for a, _, _ in heads]
+        k2 = tuple(map(f.pow_2q0_plus_1, a2[1:]))
+        # the base is the product of the heads with c zeroed
+        b, c = _walk(f, [(a, b, 0) for a, b, _ in heads], k2)
+        base = GroupElement(reduce(f.mul, a2), b, c)
         for name, value in (
             ("gamma1_a", reduce(f.mul, a1)),
             ("gamma1_k", tuple(map(f.pow_2q0_plus_1, a1[1:]))),
@@ -187,9 +190,9 @@ def _masked_cover(
     blocks = []
     for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
         left = group.inv(chain[i])
-        right = chain[i + 1]
+        right = group.terms(chain[i + 1])
         blocks.append(
-            tuple(group.mul(_mask_u(group, left, a, b), right) for a, b in zip(ablock, bblock))
+            tuple(group.step(_mask_u(group, left, a, b), right) for a, b in zip(ablock, bblock))
         )
     return Cover(alpha.type, tuple(blocks))
 
@@ -200,15 +203,20 @@ def _masked_central_cover(
     """gamma2: t_(i-1)^-1 * (1, 0, alpha.b + beta) * t_i, one group multiply per block.
 
     (1, 0, v) * t = t * (1, 0, t.a^(2q0+1) * v), so an entry is
-    t_(i-1)^-1 * t_i with t_i.a^(2q0+1) * (alpha.b + beta) added to c.
+    t_(i-1)^-1 * t_i with t_i.a^(2q0+1) * (alpha.b + beta) added to c;
+    t_i's step terms give both the product and t_i.a^(2q0+1).
     """
     f = group.params
     blocks = []
     for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
-        e = group.mul(group.inv(chain[i]), chain[i + 1])
-        k = f.pow_2q0_plus_1(chain[i + 1].a)
+        right = group.terms(chain[i + 1])
+        ea, eb, ec = group.step(group.inv(chain[i]), right)
+        k = right[3]  # t_i.a^(2q0+1)
         blocks.append(
-            tuple(GroupElement(e.a, e.b, e.c ^ f.mul(k, a.b ^ b)) for a, b in zip(ablock, bblock))
+            tuple(
+                GroupElement(ea, eb, ec ^ f.mul(k, ab ^ b))
+                for (_, ab, _), b in zip(ablock, bblock)
+            )
         )
     return Cover(alpha.type, tuple(blocks))
 
@@ -264,12 +272,11 @@ def _walk(f: FieldParams, entries, ks) -> tuple[int, int]:
     (a2, b2, c2) skips the a-chain: t = a2*b; b <- t + b2;
     c <- a2^(2q0+1)*c + t*b2^(2q0) + c2 (3 multiplies and 1 Frobenius).
     """
-    first, *rest = entries
-    b, c = first.b, first.c
-    for g, k in zip(rest, ks):
-        t = f.mul(g.a, b)
-        c = f.mul(k, c) ^ f.mul(t, f.pow_2q0(g.b)) ^ g.c
-        b = t ^ g.b
+    (_, b, c), *rest = entries
+    for (a2, b2, c2), k in zip(rest, ks):
+        t = f.mul(a2, b)
+        c = f.mul(k, c) ^ f.mul(t, f.pow_2q0(b2)) ^ c2
+        b = t ^ b2
     return b, c
 
 
@@ -280,10 +287,9 @@ def _gamma1(pk: PublicKey, r1: int) -> GroupElement:
 
 def _horner(f: FieldParams, entries, ks) -> int:
     """h <- a^(2q0+1)*h + c over the entries, ks as in ``_walk``."""
-    first, *rest = entries
-    h = first.c
-    for g, k in zip(rest, ks):
-        h = f.mul(k, h) ^ g.c
+    (_, _, h), *rest = entries
+    for (_, _, c), k in zip(rest, ks):
+        h = f.mul(k, h) ^ c
     return h
 
 
@@ -302,12 +308,12 @@ def _gamma2(pk: PublicKey, r2: int) -> GroupElement:
 
 def _y3(pk: PublicKey, r1: int) -> GroupElement:
     """The product of the f1 images of the alpha1 entries R1 selects."""
-    return pk.group.mul_subgroup(IDENTITY, [(g.a, g.b) for g in pk.alpha1.select(r1)])
+    return pk.group.mul_subgroup(IDENTITY, [(a, b) for a, b, _ in pk.alpha1.select(r1)])
 
 
 def _y4(pk: PublicKey, r2: int) -> GroupElement:
     """The product of the f2 images of the alpha2 entries R2 selects."""
-    return pk.group.mul_center(IDENTITY, [g.b for g in pk.alpha2.select(r2)])
+    return pk.group.mul_center(IDENTITY, [b for _, b, _ in pk.alpha2.select(r2)])
 
 
 def _check_ciphertext(group: SuzukiGroup, ct: Ciphertext) -> None:

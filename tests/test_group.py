@@ -11,6 +11,7 @@ from mst3sz.group import IDENTITY, CurvePoint, GroupElement, SuzukiGroup
 from mst3sz.logsig import covering_type, gen_random_cover, induced_map
 
 import oracle
+from test_field import DIFFERENTIAL_FIELDS
 
 P3 = make_params(3)
 G3 = SuzukiGroup(P3)
@@ -91,6 +92,21 @@ def test_mul_inv_match_oracle_large(n, modulus):
         t1, t2 = oracle.as_tuple(g1), oracle.as_tuple(g2)
         assert oracle.as_tuple(g.mul(g1, g2)) == oracle.gmul(p, t1, t2)
         assert oracle.as_tuple(g.inv(g1)) == oracle.ginv(p, t1)
+
+
+@pytest.mark.parametrize("n,modulus", DIFFERENTIAL_FIELDS)
+def test_step_on_terms_is_mul(n, modulus):
+    p = FieldParams(n, modulus)
+    g = SuzukiGroup(p)
+    rng = random.Random(p.modulus)
+    for _ in range(3):
+        g1, g2 = rand_el(rng, g), rand_el(rng, g)
+        a, b, c = g2
+        k = oracle.pow_(a, 2 * p.q0 + 1, p.modulus)
+        terms = g.terms(g2)
+        assert terms == (a, b, c, k, oracle.pow_(b, 2 * p.q0, p.modulus))
+        want = oracle.gmul(p, oracle.as_tuple(g1), oracle.as_tuple(g2))
+        assert oracle.as_tuple(g.step(g1, terms)) == oracle.as_tuple(g.mul(g1, g2)) == want
 
 
 def _next_irreducible(n, low):

@@ -12,14 +12,14 @@ from mst3sz.logsig import (
     Cover,
     SignatureType,
     TameSignature,
-    apply_linear,
     covering_type,
+    echelon_rows,
     evaluate_tame,
     factor_tame,
     gen_random_cover,
     gen_tame,
     induced_map,
-    invert_linear,
+    solve_echelon,
     tau,
     tau_inv,
 )
@@ -158,18 +158,18 @@ def test_linear_map_round_trip():
     rng = random.Random(5)
     for n in (3, 9, 65):
         sig = gen_tame(n, covering_type(n), rng)
-        cols, inv = sig.lin_cols, sig.lin_inv_cols
+        cols, rows = sig.lin_cols, sig.lin_rows
         for _ in range(50):
             x = rng.getrandbits(n)
-            assert apply_linear(inv, apply_linear(cols, x)) == x
-    assert invert_linear((0, 1, 2), 3) is None  # singular
+            assert solve_echelon(rows, oracle.gf2_apply(cols, x)) == x
+    assert echelon_rows((0, 1, 2), 3) is None  # singular
 
 
 def test_invert_linear_rejects_wrong_column_count():
     with pytest.raises(ValueError, match=r"^4 columns for a map on 3 bits$"):
-        invert_linear((1, 2, 4, 8), 3)
+        echelon_rows((1, 2, 4, 8), 3)
     with pytest.raises(ValueError, match=r"^2 columns for a map on 3 bits$"):
-        invert_linear((1, 2), 3)
+        echelon_rows((1, 2), 3)
 
 
 def _singular_maps(n, rng):
@@ -190,18 +190,19 @@ def _singular_maps(n, rng):
 
 @pytest.mark.parametrize("n", [*range(1, 18), 65, 127])
 def test_invert_linear_matches_rank_oracle(n):
-    # either None and rank below n, or L * L^-1 = L^-1 * L = I on every column
+    # None exactly when the rank is below n; otherwise solving on the rows
+    # inverts L on both sides: L * solve(e_i) = e_i and solve(L * e_i) = e_i
     rng = random.Random(n)
     singular = [m for _ in range(3) for m in _singular_maps(n, rng)]
     for cols in [tuple(rng.getrandbits(n) for _ in range(n)) for _ in range(20)] + singular:
-        inv = invert_linear(cols, n)
-        if inv is None or cols in singular:
-            assert inv is None
-            assert oracle.gf2_rank(cols) < n
+        rows = echelon_rows(cols, n)
+        assert (rows is None) == (oracle.gf2_rank(cols) < n)
+        if rows is None or cols in singular:
+            assert rows is None
             continue
         for i in range(n):
-            assert oracle.gf2_apply(cols, inv[i]) == 1 << i
-            assert oracle.gf2_apply(inv, cols[i]) == 1 << i
+            assert oracle.gf2_apply(cols, solve_echelon(rows, 1 << i)) == 1 << i
+            assert solve_echelon(rows, cols[i]) == 1 << i
 
 
 def test_gen_tame_requires_covering_type():
@@ -305,7 +306,7 @@ def test_evaluate_linearity():
     for d in sig.offsets:
         total ^= d
     for x in range(512):
-        assert evaluate_tame(sig, x) == apply_linear(sig.lin_cols, x) ^ total
+        assert evaluate_tame(sig, x) == oracle.gf2_apply(sig.lin_cols, x) ^ total
 
 
 def test_embedded_covers_track_signature():
