@@ -15,7 +15,8 @@ Key file::
     cover:      entries in block order, 3 field elements each
     signature:  entries in block order, 1 field element each,
                 then the n columns of the secret linear map,
-                then s per-block offsets (no inverse map: parsing derives it)
+                then s per-block offsets (no echelon basis of the map:
+                parsing derives it)
     chain:      s+1 group elements, 3 field elements each
 
 Ciphertext blob::
