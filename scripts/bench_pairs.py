@@ -10,7 +10,11 @@ quartiles and the number of pairs the change won (ties count for neither
 side).  It also keeps the full seed-1 report of each side, untraced and
 traced, as the benchmark writes it under ``.perfbench_out/``, and sets
 each per-layer count metric of the two traced reports side by side under
-``pairs[workload]["counts"]``.  Everything goes into one JSON file:
+``pairs[workload]["counts"]``.  The summary of ``peak_rss_mb`` also
+holds, per side, a least-squares fit of that metric against the ops the
+run attempted (``fit``: slope in KB per op, intercept in MB), since a
+fixed-length run's peak RSS grows with the ops it completes.  Everything
+goes into one JSON file:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --out BENCH_change.json --pairs 10 --first-seed 101
@@ -103,6 +107,23 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def rss_fit(runs: list[dict]) -> dict:
+    """Per side, the least-squares line of peak_rss_mb against attempted.
+
+    A side with fewer than two distinct op counts has no line and is left out.
+    """
+    out = {}
+    for side in ("parent", "change"):
+        rows = [r for r in runs if r["side"] == side and "peak_rss_mb" in r]
+        ops = [r["attempted"] for r in rows]
+        if len(set(ops)) < 2:
+            continue
+        slope, intercept = statistics.linear_regression(ops, [r["peak_rss_mb"] for r in rows])
+        out[side] = {"slope_kb_per_op": slope * 1024, "intercept_mb": intercept,
+                     "runs": len(rows)}
+    return out
+
+
 def counts(traced: dict[str, dict], metrics: list[dict]) -> dict:
     """Per-layer ``count`` metrics of each side's traced report, by name."""
     return {
@@ -163,8 +184,11 @@ def main(argv=None) -> int:
                 runs.append(row)
                 print(f"{workload} pair {i + 1} {side}: op_ms_p50 "
                       f"{row.get('op_ms_p50', float('nan')):.4f}", file=sys.stderr)
+        summary = summarize(runs, bench["end_to_end"])
+        if "peak_rss_mb" in summary:
+            summary["peak_rss_mb"]["fit"] = rss_fit(runs)
         out["pairs"][workload] = {
-            "runs": runs, "summary": summarize(runs, bench["end_to_end"]),
+            "runs": runs, "summary": summary,
             "counts": counts(traced, bench["per_layer"]),
         }
         args.out.write_text(json.dumps(out, indent=1) + "\n")  # keep what is done

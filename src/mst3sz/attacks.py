@@ -12,15 +12,20 @@ same y2, or the same y4 -- while full consistency determines the nonce
 uniquely (decryption derives it as a function of (y2, y3, y4)).
 Verification runs only on filter hits and is not counted as a trial;
 trials count enumeration steps, bounded by q^2 for attacks 1-2 and 2q for
-attack 3.  Each attack tabulates only what its enumeration reads: attack 1
-the alpha1 and inverted alpha2 walks, attack 2 the gamma walks (the
-scheme's structured ``_gamma1`` and ``_gamma2``) whose product it compares
-with y2, b-coordinate first; attack 3 sweeps R1 and R2 with the scheme's
-own y3 and y4.  With the default padding oracle, attack 1 skips (but
-counts) each candidate whose a-coordinate is not 1, since no valid padding
-at n <= 5 has another; a caller's oracle sees every candidate.  A
-ciphertext without the shape of an encryption raises ``CiphertextError``
-on entry, as it does in decryption.
+attack 3.  Each attack tabulates only what its enumeration reads, every
+cover through one ``induced_table`` (prefix products, each entry's step
+terms taken once per table): attack 1 the alpha1 and alpha2 walks, attack
+2 the gamma walks, whose product it compares with y2, and attack 3 the
+products of alpha1's f1 images, which it compares with y3 before it sweeps
+R2 with the scheme's own y4.  The screens read what the key fixes.  Every
+gamma2 walk has the a and b of ``gamma2_base``, so attack 2 screens the
+product's b-coordinate once per R1.  With the default padding oracle,
+attack 1 tries only the R2 whose alpha2 walk has the a-coordinate of
+alpha1'(R1)^-1 * y1, since no valid padding at n <= 5 has a != 1; a
+caller's oracle sees every candidate.  Skipped pairs still count as trials,
+so attacks 1-2 count r1*q + r2 + 1 at a match (R1 outer, R2 inner) and q^2
+without one.  A ciphertext without the shape of an encryption raises
+``CiphertextError`` on entry, as it does in decryption.
 
 Enumeration order is fixed: pairs (R1, R2) with R1 outer, R2 inner.  Any
 parallel split must still report the lowest-index verified match.
@@ -32,9 +37,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .group import IDENTITY, GroupElement
-from .logsig import induced_map
+from .logsig import Cover, induced_table
 from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message, encrypt
-from .scheme import _check_ciphertext, _gamma1, _gamma2, _y3, _y4
+from .scheme import _check_ciphertext, _y4
 
 _MAX_N = 5
 
@@ -79,28 +84,26 @@ def attack1_bruteforce_ciphertext(
 ) -> AttackResult:
     """Enumerate nonces, unmask y1, accept recognizable verified plaintext."""
     _check_input(pk, ct)
-    # n <= 5 leaves a valid padding no length bits to set, so a = 1: skip
-    # a candidate inv2[r2] * left unless inv2[r2].a = left.a^-1
-    screen = oracle is None
-    if oracle is None:
-        oracle = default_validity_predicate(pk)
     group = pk.group
-    f = group.params
-    q = f.q
-    a1 = [induced_map(group, pk.alpha1, r) for r in range(q)]
-    inv2 = [group.inv(induced_map(group, pk.alpha2, r)) for r in range(q)]
-    trials = 0
-    for r1 in range(q):
-        left = group.mul(group.inv(a1[r1]), ct.y1)
-        want = f.inv(left.a)
-        for r2, g in enumerate(inv2):
-            trials += 1
-            if screen and g.a != want:
-                continue
-            cand = group.mul(g, left)
-            if oracle(cand) and _reproduces(pk, ct, SessionNonce(r1, r2)):
-                return AttackResult(cand, trials, True, SessionNonce(r1, r2))
-    return AttackResult(None, trials, False, None)
+    q = group.params.q
+    a1 = induced_table(group, pk.alpha1)
+    a2 = induced_table(group, pk.alpha2)
+    inv2 = list(map(group.inv, a2))
+    # n <= 5 leaves a valid padding no length bits to set, so a = 1: the
+    # default oracle tries only the r2 with a2[r2].a = left.a
+    screen = oracle is None
+    if screen:
+        oracle = default_validity_predicate(pk)
+        by_a = {}
+        for r2, g in enumerate(a2):
+            by_a.setdefault(g.a, []).append(r2)
+    for r1, g in enumerate(a1):
+        left = group.mul(group.inv(g), ct.y1)
+        for r2 in by_a.get(left.a, ()) if screen else range(q):
+            cand = group.mul(inv2[r2], left)
+            if oracle(cand) and _reproduces(pk, ct, nonce := SessionNonce(r1, r2)):
+                return AttackResult(cand, r1 * q + r2 + 1, True, nonce)
+    return AttackResult(None, q * q, False, None)
 
 
 def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
@@ -109,29 +112,28 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     group = pk.group
     f = group.params
     q = f.q
-    g1 = [_gamma1(pk, r) for r in range(q)]
-    g2 = [_gamma2(pk, r) for r in range(q)]
-    trials = 0
-    # Screen on the product's b-coordinate, a2*b1 + b2 (one multiply): its
-    # a-coordinate is one value for all nonces (gamma's middle factors have a = 1).
+    g1 = induced_table(group, pk.gamma1)
+    g2 = induced_table(group, pk.gamma2)
+    # every gamma2 walk has the a and b of gamma2_base, so the product's
+    # b-coordinate, a2*b1 + b2, depends on R1 alone: screen once per R1
+    ga, gb, _ = pk.gamma2_base
     y2b = ct.y2.b
     for r1, h in enumerate(g1):
-        hb = h.b
+        if f.mul(ga, h.b) ^ gb != y2b:
+            continue
         for r2, g in enumerate(g2):
-            trials += 1
-            ga, gb, _ = g
-            if f.mul(ga, hb) ^ gb == y2b and group.mul(h, g) == ct.y2:
-                nonce = SessionNonce(r1, r2)
-                if _reproduces(pk, ct, nonce):
-                    return AttackResult(nonce, trials, True, nonce)
-    return AttackResult(None, trials, False, None)
+            if group.mul(h, g) == ct.y2 and _reproduces(pk, ct, nonce := SessionNonce(r1, r2)):
+                return AttackResult(nonce, r1 * q + r2 + 1, True, nonce)
+    return AttackResult(None, q * q, False, None)
 
 
 def attack3_session_key(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     """Recover R1 from y3 and R2 from y4, one coordinate at a time."""
     _check_input(pk, ct)
-    q = pk.group.params.q
-    cand1 = [r1 for r1 in range(q) if _y3(pk, r1) == ct.y3]
+    group = pk.group
+    q = group.params.q
+    images = Cover(pk.type1, tuple(tuple(map(group.f1, b)) for b in pk.alpha1.blocks))
+    cand1 = [r1 for r1, y3 in enumerate(induced_table(group, images)) if y3 == ct.y3]
     trials = q  # the R1 sweep
     for r2 in range(q):
         trials += 1

@@ -6,8 +6,10 @@ mixed-radix digits (j_1, ..., j_s), j_1 least significant (``tau`` /
 shared by covers and tame signatures).  A ``Cover`` holds s blocks of group
 elements and maps x to the left-to-right product of the selected entries
 (``induced_map``, the one cover walk: a fold of ``SuzukiGroup.mul`` over
-``Cover.select``).  A cover keeps no state derived from a field, so one
-cover can be walked in any field of its width.
+``Cover.select``).  ``induced_table`` lists that map for every x at once
+by prefix products: each block steps the whole table so far by its entries,
+whose step terms it takes once.  A cover keeps no state derived from a
+field, so one cover can be walked in any field of its width.
 
 A ``TameSignature`` lives over the additive group of GF(q).  Its type
 covers GF(2^n) when the block sizes multiply to 2^n.  The canonical entry
@@ -117,6 +119,19 @@ class Cover:
 def induced_map(group: SuzukiGroup, cover: Cover, x: int) -> GroupElement:
     """Product of one entry per block, selected by the digits of x."""
     return reduce(group.mul, cover.select(x))
+
+
+def induced_table(group: SuzukiGroup, cover: Cover) -> list[GroupElement]:
+    """[induced_map(group, cover, x) for x in range(m)], by prefix products.
+
+    Block i steps every product of the blocks before it by each of its
+    entries in turn, so the index order is ``tau``'s, j_1 least significant.
+    """
+    first, *rest = cover.blocks
+    table = list(first)
+    for block in rest:
+        table = [group.step(p, t) for t in map(group.terms, block) for p in table]
+    return table
 
 
 def gen_random_cover(group: SuzukiGroup, sig_type: SignatureType, rng) -> Cover:

@@ -41,7 +41,7 @@ factors.  Note y3 is a product of f1 IMAGES: f1 is not a homomorphism, so
 this differs from f1 of the product, and only the image-product form makes
 the cancellation below work.  The images lie in subgroups: ``_y3`` and
 ``_y4`` form the products there from the identity, by ``mul_subgroup`` and
-``mul_center`` (XOR of the b-coordinates), and the attacks sweep them too.
+``mul_center`` (XOR of the b-coordinates), and attack 3 sweeps ``_y4``.
 
 Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  V is
 central, so X.b = U.b and X.c = U.c + V.c.  U.b is y3.b plus

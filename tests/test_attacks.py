@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mst3sz.attacks import (
+    AttackResult,
     attack1_bruteforce_ciphertext,
     attack2_bruteforce_nonce,
     attack3_session_key,
@@ -20,6 +21,10 @@ from mst3sz.logsig import induced_map
 from mst3sz.scheme import (
     CiphertextError,
     SessionNonce,
+    _gamma1,
+    _gamma2,
+    _y3,
+    _y4,
     encode_message,
     encrypt,
     keygen,
@@ -93,6 +98,99 @@ def test_attack1_failure_exhausts_space():
     assert res.trials == 64
 
 
+# -- per-trial reference loops -----------------------------------------------
+#
+# Attacks 1-3 as plain loops: every walk by its own index (``induced_map``,
+# the scheme's ``_gamma1``, ``_gamma2`` and ``_y3``), attack 1's padding
+# screen per trial and the trial counter bumped per trial.  The attacks
+# must return exactly what these return.
+
+
+def _ref_reproduces(pk, ct, nonce):
+    e = encrypt(pk, GroupElement(1, 0, 0), nonce)
+    return (e.y2, e.y3, e.y4) == (ct.y2, ct.y3, ct.y4)
+
+
+def _ref_attack1(pk, ct, oracle=None):
+    screen = oracle is None
+    if oracle is None:
+        oracle = default_validity_predicate(pk)
+    group = pk.group
+    f = group.params
+    q = f.q
+    a1 = [induced_map(group, pk.alpha1, r) for r in range(q)]
+    inv2 = [group.inv(induced_map(group, pk.alpha2, r)) for r in range(q)]
+    trials = 0
+    for r1 in range(q):
+        left = group.mul(group.inv(a1[r1]), ct.y1)
+        want = f.inv(left.a)
+        for r2, g in enumerate(inv2):
+            trials += 1
+            if screen and g.a != want:
+                continue
+            cand = group.mul(g, left)
+            if oracle(cand) and _ref_reproduces(pk, ct, SessionNonce(r1, r2)):
+                return AttackResult(cand, trials, True, SessionNonce(r1, r2))
+    return AttackResult(None, trials, False, None)
+
+
+def _ref_attack2(pk, ct):
+    group = pk.group
+    q = group.params.q
+    g1 = [_gamma1(pk, r) for r in range(q)]
+    g2 = [_gamma2(pk, r) for r in range(q)]
+    trials = 0
+    for r1, h in enumerate(g1):
+        for r2, g in enumerate(g2):
+            trials += 1
+            if group.mul(h, g) == ct.y2 and _ref_reproduces(pk, ct, SessionNonce(r1, r2)):
+                return AttackResult(SessionNonce(r1, r2), trials, True, SessionNonce(r1, r2))
+    return AttackResult(None, trials, False, None)
+
+
+def _ref_attack3(pk, ct):
+    q = pk.group.params.q
+    cand1 = [r1 for r1 in range(q) if _y3(pk, r1) == ct.y3]
+    trials = q
+    for r2 in range(q):
+        trials += 1
+        if _y4(pk, r2) == ct.y4:
+            for r1 in cand1:
+                if _ref_reproduces(pk, ct, SessionNonce(r1, r2)):
+                    return AttackResult(SessionNonce(r1, r2), trials, True, SessionNonce(r1, r2))
+    return AttackResult(None, trials, False, None)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_attacks_match_per_trial_reference(n):
+    # 3 keys x 10 ciphertexts per width: padded messages (the default
+    # oracle's screen), random messages under a matching oracle, and the
+    # tampers, among them a y2 that no nonce gives
+    params = make_params(n)
+    rng = random.Random(30 + n)
+    q = params.q
+    tampered_y2 = 0
+    for _ in range(3):
+        pk, _ = keygen(params, rng=rng)
+        for kind in ("valid", "valid", "valid", "valid", "swap", "y2", "y2", "y3", "y4", "pad"):
+            if kind == "pad":
+                m = encode_message(params, b"")
+            else:
+                m = pk.group.random_element(rng)
+            ct = _tampered(pk, encrypt(pk, m, random_nonce(params, rng)), rng, kind)
+            assert attack1_bruteforce_ciphertext(pk, ct) == _ref_attack1(pk, ct)
+            assert attack1_bruteforce_ciphertext(
+                pk, ct, oracle=lambda g: g == m
+            ) == _ref_attack1(pk, ct, oracle=lambda g: g == m)
+            assert attack2_bruteforce_nonce(pk, ct) == _ref_attack2(pk, ct)
+            assert attack3_session_key(pk, ct) == _ref_attack3(pk, ct)
+            if kind == "y2" and not _ref_attack2(pk, ct).success:
+                tampered_y2 += 1
+                res = attack2_bruteforce_nonce(pk, ct)
+                assert res.trials == q * q and res.nonce is None
+    assert tampered_y2 >= 3
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_attack1_screen_keeps_results_and_caller_oracles(n):
     # the default oracle screens on a; passing the same predicate explicitly
@@ -106,9 +204,15 @@ def test_attack1_screen_keeps_results_and_caller_oracles(n):
         unscreened = attack1_bruteforce_ciphertext(pk, ct, default_validity_predicate(pk))
         assert attack1_bruteforce_ciphertext(pk, ct) == unscreened
         assert unscreened.success == default_validity_predicate(pk)(m)
-    seen = []
+    # a caller's oracle sees every candidate, in the reference order
+    seen, ref_seen = [], []
     res = attack1_bruteforce_ciphertext(pk, ct, oracle=lambda g: seen.append(g) and False)
+    ref = _ref_attack1(pk, ct, oracle=lambda g: ref_seen.append(g) and False)
+    assert res == ref
     assert res.trials == len(seen) == q * q and not res.success
+    assert seen == ref_seen
+    rejected = attack1_bruteforce_ciphertext(pk, ct, oracle=lambda g: False)
+    assert rejected == _ref_attack1(pk, ct, oracle=lambda g: False) == res
 
 
 def test_attack2_finds_encrypting_nonce_all_nonces():
@@ -291,11 +395,25 @@ def test_attacks_reject_malformed_ciphertext(field, value, match):
             attack(pk, bad)
 
 
-def test_attack_scaling_script_smoke(monkeypatch, capsys):
+def _attack_scaling():
     path = Path(__file__).resolve().parents[1] / "scripts" / "attack_scaling.py"
     spec = importlib.util.spec_from_file_location("attack_scaling", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_attack_scaling_measure_within_complexity_report():
+    means = _attack_scaling().measure(3, 4, random.Random(1))
+    report = complexity_report(P3)
+    bounds = {1: report["attack1"], 2: report["attack2"], 3: 2 * report["attack3"]}
+    assert set(means) == set(bounds)
+    for k, mean in means.items():
+        assert 1 <= mean <= bounds[k], (k, mean)
+
+
+def test_attack_scaling_script_smoke(monkeypatch, capsys):
+    script = _attack_scaling()
     monkeypatch.setattr(sys, "argv", ["attack_scaling.py", "--cts", "3"])
     script.main()
     lines = capsys.readouterr().out.splitlines()

@@ -59,3 +59,29 @@ def test_counts_sets_the_traced_count_metrics_side_by_side():
         {"name": "frob", "unit": "count"},  # only in one report
     ]
     assert bench_pairs.counts(traced, metrics) == {"mul": {"parent": 1752, "change": 1589}}
+
+
+def test_rss_fit_recovers_a_line_per_side():
+    # parent: 20 MB plus 0.5 KB per op; change: 19 MB plus 1 KB per op
+    runs = [
+        {"side": "parent", "attempted": ops, "peak_rss_mb": 20 + ops * 0.5 / 1024}
+        for ops in (1000, 2000, 4000)
+    ] + [
+        {"side": "change", "attempted": ops, "peak_rss_mb": 19 + ops / 1024}
+        for ops in (3000, 5000)
+    ]
+    fit = bench_pairs.rss_fit(runs)
+    assert fit["parent"]["slope_kb_per_op"] == pytest.approx(0.5)
+    assert fit["parent"]["intercept_mb"] == pytest.approx(20)
+    assert fit["parent"]["runs"] == 3
+    assert fit["change"]["slope_kb_per_op"] == pytest.approx(1)
+    assert fit["change"]["intercept_mb"] == pytest.approx(19)
+
+
+def test_rss_fit_leaves_out_a_side_without_two_op_counts():
+    runs = [
+        {"side": "parent", "attempted": 500, "peak_rss_mb": 20.0},
+        {"side": "parent", "attempted": 500, "peak_rss_mb": 20.5},
+        {"side": "change", "attempted": 700, "peak_rss_mb": 21.0},
+    ]
+    assert bench_pairs.rss_fit(runs) == {}

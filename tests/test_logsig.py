@@ -19,6 +19,7 @@ from mst3sz.logsig import (
     gen_random_cover,
     gen_tame,
     induced_map,
+    induced_table,
     solve_echelon,
     tau,
     tau_inv,
@@ -152,6 +153,26 @@ def test_induced_map_follows_the_field():
         for x in xs:
             got = induced_map(group, cover, x)
             assert oracle.as_tuple(got) == oracle.cover_product(p, blocks, x)
+
+
+@pytest.mark.parametrize(
+    "params,r",
+    [
+        *[(make_params(n), covering_type(n).r) for n in (3, 5, 7, 9)],
+        (make_params(7), (2, 16, 4)),
+        (make_params(3), (8,)),  # a single block
+        (make_params(9), (32, 2, 8)),
+        (FieldParams(7, 0x89), covering_type(7).r),  # x^7 + x^3 + 1
+    ],
+)
+def test_induced_table_lists_induced_map(params, r):
+    group = SuzukiGroup(params)
+    cover = gen_random_cover(group, SignatureType(r), random.Random(params.n + len(r)))
+    table = induced_table(group, cover)
+    assert table == [induced_map(group, cover, x) for x in range(cover.type.m)]
+    blocks = [[oracle.as_tuple(g) for g in blk] for blk in cover.blocks]
+    for x in (0, 1, cover.type.m - 1, *random.Random(19).sample(range(cover.type.m), 3)):
+        assert oracle.as_tuple(table[x]) == oracle.cover_product(params, blocks, x)
 
 
 def test_linear_map_round_trip():
