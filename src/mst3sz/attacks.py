@@ -18,13 +18,15 @@ terms taken once per table): attack 1 the alpha1 and alpha2 walks, attack
 2 the gamma walks, whose product it compares with y2, and attack 3 the
 products of alpha1's f1 images, which it compares with y3 before it sweeps
 R2 with the scheme's own y4.  The screens read what the key fixes.  Every
-gamma2 walk has the a and b of ``gamma2_base``, so attack 2 screens the
-product's b-coordinate once per R1.  With the default padding oracle,
-attack 1 tries only the R2 whose alpha2 walk has the a-coordinate of
-alpha1'(R1)^-1 * y1, since no valid padding at n <= 5 has a != 1; a
-caller's oracle sees every candidate.  Skipped pairs still count as trials,
-so attacks 1-2 count r1*q + r2 + 1 at a match (R1 outer, R2 inner) and q^2
-without one.  A ciphertext without the shape of an encryption raises
+gamma2 walk has the a and b of ``gamma2_base``, so attack 2 checks the
+product's a-coordinate once per attack and its b-coordinate once per R1,
+and then looks up the R2 whose walk has the one c-coordinate that gives
+y2.  With the default padding oracle, attack 1 tries only the R2 whose
+alpha2 walk has the a-coordinate of alpha1'(R1)^-1 * y1, since no valid
+padding at n <= 5 has a != 1, and inverts each alpha2 walk on its first
+try; a caller's oracle sees every candidate.  Skipped pairs still count as
+trials, so attacks 1-2 count r1*q + r2 + 1 at a match (R1 outer, R2 inner)
+and q^2 without one.  A ciphertext without the shape of an encryption raises
 ``CiphertextError`` on entry, as it does in decryption.
 
 Enumeration order is fixed: pairs (R1, R2) with R1 outer, R2 inner.  Any
@@ -88,7 +90,7 @@ def attack1_bruteforce_ciphertext(
     q = group.params.q
     a1 = induced_table(group, pk.alpha1)
     a2 = induced_table(group, pk.alpha2)
-    inv2 = list(map(group.inv, a2))
+    inv2 = [None] * q  # each alpha2 walk is inverted on its first try
     # n <= 5 leaves a valid padding no length bits to set, so a = 1: the
     # default oracle tries only the r2 with a2[r2].a = left.a
     screen = oracle is None
@@ -100,7 +102,9 @@ def attack1_bruteforce_ciphertext(
     for r1, g in enumerate(a1):
         left = group.mul(group.inv(g), ct.y1)
         for r2 in by_a.get(left.a, ()) if screen else range(q):
-            cand = group.mul(inv2[r2], left)
+            if (i := inv2[r2]) is None:
+                i = inv2[r2] = group.inv(a2[r2])
+            cand = group.mul(i, left)
             if oracle(cand) and _reproduces(pk, ct, nonce := SessionNonce(r1, r2)):
                 return AttackResult(cand, r1 * q + r2 + 1, True, nonce)
     return AttackResult(None, q * q, False, None)
@@ -112,17 +116,21 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     group = pk.group
     f = group.params
     q = f.q
-    g1 = induced_table(group, pk.gamma1)
-    g2 = induced_table(group, pk.gamma2)
-    # every gamma2 walk has the a and b of gamma2_base, so the product's
-    # b-coordinate, a2*b1 + b2, depends on R1 alone: screen once per R1
-    ga, gb, _ = pk.gamma2_base
-    y2b = ct.y2.b
+    # every gamma2 walk is gamma2_base * (1, 0, c), so the product h * g has
+    # a = gamma1_a * ga for every pair, its b-coordinate depends on R1 alone,
+    # and for a given R1 only the c of g is free
+    ga, gb, _, k, p = group.terms(pk.gamma2_base)
+    y2a, y2b, y2c = ct.y2
+    by_c = {}
+    for r2, g in enumerate(induced_table(group, pk.gamma2)):
+        by_c.setdefault(g.c, []).append(r2)
+    g1 = induced_table(group, pk.gamma1) if f.mul(pk.gamma1_a, ga) == y2a else ()
     for r1, h in enumerate(g1):
-        if f.mul(ga, h.b) ^ gb != y2b:
+        t = f.mul(ga, h.b)
+        if t ^ gb != y2b:
             continue
-        for r2, g in enumerate(g2):
-            if group.mul(h, g) == ct.y2 and _reproduces(pk, ct, nonce := SessionNonce(r1, r2)):
+        for r2 in by_c.get(y2c ^ f.mul(k, h.c) ^ f.mul(t, p), ()):
+            if _reproduces(pk, ct, nonce := SessionNonce(r1, r2)):
                 return AttackResult(nonce, r1 * q + r2 + 1, True, nonce)
     return AttackResult(None, q * q, False, None)
 

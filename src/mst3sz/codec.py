@@ -32,11 +32,13 @@ Parsers read each section (a cover, a signature with its trapdoor columns
 and offsets, a chain, the nine ciphertext elements) whole, with one
 ``struct`` unpack whose size the header and the types fix: each element
 splits into little-endian Q/I/H/B words that are then joined.  Every
-failure is a ``CodecError``; those about truncation, padding, the header's
-width and modulus and the per-section checks name the section and, where
-it is known, the byte offset of the bad element, e.g. ``alpha1: element
-has nonzero padding bits at byte 51`` or ``header: n must be odd at byte
-8``.  A public key whose gamma cover lacks the block structure every
+failure is a ``CodecError``; those about truncation, padding, a group
+element's a = 0, the header's width and modulus and the per-section checks
+name the section and, where it is known, the byte offset of the bad
+element, e.g. ``alpha1: element has nonzero padding bits at byte 51``,
+``chain1: group element needs a != 0 at byte 93`` or ``header: n must be
+odd at byte 8``.  A section's group elements are built after one a != 0
+check over all of them (``GroupElement.from_columns``).  A public key whose gamma cover lacks the block structure every
 generated key has (one a per gamma1 block, one (a, b) per gamma2 block) is
 rejected at parse time with the cover and the block named, e.g. ``gamma2
 block 3: entries differ outside c``.
@@ -160,8 +162,16 @@ def _coords(elements) -> list[int]:
     return list(chain.from_iterable(elements))
 
 
-def _triples(vals: list[int]) -> list[GroupElement]:
-    return list(map(GroupElement, vals[0::3], vals[1::3], vals[2::3]))
+def _triples(r: _Reader, f: FieldParams, count: int, section: str) -> list[GroupElement]:
+    """The next ``count`` group elements, a zero a named by its byte offset."""
+    start = r.pos
+    vals = r.elements(f, 3 * count, section)
+    a = vals[0::3]
+    try:
+        return GroupElement.from_columns(a, vals[1::3], vals[2::3])
+    except ValueError as e:
+        at = start + 3 * _element_bytes(f.n) * a.index(0)
+        raise CodecError(f"{section}: {e} at byte {at}") from None
 
 
 def _blocks(items, sizes) -> tuple[tuple, ...]:
@@ -189,8 +199,7 @@ def _read_type(r: _Reader, f: FieldParams, section: str) -> SignatureType:
 
 
 def _read_cover(r: _Reader, f: FieldParams, t: SignatureType, section: str) -> Cover:
-    vals = r.elements(f, 3 * sum(t.r), section)
-    return Cover(t, _blocks(_triples(vals), t.r))
+    return Cover(t, _blocks(_triples(r, f, sum(t.r), section), t.r))
 
 
 def _read_signature(
@@ -299,8 +308,8 @@ def parse_private_key(data: bytes) -> PrivateKey:
     t2 = _read_type(r, params, "type2")
     beta1 = _read_signature(r, params, t1, "beta1")
     beta2 = _read_signature(r, params, t2, "beta2")
-    chain1 = tuple(_triples(r.elements(params, 3 * (t1.s + 1), "chain1")))
-    chain2 = tuple(_triples(r.elements(params, 3 * (t2.s + 1), "chain2")))
+    chain1 = tuple(_triples(r, params, t1.s + 1, "chain1"))
+    chain2 = tuple(_triples(r, params, t2.s + 1, "chain2"))
     r.done()
     if chain1[-1] != chain2[0]:
         raise CodecError("chains do not share their joint element")

@@ -28,13 +28,15 @@ of them (``logsig.induced_table``) steps by each entry's terms.
 
 A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
 so building one costs about what building a tuple does.  Every constructor
-it offers (the class call, ``copy`` and ``pickle``) rejects a = 0.  Equality and hashing are the tuple's:
+it offers (the class call, ``from_columns`` for many at once, ``copy`` and
+``pickle``) rejects a = 0.  Equality and hashing are the tuple's:
 ``GroupElement(1, 2, 3) == (1, 2, 3)`` is true.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -50,6 +52,13 @@ class GroupElement(tuple):
         if a == 0:
             raise ValueError("group element needs a != 0")
         return tuple.__new__(cls, (a, b, c))
+
+    @classmethod
+    def from_columns(cls, a: list[int], b: list[int], c: list[int]) -> list[GroupElement]:
+        """The elements (a[i], b[i], c[i]), built after one check that no a is 0."""
+        if 0 in a:
+            raise ValueError("group element needs a != 0")
+        return list(map(tuple.__new__, repeat(cls), zip(a, b, c)))
 
     def __getnewargs__(self) -> tuple[int, int, int]:
         return tuple(self)

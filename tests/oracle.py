@@ -61,6 +61,24 @@ def gmul(params, g1: tuple, g2: tuple) -> tuple:
     )
 
 
+def log_exp_tables(modulus: int) -> tuple[list, list]:
+    """(exp + exp, log) of the first generator g = 2, 3, ...: the walk of
+    its powers by schoolbook multiplies, and the index of each element."""
+    q = 1 << modulus.bit_length() - 1
+    for g in range(2, q):
+        exp = [1]
+        v = g
+        while v != 1:
+            exp.append(v)
+            v = mul(v, g, modulus)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return exp + exp, log
+
+
 def ginv(params, g: tuple) -> tuple:
     mod = params.modulus
     e = 2 * params.q0

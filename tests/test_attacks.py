@@ -215,6 +215,40 @@ def test_attack1_screen_keeps_results_and_caller_oracles(n):
     assert rejected == _ref_attack1(pk, ct, oracle=lambda g: False) == res
 
 
+class _InvertingGroup(SuzukiGroup):
+    """Records every element it inverts."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.inverted = []
+
+    def inv(self, g):
+        self.inverted.append(g)
+        return super().inv(g)
+
+
+def test_attack1_inverts_each_walk_at_most_once():
+    # one inversion per alpha1 walk reached, and each alpha2 walk inverted
+    # on its first try only: with the default oracle's screen that is fewer
+    # than all q of them plus one per R1; a caller's oracle sweeps all 2q
+    params, (pk, _) = make_key(14, 5)
+    rng = random.Random(15)
+    q = params.q
+    for oracle_ in (None, lambda g: False):
+        for _ in range(4):
+            group = _InvertingGroup(params)
+            key = replace(pk, group=group)
+            ct = encrypt(key, encode_message(params, b""), random_nonce(params, rng))
+            res = attack1_bruteforce_ciphertext(key, ct, oracle_)
+            assert res == _ref_attack1(pk, ct, oracle_)
+            inverted = group.inverted
+            assert len({id(g) for g in inverted}) == len(inverted)
+            if oracle_ is None:
+                assert res.success and len(inverted) < q + res.nonce.r1 + 1
+            else:
+                assert len(inverted) == 2 * q
+
+
 def test_attack2_finds_encrypting_nonce_all_nonces():
     params, (pk, sk) = make_key(10)
     rng = random.Random(11)

@@ -210,6 +210,35 @@ def test_padding_bits_rejected_with_section_and_offset():
         assert str(err.value) == expected
 
 
+@pytest.mark.parametrize(
+    "section, k",
+    [("alpha1", 0), ("alpha2", 5), ("gamma1", 3), ("gamma2", 7), ("chain1", 1), ("chain2", 0)],
+)
+def test_zero_a_rejected_with_section_and_offset(section, k):
+    # zero the a-coordinate of element k of the section; at n = 9 an
+    # element is two bytes, and the named sections end the file in order
+    params, (pk, sk) = make_key(42, 9)
+    esz, t1, t2 = 2, pk.type1, pk.type2
+    if section.startswith("chain"):
+        blob, parse = codec.serialize_private_key(sk), codec.parse_private_key
+        counts = {"chain1": t1.s + 1, "chain2": t2.s + 1}
+    else:
+        blob, parse = codec.serialize_public_key(pk), codec.parse_public_key
+        counts = {"alpha1": sum(t1.r), "alpha2": sum(t2.r),
+                  "gamma1": sum(t1.r), "gamma2": sum(t2.r)}
+    start = len(blob)
+    for name in reversed(counts):
+        start -= 3 * esz * counts[name]
+        if name == section:
+            break
+    at = start + 3 * esz * k
+    bad = bytearray(blob)
+    bad[at : at + esz] = bytes(esz)
+    with pytest.raises(codec.CodecError, match="a != 0") as err:
+        parse(bytes(bad))
+    assert str(err.value) == f"{section}: group element needs a != 0 at byte {at}"
+
+
 def test_wrong_role_rejected():
     _, (pk, sk) = make_key(30)
     with pytest.raises(codec.CodecError, match="role"):

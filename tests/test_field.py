@@ -191,6 +191,19 @@ def test_primitives_match_oracle(n, modulus):
         assert sorted(p._exp[: p.q - 1]) == list(range(1, p.q))
 
 
+# Every width with log/exp tables, and the foreign n=17 moduli.
+@pytest.mark.parametrize(
+    "n,modulus",
+    [(n, None) for n in range(3, 18, 2)] + [(n, m) for n, m in EXTRA_MODULI if n == 17],
+)
+def test_log_exp_tables_share_ints_and_match_oracle_walk(n, modulus):
+    p = FieldParams(n, modulus)
+    exp, log = oracle.log_exp_tables(p.modulus)
+    assert p._exp == exp and p._log == log
+    # log and exp hold one int object per value
+    assert all(p._log[p._exp[i]] is p._exp[p._log[i]] for i in range(1, p.q - 1))
+
+
 # The oracle needs O(n^3) bit steps per matrix, so whole matrices are checked
 # at a spread of widths; frob_pow is checked at every width above.  The image
 # of each basis element x^i is one column of the Frobenius matrix.
