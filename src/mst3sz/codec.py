@@ -38,10 +38,11 @@ name the section and, where it is known, the byte offset of the bad
 element, e.g. ``alpha1: element has nonzero padding bits at byte 51``,
 ``chain1: group element needs a != 0 at byte 93`` or ``header: n must be
 odd at byte 8``.  A section's group elements are built after one a != 0
-check over all of them (``GroupElement.from_columns``).  A public key whose gamma cover lacks the block structure every
-generated key has (one a per gamma1 block, one (a, b) per gamma2 block) is
-rejected at parse time with the cover and the block named, e.g. ``gamma2
-block 3: entries differ outside c``.
+check over all of them (``GroupElement.from_columns``).  A public key
+whose gamma cover lacks the block structure every generated key has (one
+a per gamma1 block, one (a, b) per gamma2 block) is rejected at parse time
+with the cover and the block named, e.g. ``gamma2 block 3: entries differ
+outside c``.
 """
 
 from __future__ import annotations

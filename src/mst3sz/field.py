@@ -360,6 +360,7 @@ class BinaryField:
         self._exp = exp + exp
         self._log = log
 
+
 def check_width(n: int) -> None:
     """Raise ``ValueError`` unless n is a width the cryptosystem uses."""
     if n % 2 == 0:
