@@ -29,26 +29,29 @@ y4.b = 0), which are re-imposed on parse.  Blob size is therefore exactly
 9 + 9*ceil(n/8) bytes.
 
 Parsers read each section (a cover, a signature with its trapdoor columns
-and offsets, a chain, the nine ciphertext elements) whole, with one
-``struct`` unpack whose size the header and the types fix: each element
-splits into little-endian Q/I/H/B words that are then joined.  Every
-failure is a ``CodecError``; those about truncation, padding, a group
-element's a = 0, the header's width and modulus and the per-section checks
-name the section and, where it is known, the byte offset of the bad
-element, e.g. ``alpha1: element has nonzero padding bits at byte 51``,
-``chain1: group element needs a != 0 at byte 93`` or ``header: n must be
-odd at byte 8``.  A section's group elements are built after one a != 0
-check over all of them (``GroupElement.from_columns``).  A public key
-whose gamma cover lacks the block structure every generated key has (one
-a per gamma1 block, one (a, b) per gamma2 block) is rejected at parse time
-with the cover and the block named, e.g. ``gamma2 block 3: entries differ
-outside c``.
+and offsets, a chain, the ciphertext's group elements and the rest) whole,
+with one ``struct`` unpack of little-endian B/H/I/Q words: each element
+widens to the next word of 1, 2, 4, 8 or 16 bytes, through a zeroed copy
+of the section (at most 16/9 of its bytes) where it is narrower, as at
+n=17 (3 -> 4 bytes).  Every failure is a ``CodecError``; those about
+truncation, padding, a group element's a = 0, a zero alpha coordinate,
+the header's width and modulus and the per-section checks name the section
+and, where it is known, the byte offset of the bad element, e.g.
+``alpha1: element has nonzero padding bits at byte 51``, ``ciphertext:
+group element needs a != 0 at byte 9``, ``alpha2: cover entry with zero
+coordinate at byte 406`` or ``header: n must be odd at byte 8``.  A
+section's group elements are built after one a != 0 check over all of
+them (``GroupElement.from_columns``).  A public key whose gamma cover lacks
+the block structure every generated key has (one a per gamma1 block, one
+(a, b) per gamma2 block) is rejected at parse time with the cover and the
+block named, e.g. ``gamma2 block 3: entries differ outside c``.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache, wraps
+from collections.abc import Sequence
+from functools import wraps
 from itertools import chain, islice
 
 from .field import IRREDUCIBLE, FieldParams, check_width, make_params
@@ -76,17 +79,8 @@ def _element_bytes(n: int) -> int:
     return (n + 7) // 8
 
 
-@lru_cache(maxsize=32)
-def _section_struct(size: int, count: int) -> tuple[struct.Struct, tuple[int, ...]]:
-    """The struct that splits count size-byte elements into little-endian
-    Q/I/H/B words, and the bit shift of each word within its element."""
-    codes, shifts, at = "", [], 0
-    for code, width in zip("QIHB", (8, 4, 2, 1)):
-        while size - at >= width:
-            codes += code
-            shifts.append(8 * at)
-            at += width
-    return struct.Struct("<" + codes * count), tuple(shifts)
+# The struct code of each word an element widens to; 16 bytes are two Qs.
+_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class _Reader:
@@ -118,15 +112,23 @@ class _Reader:
         """The next ``count`` u32 words, read in one unpack."""
         return struct.unpack_from(f"<{count}I", self.data, self._span(count, 4, section))
 
-    def elements(self, f: FieldParams, count: int, section: str) -> list[int]:
-        """The next ``count`` field elements, read in one unpack and checked."""
+    def elements(self, f: FieldParams, count: int, section: str) -> Sequence[int]:
+        """The next ``count`` field elements, read in one unpack and checked;
+        each is widened to a 1, 2, 4, 8 or 16-byte word by a strided copy."""
         size = _element_bytes(f.n)
         start = self._span(count, size, section)
-        layout, shifts = _section_struct(size, count)
-        words = layout.unpack_from(self.data, start)
-        vals = list(words[:: len(shifts)])
-        for k, shift in enumerate(shifts[1:], 1):
-            vals = [v | w << shift for v, w in zip(vals, words[k :: len(shifts)])]
+        word = 1 << (size - 1).bit_length()
+        if word == size:
+            buf, off = self.data, start
+        else:
+            buf, off = bytearray(count * word), 0
+            for j in range(size):
+                buf[j::word] = self.data[start + j : self.pos : size]
+        if word == 16:
+            q = struct.unpack_from(f"<{2 * count}Q", buf, off)
+            vals = [lo | hi << 64 for lo, hi in zip(q[::2], q[1::2])]
+        else:
+            vals = struct.unpack_from(f"<{count}{_WORD_CODES[word]}", buf, off)
         if max(vals) >= f.q:
             at = start + size * next(i for i, v in enumerate(vals) if v >= f.q)
             raise CodecError(
@@ -277,15 +279,19 @@ def parse_public_key(data: bytes) -> PublicKey:
     params = _parse_key_header(r, ROLE_PUBLIC)
     t1 = _read_type(r, params, "type1")
     t2 = _read_type(r, params, "type2")
+    at1 = r.pos
     alpha1 = _read_cover(r, params, t1, "alpha1")
+    at2 = r.pos
     alpha2 = _read_cover(r, params, t2, "alpha2")
     gamma1 = _read_cover(r, params, t1, "gamma1")
     gamma2 = _read_cover(r, params, t2, "gamma2")
     r.done()
-    for name, cover in (("alpha1", alpha1), ("alpha2", alpha2)):
-        for _, b, c in chain.from_iterable(cover.blocks):
-            if b == 0 or c == 0:
-                raise CodecError(f"{name}: cover entry with zero coordinate")
+    # every a is already nonzero, so a zero coordinate is a b or a c
+    for name, start, cover in (("alpha1", at1, alpha1), ("alpha2", at2, alpha2)):
+        coords = _coords(chain.from_iterable(cover.blocks))
+        if 0 in coords:
+            at = start + _element_bytes(params.n) * coords.index(0)
+            raise CodecError(f"{name}: cover entry with zero coordinate at byte {at}")
     return PublicKey(SuzukiGroup(params), alpha1, alpha2, gamma1, gamma2)
 
 
@@ -347,14 +353,10 @@ def parse_ciphertext(data: bytes) -> tuple[int, Ciphertext]:
         raise CodecError("unknown version")
     n = _read_width(r)
     params = make_params(n)
-    v = r.elements(params, 9, "ciphertext")
+    y1, y2 = _triples(r, params, 2, "ciphertext")
+    b3, c3, c4 = r.elements(params, 3, "ciphertext")
     r.done()
-    return n, Ciphertext(
-        GroupElement(v[0], v[1], v[2]),
-        GroupElement(v[3], v[4], v[5]),
-        GroupElement(1, v[6], v[7]),
-        GroupElement(1, 0, v[8]),
-    )
+    return n, Ciphertext(y1, y2, GroupElement(1, b3, c3), GroupElement(1, 0, c4))
 
 
 def storage_report(

@@ -151,3 +151,8 @@ def gf2_rank(cols) -> int:
                 break
             v ^= basis[top]
     return len(basis)
+
+
+def le_elements(data: bytes, size: int) -> list:
+    """The size-byte little-endian integers that data holds, one from_bytes each."""
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]

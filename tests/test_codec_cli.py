@@ -21,6 +21,8 @@ from mst3sz.scheme import (
     random_nonce,
 )
 
+import oracle
+
 P3 = make_params(3)
 G3 = SuzukiGroup(P3)
 
@@ -210,33 +212,77 @@ def test_padding_bits_rejected_with_section_and_offset():
         assert str(err.value) == expected
 
 
+@pytest.mark.parametrize("n", range(3, 128, 2))
+def test_reader_matches_per_element_reference(n):
+    # random sections after a 5-byte prefix, followed by trailing bytes
+    params = make_params(n)
+    size = (n + 7) // 8
+    rng = random.Random(f"reader/{n}")
+    for count in (1, 9, 100):
+        vals = [rng.getrandbits(n) for _ in range(count)]
+        vals[0], vals[-1] = params.q - 1, 0
+        body = b"".join(v.to_bytes(size, "little") for v in vals)
+        prefix, tail = rng.randbytes(5), rng.randbytes(3)
+        r = codec._Reader(prefix + body + tail)
+        r.pos = len(prefix)
+        assert list(r.elements(params, count, "beta1")) == oracle.le_elements(body, size) == vals
+        assert r.pos == len(prefix) + len(body)
+        # a padding bit in the first, a middle and the last element
+        for i in sorted({0, count // 2, count - 1}):
+            bad = bytearray(body)
+            bad[i * size + size - 1] |= 0x80
+            r = codec._Reader(prefix + bytes(bad) + tail)
+            r.pos = len(prefix)
+            with pytest.raises(codec.CodecError) as err:
+                r.elements(params, count, "beta1")
+            at = len(prefix) + i * size
+            assert str(err.value) == f"beta1: element has nonzero padding bits at byte {at}"
+
+
 @pytest.mark.parametrize(
     "section, k",
-    [("alpha1", 0), ("alpha2", 5), ("gamma1", 3), ("gamma2", 7), ("chain1", 1), ("chain2", 0)],
+    [("alpha1", 0), ("alpha2", 5), ("gamma1", 3), ("gamma2", 7), ("chain1", 1), ("chain2", 0),
+     ("ciphertext", 0), ("ciphertext", 1)],
 )
 def test_zero_a_rejected_with_section_and_offset(section, k):
     # zero the a-coordinate of element k of the section; at n = 9 an
-    # element is two bytes, and the named sections end the file in order
+    # element is two bytes, the named key sections end the file in order and
+    # the ciphertext's y1 and y2 follow its 9-byte header
     params, (pk, sk) = make_key(42, 9)
     esz, t1, t2 = 2, pk.type1, pk.type2
-    if section.startswith("chain"):
+    if section == "ciphertext":
+        rng = random.Random(43)
+        ct = encrypt(pk, SuzukiGroup(params).random_element(rng), random_nonce(params, rng))
+        blob, parse = codec.serialize_ciphertext(params, ct), codec.parse_ciphertext
+        start = 9
+    elif section.startswith("chain"):
         blob, parse = codec.serialize_private_key(sk), codec.parse_private_key
-        counts = {"chain1": t1.s + 1, "chain2": t2.s + 1}
+        start = _section_start(blob, esz, {"chain1": t1.s + 1, "chain2": t2.s + 1}, section)
     else:
         blob, parse = codec.serialize_public_key(pk), codec.parse_public_key
-        counts = {"alpha1": sum(t1.r), "alpha2": sum(t2.r),
-                  "gamma1": sum(t1.r), "gamma2": sum(t2.r)}
-    start = len(blob)
-    for name in reversed(counts):
-        start -= 3 * esz * counts[name]
-        if name == section:
-            break
+        start = _section_start(blob, esz, _cover_counts(pk), section)
     at = start + 3 * esz * k
     bad = bytearray(blob)
     bad[at : at + esz] = bytes(esz)
     with pytest.raises(codec.CodecError, match="a != 0") as err:
         parse(bytes(bad))
     assert str(err.value) == f"{section}: group element needs a != 0 at byte {at}"
+
+
+def _cover_counts(pk):
+    t1, t2 = pk.type1, pk.type2
+    return {"alpha1": sum(t1.r), "alpha2": sum(t2.r), "gamma1": sum(t1.r), "gamma2": sum(t2.r)}
+
+
+def _section_start(blob, esz, counts, section):
+    """Where a section of group elements starts, given the element counts of
+    the sections that end the file, in file order."""
+    start = len(blob)
+    for name in reversed(counts):
+        start -= 3 * esz * counts[name]
+        if name == section:
+            return start
+    raise KeyError(section)
 
 
 def test_wrong_role_rejected():
@@ -258,6 +304,16 @@ def test_parse_checks_alpha_entry_constraint():
     )
     with pytest.raises(codec.CodecError, match="zero coordinate"):
         codec.parse_public_key(codec.serialize_public_key(broken))
+    # a zero b or c of entry 2 of either alpha cover is named by its byte
+    blob = codec.serialize_public_key(pk)
+    for section in ("alpha1", "alpha2"):
+        for coord in (1, 2):
+            at = _section_start(blob, 1, _cover_counts(pk), section) + 3 * 2 + coord
+            bad = bytearray(blob)
+            bad[at] = 0
+            with pytest.raises(codec.CodecError, match="zero coordinate") as err:
+                codec.parse_public_key(bytes(bad))
+            assert str(err.value) == f"{section}: cover entry with zero coordinate at byte {at}"
 
 
 def _non_covering_covers():
@@ -383,9 +439,12 @@ def test_parse_checks_singular_trapdoor():
         codec.parse_private_key(bytes(blob))
 
 
-def test_parsers_fail_only_with_codec_error():
-    # arbitrary corruption may be rejected, never crash some other way
-    params, (pk, sk) = make_key(36, 9)
+@pytest.mark.parametrize("n", [9, 17, 33, 65])
+def test_parsers_fail_only_with_codec_error(n):
+    # arbitrary corruption may be rejected, never crash some other way; the
+    # widths read their elements as they are (9), widened (17, 33) and as
+    # two words (65)
+    params, (pk, sk) = make_key(36, n)
     rng = random.Random(37)
     group = SuzukiGroup(params)
     ct = encrypt(pk, group.random_element(rng), random_nonce(params, rng))
