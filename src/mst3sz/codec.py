@@ -29,7 +29,7 @@ y4.b = 0), which are re-imposed on parse.  Blob size is therefore exactly
 9 + 9*ceil(n/8) bytes.
 
 Parsers read each section (a cover, a signature with its trapdoor columns
-and offsets, a chain, the ciphertext's group elements and the rest) whole,
+and offsets, a chain, the nine ciphertext elements) whole,
 with one ``struct`` unpack of little-endian B/H/I/Q words: each element
 widens to the next word of 1, 2, 4, 8 or 16 bytes, through a zeroed copy
 of the section (at most 16/9 of its bytes) where it is narrower, as at
@@ -165,16 +165,23 @@ def _coords(elements) -> list[int]:
     return list(chain.from_iterable(elements))
 
 
-def _triples(r: _Reader, f: FieldParams, count: int, section: str) -> list[GroupElement]:
-    """The next ``count`` group elements, a zero a named by its byte offset."""
-    start = r.pos
-    vals = r.elements(f, 3 * count, section)
+def _group_elements(
+    f: FieldParams, vals: Sequence[int], start: int, section: str
+) -> list[GroupElement]:
+    """The group elements of (a, b, c) values read from byte ``start``, a
+    zero a named by its byte offset."""
     a = vals[0::3]
     try:
         return GroupElement.from_columns(a, vals[1::3], vals[2::3])
     except ValueError as e:
         at = start + 3 * _element_bytes(f.n) * a.index(0)
         raise CodecError(f"{section}: {e} at byte {at}") from None
+
+
+def _triples(r: _Reader, f: FieldParams, count: int, section: str) -> list[GroupElement]:
+    """The next ``count`` group elements."""
+    start = r.pos
+    return _group_elements(f, r.elements(f, 3 * count, section), start, section)
 
 
 def _blocks(items, sizes) -> tuple[tuple, ...]:
@@ -353,10 +360,10 @@ def parse_ciphertext(data: bytes) -> tuple[int, Ciphertext]:
         raise CodecError("unknown version")
     n = _read_width(r)
     params = make_params(n)
-    y1, y2 = _triples(r, params, 2, "ciphertext")
-    b3, c3, c4 = r.elements(params, 3, "ciphertext")
+    v = r.elements(params, 9, "ciphertext")
     r.done()
-    return n, Ciphertext(y1, y2, GroupElement(1, b3, c3), GroupElement(1, 0, c4))
+    y1, y2 = _group_elements(params, v[:6], 9, "ciphertext")
+    return n, Ciphertext(y1, y2, GroupElement(1, v[6], v[7]), GroupElement(1, 0, v[8]))
 
 
 def storage_report(
