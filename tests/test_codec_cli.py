@@ -442,8 +442,8 @@ def test_parse_checks_singular_trapdoor():
 @pytest.mark.parametrize("n", [9, 17, 33, 65])
 def test_parsers_fail_only_with_codec_error(n):
     # arbitrary corruption may be rejected, never crash some other way; the
-    # widths read their elements as they are (9), widened (17, 33) and as
-    # two words (65)
+    # widths read their elements as they are (9), widened to one word (17,
+    # 33) and widened to two words (65)
     params, (pk, sk) = make_key(36, n)
     rng = random.Random(37)
     group = SuzukiGroup(params)
