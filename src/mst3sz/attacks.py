@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .group import IDENTITY, GroupElement
-from .logsig import Cover, induced_table
+from .logsig import Cover, induced_table, tau_inv
 from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message, encrypt
 from .scheme import _check_ciphertext, _y4
 
@@ -145,7 +145,7 @@ def attack3_session_key(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     trials = q  # the R1 sweep
     for r2 in range(q):
         trials += 1
-        if _y4(pk, r2) == ct.y4:
+        if _y4(pk, tau_inv(pk.type2, r2)) == ct.y4:
             for r1 in cand1:
                 nonce = SessionNonce(r1, r2)
                 if _reproduces(pk, ct, nonce):

@@ -200,7 +200,12 @@ def _read_type(r: _Reader, f: FieldParams, section: str) -> SignatureType:
     s = r.u8(section)
     if s == 0:
         raise CodecError(f"{section}: type with zero blocks at byte {start}")
-    t = SignatureType(r.u32s(s, section))
+    sizes = r.u32s(s, section)
+    try:
+        t = SignatureType(sizes)
+    except ValueError as e:  # a block size below 2, named by its u32
+        at = start + 1 + 4 * next(i for i, ri in enumerate(sizes) if ri < 2)
+        raise CodecError(f"{section}: {e} at byte {at}") from None
     if not t.covers_bits(f.n):
         raise CodecError(
             f"{section}: signature type does not cover the field at byte {start}"

@@ -174,15 +174,6 @@ def _byte_tables(cols: Sequence[int]) -> list[list[int]]:
     return tables
 
 
-def _apply_tables(tables: list[list[int]], x: int) -> int:
-    """Apply the linear map given by ``_byte_tables`` to x."""
-    r = 0
-    for t in tables:
-        r ^= t[x & 255]
-        x >>= 8
-    return r
-
-
 def is_irreducible(f: int) -> bool:
     """Ben-Or irreducibility test for a GF(2) polynomial given as bits."""
     n = f.bit_length() - 1
@@ -273,7 +264,11 @@ class BinaryField:
             r = r << 8 ^ t[y >> 4] << 4 ^ t[y & 15]
         n = self.n
         h = r >> n  # r mod m = (r mod x^n) + (h * x^n mod m)
-        return r ^ h << n ^ _apply_tables(self._reduce, h)
+        r ^= h << n
+        for t in self._reduce:
+            r ^= t[h & 255]
+            h >>= 8
+        return r
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
@@ -312,7 +307,11 @@ class BinaryField:
             for _ in range(k):
                 y = _mul_mod(y, y, self.modulus, self.q)
             tables = self._frob[k] = _byte_tables(self._powers(1, y, self.n))
-        return _apply_tables(tables, a)
+        r = 0
+        for t in tables:
+            r ^= t[a & 255]
+            a >>= 8
+        return r
 
     def _powers(self, c: int, y: int, count: int) -> list[int]:
         """[c, c*y, c*y^2, ...], count terms, by shift-and-add."""
@@ -383,10 +382,11 @@ class FieldParams(BinaryField):
         """a^(2*q0) = a^(2^(s+1))."""
         return self.frob_pow(a, self.s + 1)
 
-    def pow_2q0_plus_1(self, a: int) -> int:
-        """a^(2*q0 + 1); on the log/exp tables one read of each."""
+    def pow_2q0_plus_1(self, a: int, a2q0: int | None = None) -> int:
+        """a^(2*q0 + 1); on the log/exp tables one read of each, elsewhere
+        a^(2q0) * a, with a2q0 = a^(2q0) when the caller has it stored."""
         if self._log is None:
-            return self.mul(self.frob_pow(a, self.s + 1), a)
+            return self.mul(self.frob_pow(a, self.s + 1) if a2q0 is None else a2q0, a)
         return self._exp[self._log[a] * self._e % (self.q - 1)] if a else 0
 
 

@@ -23,8 +23,10 @@ the cryptosystem.  Right factors from either one take a cheaper law, from
 any left element g: ``mul_subgroup`` multiplies g by (1, b, c) factors
 given as (b, c) pairs (1 multiply and 1 Frobenius per factor) and
 ``mul_center`` by central (1, 0, c) factors given as c values (XOR only).
-Cover walks (``logsig.induced_map``) are folds of ``mul``; a whole table
-of them (``logsig.induced_table``) steps by each entry's terms.
+``logsig.induced_map`` walks a cover as a fold of ``mul``, and a whole
+table of walks (``logsig.induced_table``) steps by each entry's terms.
+The scheme's own walks (``scheme._walk``) apply the law to the selected
+entries' coordinates directly, with Frobenius images the keys keep.
 
 A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
 so building one costs about what building a tuple does.  Every constructor

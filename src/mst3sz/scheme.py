@@ -10,11 +10,11 @@ Key generation builds, for k = 1, 2:
     gamma_k[i][j] = t_(i-1)(k)^-1 * f_k(alpha_k[i][j]) * beta_k[i][j] * t_i(k).
 
 Each factor f_k(alpha) * beta lies in a subgroup and is applied as a right
-factor, once, by its own law.  For k = 1, ``_mask_u`` multiplies
-t_(i-1)^-1 by (1, a, b) * (1, beta, 0) (``SuzukiGroup.mul_subgroup``) and
-the group law adds t_i, whose step terms (``SuzukiGroup.terms``) are taken
-once per block, so each entry pays 4 field multiplies for it and no
-Frobenius map; decryption builds U with the same ``_mask_u``.  For k = 2
+factor, once, by its own law.  For k = 1, keygen multiplies t_(i-1)^-1 by
+(1, a, b) * (1, beta, 0) (``SuzukiGroup.mul_subgroup``) and the group law
+adds t_i, whose step terms (``SuzukiGroup.terms``) are taken once per
+block, so each entry pays 4 field multiplies for it and no Frobenius map;
+decryption builds U by the same subgroup law (``_f1_walk``).  For k = 2
 the factor is (1, 0, v), v = b + beta, and (1, 0, v) * t =
 t * (1, 0, t.a^(2q0+1) * v), so an entry is E_i = t_(i-1)^-1 * t_i with
 t_i.a^(2q0+1) * v added to c: one step per block, by t_i's terms, which
@@ -25,9 +25,32 @@ structure that every key has and ``PublicKey`` checks: every gamma1 entry
 of block i has the same a-coordinate, and every gamma2 entry of block i
 the same a and b, differing only in c.  The key derives its walk terms
 from that once, and encryption walks the covers by them (``_gamma1``,
-``_gamma2``): a gamma1 step skips the a-chain (3 field multiplies and
-1 Frobenius map instead of 5 and 2), and the gamma2 walk is one fixed
-product times (1, 0, h), h a Horner sum with one multiply per block.
+``_gamma2``): a gamma1 step skips the a-chain, and the gamma2 walk is one
+fixed product times (1, 0, h), h a Horner sum with one multiply per block.
+
+The walks read the digits of the nonce (``tau_inv``, taken once per
+encryption) and step through the selected entries' coordinates, building
+no group element per step.  The group law needs x^(2q0) of a right
+factor's coordinates, and a cover entry is a right factor of every walk
+that selects it, so the keys keep those Frobenius images of their fixed
+entries: a walk that selects an entry computes them the first time and
+reads them on every later walk (``_frob_store``; nothing is computed at
+key load, and the images are never serialized).  Per selected entry:
+
+    walk                      multiplies   Frobenius maps, first use only
+    alpha1, alpha2 (_walk)        5        2: a^(2q0), b^(2q0)
+    gamma1 (_walk)                3        1: b^(2q0)
+    y3 (_f1_walk)                 1        1: a^(2q0) of alpha1
+    U in decryption (_f1_walk)    2        2: a^(2q0) of alpha1, beta^(2q0)
+    gamma2 (_gamma2)              1        0
+
+The first entry of an alpha or gamma1 walk is its start, not a step.  An
+alpha step forms a^(2q0+1) from the kept a^(2q0) with one multiply (on the
+log/exp tables a^(2q0+1) is one read of each table, and the kept a^(2q0)
+serves only y3 and U), so an op makes the same multiplies whether its
+entries' images were kept or not.  A warm op at n = 65, whose entries were
+all selected before, makes only the Frobenius maps of its few
+whole-element group multiplies and inverses.
 
 Encryption of m under nonce (R1, R2) emits
 
@@ -40,8 +63,8 @@ where U multiplies the R1-selected u factors and V the R2-selected v
 factors.  Note y3 is a product of f1 IMAGES: f1 is not a homomorphism, so
 this differs from f1 of the product, and only the image-product form makes
 the cancellation below work.  The images lie in subgroups: ``_y3`` and
-``_y4`` form the products there from the identity, by ``mul_subgroup`` and
-``mul_center`` (XOR of the b-coordinates), and attack 3 sweeps ``_y4``.
+``_y4`` form the products there from the identity, by the subgroup's law
+and by XOR of the b-coordinates, and attack 3 sweeps ``_y4``.
 
 Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  V is
 central, so X.b = U.b and X.c = U.c + V.c.  U.b is y3.b plus
@@ -61,10 +84,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import repeat
 from typing import NamedTuple
 
 from .field import FieldParams
-from .group import IDENTITY, GroupElement, SuzukiGroup
+from .group import GroupElement, SuzukiGroup
 from .logsig import (
     Cover,
     SignatureType,
@@ -73,7 +97,7 @@ from .logsig import (
     factor_tame,
     gen_random_cover,
     gen_tame,
-    induced_map,
+    tau_inv,
 )
 
 
@@ -88,7 +112,8 @@ class SessionNonce(NamedTuple):
 
 @dataclass(frozen=True)
 class PublicKey:
-    """The published covers, and the gamma walk terms derived from them.
+    """The published covers, the gamma walk terms derived from them, and
+    the Frobenius images of cover entries that walks keep.
 
     Every gamma1 block shares one a-coordinate A_i, and every gamma2 block
     one (a, b); the constructor rejects a gamma cover without that shape.
@@ -107,6 +132,12 @@ class PublicKey:
     gamma1_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
     gamma2_base: GroupElement = field(init=False, repr=False, compare=False)
     gamma2_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The Frobenius images x^(2q0) of the cover entries, kept from the first
+    # walk that selects an entry (``_frob_store``): (a^(2q0), b^(2q0)) of
+    # each alpha1 and alpha2 entry, b^(2q0) of each gamma1 entry.
+    alpha1_frob: list | None = field(default=None, init=False, repr=False, compare=False)
+    alpha2_frob: list | None = field(default=None, init=False, repr=False, compare=False)
+    gamma1_frob: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.group.params.n
@@ -135,8 +166,10 @@ class PublicKey:
         heads = [block[0] for block in self.gamma2.blocks]
         a2 = [a for a, _, _ in heads]
         k2 = tuple(map(f.pow_2q0_plus_1, a2[1:]))
-        # the base is the product of the heads with c zeroed
-        b, c = _walk(f, [(a, b, 0) for a, b, _ in heads], k2)
+        # the base is the product of the heads with c zeroed, each head a
+        # block of its own
+        blocks = zip([(a, b, 0) for a, b, _ in heads])
+        _, b, c = _walk(f, blocks, repeat(0), [None] * len(heads), k2)
         base = GroupElement(reduce(f.mul, a2), b, c)
         for name, value in (
             ("gamma1_a", reduce(f.mul, a1)),
@@ -162,6 +195,8 @@ class PrivateKey:
     beta2: TameSignature
     chain1: tuple[GroupElement, ...]
     chain2: tuple[GroupElement, ...]
+    # beta^(2q0) of each beta1 entry, kept as ``PublicKey`` keeps its images
+    beta1_frob: list | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -178,11 +213,6 @@ def _random_masking_element(group: SuzukiGroup, rng) -> GroupElement:
     return GroupElement(f.random_nonzero(rng), f.random_nonzero(rng), f.random_element(rng))
 
 
-def _mask_u(group: SuzukiGroup, g: GroupElement, a: GroupElement, b: int) -> GroupElement:
-    """g * f1(a) * (1, b, 0), for a cover entry a and its signature entry b."""
-    return group.mul_subgroup(g, ((a.a, a.b), (b, 0)))
-
-
 def _masked_cover(
     group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain: tuple[GroupElement, ...]
 ) -> Cover:
@@ -192,7 +222,10 @@ def _masked_cover(
         left = group.inv(chain[i])
         right = group.terms(chain[i + 1])
         blocks.append(
-            tuple(group.step(_mask_u(group, left, a, b), right) for a, b in zip(ablock, bblock))
+            tuple(
+                group.step(group.mul_subgroup(left, ((a.a, a.b), (b, 0))), right)
+                for a, b in zip(ablock, bblock)
+            )
         )
     return Cover(alpha.type, tuple(blocks))
 
@@ -259,61 +292,142 @@ def random_nonce(params: FieldParams, rng) -> SessionNonce:
     return SessionNonce(rng.getrandbits(params.n), rng.getrandbits(params.n))
 
 
-def _y1_mask(pk: PublicKey, r1: int, r2: int) -> GroupElement:
-    """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message."""
-    group = pk.group
-    return group.mul(induced_map(group, pk.alpha1, r1), induced_map(group, pk.alpha2, r2))
+def _frob_store(key, cover: str) -> list:
+    """The key's store of Frobenius images for its ``cover``, allocated here
+    on the key's first walk: one slot per entry, block after block, so entry
+    j of block i sits at j plus the sizes of the blocks before i.
 
-
-def _walk(f: FieldParams, entries, ks) -> tuple[int, int]:
-    """(b, c) of the product of the entries; the caller knows its a.
-
-    ks holds a^(2q0+1) of each entry after the first, so a step by
-    (a2, b2, c2) skips the a-chain: t = a2*b; b <- t + b2;
-    c <- a2^(2q0+1)*c + t*b2^(2q0) + c2 (3 multiplies and 1 Frobenius).
+    Threads may share a key without a lock: a slot only ever goes from None
+    to the images of its own entry, so walks that fill it at once write equal
+    values, and walks that allocate the store at once each fill their own
+    list, of which the key keeps one.
     """
-    (_, b, c), *rest = entries
-    for (a2, b2, c2), k in zip(rest, ks):
+    store = getattr(key, cover + "_frob")
+    if store is None:
+        store = [None] * sum(getattr(key, cover).type.r)
+        object.__setattr__(key, cover + "_frob", store)
+    return store
+
+
+def _walk(f: FieldParams, blocks, digits, store, ks=None) -> tuple[int, int, int]:
+    """(a, b, c) of the product of the entry each digit selects in its block.
+
+    ``store`` holds the Frobenius images of the entries, laid out as
+    ``_frob_store`` says; a walk that finds an entry's slot empty computes
+    them and fills it.  A step by (a2, b2, c2) is the group law, t = a2*b:
+
+        a <- a*a2;  b <- t + b2;  c <- a2^(2q0+1)*c + t*b2^(2q0) + c2
+
+    Without ks a slot holds (a2^(2q0), b2^(2q0)), from which a2^(2q0+1) is
+    one multiply (one table read on the log/exp tables): 5 multiplies and,
+    once the slot is filled, no Frobenius map.  ks holds a2^(2q0+1) of each
+    block after the first, for blocks whose entries share one a (gamma1, the
+    gamma2 heads): the step skips the a-chain (3 multiplies), a slot holds
+    b2^(2q0) alone, and the a returned is the first entry's, as the caller
+    knows the product's.
+    """
+    walk = zip(blocks, digits)
+    block, j = next(walk)
+    a, b, c = block[j]
+    i = len(block)  # the slot of entry 0 of the next block
+    for (block, j), k in zip(walk, ks or repeat(None)):
+        a2, b2, c2 = block[j]
+        p = store[i + j]
+        if k is None:
+            if p is None:
+                p = store[i + j] = (f.pow_2q0(a2), f.pow_2q0(b2))
+            pa, p = p
+            k = f.pow_2q0_plus_1(a2, pa)
+            a = f.mul(a, a2)
+        elif p is None:
+            p = store[i + j] = f.pow_2q0(b2)
         t = f.mul(a2, b)
-        c = f.mul(k, c) ^ f.mul(t, f.pow_2q0(b2)) ^ c2
+        c = f.mul(k, c) ^ f.mul(t, p) ^ c2
         b = t ^ b2
-    return b, c
+        i += len(block)
+    return a, b, c
 
 
-def _gamma1(pk: PublicKey, r1: int) -> GroupElement:
+# The walks below take a nonce's digits (``tau_inv``), d1 those of R1 and d2
+# those of R2, which encryption computes once for all of them.
+
+
+def _y1_mask(pk: PublicKey, d1, d2) -> GroupElement:
+    """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message."""
+    f = pk.group.params
+    w1 = _walk(f, pk.alpha1.blocks, d1, _frob_store(pk, "alpha1"))
+    w2 = _walk(f, pk.alpha2.blocks, d2, _frob_store(pk, "alpha2"))
+    return pk.group.mul(w1, w2)
+
+
+def _gamma1(pk: PublicKey, d1) -> GroupElement:
     """gamma1'(R1): every block has one a, so every walk has a = ``gamma1_a``."""
-    return GroupElement(pk.gamma1_a, *_walk(pk.group.params, pk.gamma1.select(r1), pk.gamma1_k))
+    store = _frob_store(pk, "gamma1")
+    _, b, c = _walk(pk.group.params, pk.gamma1.blocks, d1, store, pk.gamma1_k)
+    return GroupElement(pk.gamma1_a, b, c)
 
 
-def _horner(f: FieldParams, entries, ks) -> int:
-    """h <- a^(2q0+1)*h + c over the entries, ks as in ``_walk``."""
-    (_, _, h), *rest = entries
-    for (_, _, c), k in zip(rest, ks):
-        h = f.mul(k, h) ^ c
-    return h
-
-
-def _gamma2(pk: PublicKey, r2: int) -> GroupElement:
+def _gamma2(pk: PublicKey, d2) -> GroupElement:
     """gamma2'(R2) = ``gamma2_base`` * (1, 0, h), one multiply per block.
 
     Block i shares (a_i, b_i), so an entry is (a_i, b_i, 0) * (1, 0, c);
     as (1, 0, h) * (a_i, b_i, 0) = (a_i, b_i, 0) * (1, 0, a_i^(2q0+1)*h),
-    the walk is the product of the (a_i, b_i, 0), the base, times
-    (1, 0, h) for the ``_horner`` sum h of the selected c-coordinates.
+    the walk is the product of the (a_i, b_i, 0), the base, times (1, 0, h)
+    for the Horner sum h <- a_i^(2q0+1)*h + c of the selected c-coordinates.
     """
+    f = pk.group.params
+    walk = zip(pk.gamma2.blocks, d2)
+    block, j = next(walk)
+    h = block[j][2]
+    for (block, j), k in zip(walk, pk.gamma2_k):
+        h = f.mul(k, h) ^ block[j][2]
     base = pk.gamma2_base
-    h = _horner(pk.group.params, pk.gamma2.select(r2), pk.gamma2_k)
     return GroupElement(base.a, base.b, base.c ^ h)
 
 
-def _y3(pk: PublicKey, r1: int) -> GroupElement:
+def _f1_walk(pk: PublicKey, d1, sk: PrivateKey | None = None) -> tuple[int, int]:
+    """(b, c) of the product of the f1 images (1, a, b) of the alpha1 entries
+    R1 selects; with sk, each followed by (1, beta, 0) for the beta1 entry of
+    the same digit, which gives decryption's U.
+
+    A factor (1, b2, c2) keeps a and adds b2 to b, c <- c + b2^(2q0)*b + c2
+    (``SuzukiGroup.mul_subgroup``): one multiply, with b2^(2q0) read from the
+    keys' alpha1 and beta1 Frobenius stores (beta1 has alpha1's type).
+    """
+    f = pk.group.params
+    store = _frob_store(pk, "alpha1")
+    beta_store = _frob_store(sk, "beta1") if sk else None
+    betas = sk.beta1.blocks if sk else repeat(None)
+    b = c = i = 0
+    for block, j, beta in zip(pk.alpha1.blocks, d1, betas):
+        a2, b2, _ = block[j]
+        p = store[i + j]
+        if p is None:
+            p = store[i + j] = (f.pow_2q0(a2), f.pow_2q0(b2))
+        c ^= f.mul(p[0], b) ^ b2
+        b ^= a2
+        if beta:
+            p = beta_store[i + j]
+            if p is None:
+                p = beta_store[i + j] = f.pow_2q0(beta[j])
+            c ^= f.mul(p, b)
+            b ^= beta[j]
+        i += len(block)
+    return b, c
+
+
+def _y3(pk: PublicKey, d1) -> GroupElement:
     """The product of the f1 images of the alpha1 entries R1 selects."""
-    return pk.group.mul_subgroup(IDENTITY, [(a, b) for a, b, _ in pk.alpha1.select(r1)])
+    return GroupElement(1, *_f1_walk(pk, d1))
 
 
-def _y4(pk: PublicKey, r2: int) -> GroupElement:
-    """The product of the f2 images of the alpha2 entries R2 selects."""
-    return pk.group.mul_center(IDENTITY, [b for _, b, _ in pk.alpha2.select(r2)])
+def _y4(pk: PublicKey, d2) -> GroupElement:
+    """The product of the f2 images (1, 0, b) of the alpha2 entries R2
+    selects: central factors, so the b-coordinates add."""
+    c = 0
+    for block, j in zip(pk.alpha2.blocks, d2):
+        c ^= block[j][1]
+    return GroupElement(1, 0, c)
 
 
 def _check_ciphertext(group: SuzukiGroup, ct: Ciphertext) -> None:
@@ -334,9 +448,10 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
         raise ValueError("nonce out of range")
     if (m.a | m.b | m.c) >> group.params.n:
         raise ValueError("message out of range")
-    y1 = group.mul(_y1_mask(pk, r1, r2), m)
-    y2 = group.mul(_gamma1(pk, r1), _gamma2(pk, r2))
-    return Ciphertext(y1, y2, _y3(pk, r1), _y4(pk, r2))
+    d1, d2 = tau_inv(pk.type1, r1), tau_inv(pk.type2, r2)
+    y1 = group.mul(_y1_mask(pk, d1, d2), m)
+    y2 = group.mul(_gamma1(pk, d1), _gamma2(pk, d2))
+    return Ciphertext(y1, y2, _y3(pk, d1), _y4(pk, d2))
 
 
 def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce:
@@ -356,17 +471,16 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
     _check_ciphertext(group, ct)
     x = group.mul(group.mul(sk.chain1[0], ct.y2), group.inv(sk.chain2[-1]))
     r1 = factor_tame(sk.beta1, x.b ^ ct.y3.b)
-    u = IDENTITY
-    for a, b in zip(pk.alpha1.select(r1), sk.beta1.select(r1)):
-        u = _mask_u(group, u, a, b)
-    r2 = factor_tame(sk.beta2, x.c ^ u.c ^ ct.y4.c)
+    _, uc = _f1_walk(pk, tau_inv(pk.type1, r1), sk)
+    r2 = factor_tame(sk.beta2, x.c ^ uc ^ ct.y4.c)
     return SessionNonce(r1, r2)
 
 
 def decrypt(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> GroupElement:
     group = pk.group
     r1, r2 = recover_nonce(pk, sk, ct)
-    return group.mul(group.inv(_y1_mask(pk, r1, r2)), ct.y1)
+    mask = _y1_mask(pk, tau_inv(pk.type1, r1), tau_inv(pk.type2, r2))
+    return group.mul(group.inv(mask), ct.y1)
 
 
 # -- byte payloads as group elements ----------------------------------------

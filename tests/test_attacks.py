@@ -17,7 +17,7 @@ from mst3sz.attacks import (
 )
 from mst3sz.field import make_params
 from mst3sz.group import GroupElement, SuzukiGroup
-from mst3sz.logsig import induced_map
+from mst3sz.logsig import induced_map, tau_inv
 from mst3sz.scheme import (
     CiphertextError,
     SessionNonce,
@@ -137,8 +137,8 @@ def _ref_attack1(pk, ct, oracle=None):
 def _ref_attack2(pk, ct):
     group = pk.group
     q = group.params.q
-    g1 = [_gamma1(pk, r) for r in range(q)]
-    g2 = [_gamma2(pk, r) for r in range(q)]
+    g1 = [_gamma1(pk, tau_inv(pk.type1, r)) for r in range(q)]
+    g2 = [_gamma2(pk, tau_inv(pk.type2, r)) for r in range(q)]
     trials = 0
     for r1, h in enumerate(g1):
         for r2, g in enumerate(g2):
@@ -150,11 +150,11 @@ def _ref_attack2(pk, ct):
 
 def _ref_attack3(pk, ct):
     q = pk.group.params.q
-    cand1 = [r1 for r1 in range(q) if _y3(pk, r1) == ct.y3]
+    cand1 = [r1 for r1 in range(q) if _y3(pk, tau_inv(pk.type1, r1)) == ct.y3]
     trials = q
     for r2 in range(q):
         trials += 1
-        if _y4(pk, r2) == ct.y4:
+        if _y4(pk, tau_inv(pk.type2, r2)) == ct.y4:
             for r1 in cand1:
                 if _ref_reproduces(pk, ct, SessionNonce(r1, r2)):
                     return AttackResult(SessionNonce(r1, r2), trials, True, SessionNonce(r1, r2))

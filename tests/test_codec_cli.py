@@ -165,6 +165,29 @@ def test_truncation_inside_type_block_sizes(cut):
     assert str(err.value) == f"type1: truncated input at byte {sizes_at + cut // 4 * 4}"
 
 
+@pytest.mark.parametrize("section", ["type1", "type2"])
+@pytest.mark.parametrize("size", [0, 1])
+@pytest.mark.parametrize("k", [0, 2])
+def test_small_block_size_named_with_offset(section, size, k):
+    # n = 3, types (2, 2, 2): an 11-byte header, then type1 = s (byte 11)
+    # and three u32 sizes from byte 12; type2 follows in the same layout.
+    # Size k is set below 2, and the message names the byte it starts at.
+    t = SignatureType((2, 2, 2))
+    pk, sk = keygen(P3, t, t, rng=random.Random(44))
+    start = 11 if section == "type1" else 11 + 1 + 4 * t.s
+    at = start + 1 + 4 * k
+    for blob, parse in (
+        (codec.serialize_public_key(pk), codec.parse_public_key),
+        (codec.serialize_private_key(sk), codec.parse_private_key),
+    ):
+        bad = bytearray(blob)
+        assert bad[at : at + 4] == (2).to_bytes(4, "little")
+        bad[at : at + 4] = size.to_bytes(4, "little")
+        with pytest.raises(codec.CodecError) as err:
+            parse(bytes(bad))
+        assert str(err.value) == f"{section}: block sizes must all be >= 2 at byte {at}"
+
+
 @pytest.mark.parametrize(
     "at, value, expected",
     [

@@ -118,10 +118,10 @@ def _check_gamma_walks(pk, nonces):
     params = pk.group.params
     for cover, walk in ((pk.gamma1, _gamma1), (pk.gamma2, _gamma2)):
         for r in nonces:
-            assert walk(pk, r) == induced_map(pk.group, cover, r)
+            assert walk(pk, tau_inv(cover.type, r)) == induced_map(pk.group, cover, r)
         blocks = [[oracle.as_tuple(g) for g in blk] for blk in cover.blocks]
         want = oracle.cover_product(params, blocks, nonces[-1])
-        assert oracle.as_tuple(walk(pk, nonces[-1])) == want
+        assert oracle.as_tuple(walk(pk, tau_inv(cover.type, nonces[-1]))) == want
 
 
 # every odd width: log/exp tables up to n = 17, byte tables above
