@@ -37,12 +37,14 @@ entries: a walk that selects an entry computes them the first time and
 reads them on every later walk (``_frob_store``; nothing is computed at
 key load, and the images are never serialized).  Per selected entry:
 
-    walk                      multiplies   Frobenius maps, first use only
-    alpha1, alpha2 (_walk)        5        2: a^(2q0), b^(2q0)
-    gamma1 (_walk)                3        1: b^(2q0)
-    y3 (_f1_walk)                 1        1: a^(2q0) of alpha1
-    U in decryption (_f1_walk)    2        2: a^(2q0) of alpha1, beta^(2q0)
-    gamma2 (_gamma2)              1        0
+    walk                        multiplies   kept images it reads
+    alpha1, alpha2 (_walk)          5        (a^(2q0), b^(2q0)) of the entry
+    gamma1 (_walk)                  3        b^(2q0)
+    y3 (_f1_walk)                   1        a^(2q0) of alpha1's pair
+    U in decryption (_f1_walk)      2        the same, and beta^(2q0)
+    gamma2 (_gamma2)                1        none
+
+A slot's images cost one Frobenius map each, once per key.
 
 The first entry of an alpha or gamma1 walk is its start, not a step.  An
 alpha step forms a^(2q0+1) from the kept a^(2q0) with one multiply (on the
@@ -166,10 +168,15 @@ class PublicKey:
         heads = [block[0] for block in self.gamma2.blocks]
         a2 = [a for a, _, _ in heads]
         k2 = tuple(map(f.pow_2q0_plus_1, a2[1:]))
-        # the base is the product of the heads with c zeroed, each head a
-        # block of its own
-        blocks = zip([(a, b, 0) for a, b, _ in heads])
-        _, b, c = _walk(f, blocks, repeat(0), [None] * len(heads), k2)
+        # the base is the product of the heads with c zeroed, by the gamma1
+        # step of ``_walk`` with c2 = 0; each head is stepped by once, here,
+        # so its b^(2q0) is not kept
+        (_, b, _), *rest = heads
+        c = 0
+        for (x, y, _), k in zip(rest, k2):
+            t = f.mul(x, b)
+            c = f.mul(k, c) ^ f.mul(t, f.pow_2q0(y))
+            b = t ^ y
         base = GroupElement(reduce(f.mul, a2), b, c)
         for name, value in (
             ("gamma1_a", reduce(f.mul, a1)),
@@ -321,10 +328,10 @@ def _walk(f: FieldParams, blocks, digits, store, ks=None) -> tuple[int, int, int
     Without ks a slot holds (a2^(2q0), b2^(2q0)), from which a2^(2q0+1) is
     one multiply (one table read on the log/exp tables): 5 multiplies and,
     once the slot is filled, no Frobenius map.  ks holds a2^(2q0+1) of each
-    block after the first, for blocks whose entries share one a (gamma1, the
-    gamma2 heads): the step skips the a-chain (3 multiplies), a slot holds
-    b2^(2q0) alone, and the a returned is the first entry's, as the caller
-    knows the product's.
+    block after the first, for blocks whose entries share one a (gamma1):
+    the step skips the a-chain (3 multiplies), a slot holds b2^(2q0) alone,
+    and the a returned is the first entry's, as the caller knows the
+    product's.
     """
     walk = zip(blocks, digits)
     block, j = next(walk)
