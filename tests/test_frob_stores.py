@@ -39,19 +39,22 @@ def _reselecting_nonces(pk, rng, n):
     return list(zip(*halves))
 
 
-def _slots(pk, sk):
-    """(store, entry images) of every slot of the four stores."""
+def _filled_slots(pk, sk):
+    """(kept images, the entry's images) of every filled slot of the four
+    stores, single images as 1-tuples."""
     f = pk.group.params
     out = []
-    for store, cover, coords in (
-        (pk.alpha1_frob, pk.alpha1, (0, 1)),
-        (pk.alpha2_frob, pk.alpha2, (0, 1)),
-        (pk.gamma1_frob, pk.gamma1, (1,)),
+    for store, blocks, coords in (
+        (pk.alpha1_frob, pk.alpha1.blocks, (0, 1)),
+        (pk.alpha2_frob, pk.alpha2.blocks, (0, 1)),
+        (pk.gamma1_frob, pk.gamma1.blocks, (1,)),
+        (sk.beta1_frob, [[(b,) for b in block] for block in sk.beta1.blocks], (0,)),
     ):
-        for p, e in zip(store, (e for block in cover.blocks for e in block)):
-            out.append((p, tuple(f.pow_2q0(e[i]) for i in coords)))
-    for p, b in zip(sk.beta1_frob, (b for block in sk.beta1.blocks for b in block)):
-        out.append((p, (f.pow_2q0(b),)))
+        entries = (e for block in blocks for e in block)
+        for p, e in zip(store, entries):
+            if p is not None:
+                kept = p if isinstance(p, tuple) else (p,)
+                out.append((kept, tuple(f.pow_2q0(e[i]) for i in coords)))
     return out
 
 
@@ -82,9 +85,8 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
         for nonce, want in zip(nonces, wants):
             check(keys, nonce, want)
     # each filled slot holds the images of its own entry
-    slots = [(p if isinstance(p, tuple) else (p,), want) for p, want in _slots(pk, sk)]
-    assert any(p != (None,) for p, _ in slots)
-    assert all(p == want for p, want in slots if p != (None,))
+    filled = _filled_slots(pk, sk)
+    assert filled and all(kept == want for kept, want in filled)
 
     # the stores stay out of equality and of the bytes, and a replaced key
     # starts with empty ones
