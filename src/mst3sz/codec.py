@@ -221,16 +221,22 @@ def _read_signature(
     r: _Reader, f: FieldParams, t: SignatureType, section: str
 ) -> TameSignature:
     entries = sum(t.r)
+    start = r.pos
     vals = r.elements(f, entries + f.n + t.s, section)
     blocks = _blocks(vals[:entries], t.r)
     cols = tuple(vals[entries : entries + f.n])
     offsets = tuple(vals[entries + f.n :])
+    size = _element_bytes(f.n)
     try:
         sig = TameSignature(t, cols, offsets)
-    except ValueError as e:
-        raise CodecError(f"{section}: {e}") from None
+    except ValueError as e:  # a singular map: the type and widths are checked
+        raise CodecError(f"{section}: {e} at byte {start + size * entries}") from None
     if sig.blocks != blocks:
-        raise CodecError(f"{section}: signature entries inconsistent with trapdoor")
+        pairs = zip(chain.from_iterable(sig.blocks), vals)
+        at = start + size * next(i for i, (x, y) in enumerate(pairs) if x != y)
+        raise CodecError(
+            f"{section}: signature entries inconsistent with trapdoor at byte {at}"
+        )
     return sig
 
 
@@ -327,14 +333,18 @@ def parse_private_key(data: bytes) -> PrivateKey:
     t2 = _read_type(r, params, "type2")
     beta1 = _read_signature(r, params, t1, "beta1")
     beta2 = _read_signature(r, params, t2, "beta2")
+    at1 = r.pos
     chain1 = tuple(_triples(r, params, t1.s + 1, "chain1"))
+    at2 = r.pos
     chain2 = tuple(_triples(r, params, t2.s + 1, "chain2"))
     r.done()
     if chain1[-1] != chain2[0]:
-        raise CodecError("chains do not share their joint element")
-    for g in chain1 + chain2:
-        if g.b == 0:
-            raise CodecError("central masking element in chain")
+        raise CodecError(f"chain2: chains do not share their joint element at byte {at2}")
+    for name, start, masks in (("chain1", at1, chain1), ("chain2", at2, chain2)):
+        for i, g in enumerate(masks):
+            if g.b == 0:
+                at = start + 3 * _element_bytes(params.n) * i
+                raise CodecError(f"{name}: central masking element in chain at byte {at}")
     return PrivateKey(SuzukiGroup(params), beta1, beta2, chain1, chain2)
 
 

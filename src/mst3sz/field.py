@@ -382,11 +382,11 @@ class FieldParams(BinaryField):
         """a^(2*q0) = a^(2^(s+1))."""
         return self.frob_pow(a, self.s + 1)
 
-    def pow_2q0_plus_1(self, a: int, a2q0: int | None = None) -> int:
+    def pow_2q0_plus_1(self, a: int) -> int:
         """a^(2*q0 + 1); on the log/exp tables one read of each, elsewhere
-        a^(2q0) * a, with a2q0 = a^(2q0) when the caller has it stored."""
+        a^(2q0) * a.  A caller that keeps a^(2q0) multiplies by a itself."""
         if self._log is None:
-            return self.mul(self.frob_pow(a, self.s + 1) if a2q0 is None else a2q0, a)
+            return self.mul(self.frob_pow(a, self.s + 1), a)
         return self._exp[self._log[a] * self._e % (self.q - 1)] if a else 0
 
 

@@ -19,14 +19,15 @@ terms once.  The group has order q^2*(q-1) and identity ``IDENTITY`` =
 (1, 0, 0), the same element in every field.  The elements (1, 0, c) form
 the designated q-element center (``in_center``) and (1, b, c) the
 q^2-element subgroup whose products add b-coordinates -- both facts carry
-the cryptosystem.  Right factors from either one take a cheaper law, from
-any left element g: ``mul_subgroup`` multiplies g by (1, b, c) factors
-given as (b, c) pairs (1 multiply and 1 Frobenius per factor) and
-``mul_center`` by central (1, 0, c) factors given as c values (XOR only).
+the cryptosystem.  Right factors from the subgroup take a cheaper law,
+from any left element g: ``mul_subgroup`` multiplies g by (1, b, c)
+factors given as (b, c) pairs (1 multiply and 1 Frobenius per factor);
+central factors (1, 0, c) only add to c.
 ``logsig.induced_map`` walks a cover as a fold of ``mul``, and a whole
 table of walks (``logsig.induced_table``) steps by each entry's terms.
-The scheme's own walks (``scheme._walk``) apply the law to the selected
-entries' coordinates directly, with Frobenius images the keys keep.
+The scheme's own cover walks (``scheme._walk`` for the alpha covers and
+``scheme._gamma1``) apply the law to the selected entries' coordinates
+directly, with Frobenius images the keys keep.
 
 A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
 so building one costs about what building a tuple does.  Every constructor
@@ -176,13 +177,6 @@ class SuzukiGroup:
             c ^= f.mul(f.pow_2q0(b2), b) ^ c2
             b ^= b2
         return GroupElement(a, b, c)
-
-    def mul_center(self, g: GroupElement, cs) -> GroupElement:
-        """g * (1, 0, c1) * (1, 0, c2) * ...: central factors add to c."""
-        c = g.c
-        for c2 in cs:
-            c ^= c2
-        return GroupElement(g.a, g.b, c)
 
     def stats(self) -> GroupStats:
         q = self.params.q

@@ -5,10 +5,10 @@ mixed-radix digits (j_1, ..., j_s), j_1 least significant (``tau`` /
 ``tau_inv``), and each digit selects one entry of its block (``select``,
 shared by covers and tame signatures).  A ``Cover`` holds s blocks of group
 elements and maps x to the left-to-right product of the selected entries
-(``induced_map``, the one cover walk: a fold of ``SuzukiGroup.mul`` over
-``Cover.select``).  ``induced_table`` lists that map for every x at once
-by prefix products: each block steps the whole table so far by its entries,
-whose step terms it takes once.  A cover keeps no state derived from a
+(``induced_map``, the reference walk that tests and the benchmark time: a
+fold of ``SuzukiGroup.mul`` over ``Cover.select``).  ``induced_table``
+lists that map for every x at once by prefix products: each block steps
+the whole table so far by its entries, whose step terms it takes once.  A cover keeps no state derived from a
 field, so one cover can be walked in any field of its width.
 
 A ``TameSignature`` lives over the additive group of GF(q).  Its type

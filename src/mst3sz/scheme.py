@@ -33,13 +33,14 @@ encryption) and step through the selected entries' coordinates, building
 no group element per step.  The group law needs x^(2q0) of a right
 factor's coordinates, and a cover entry is a right factor of every walk
 that selects it, so the keys keep those Frobenius images of their fixed
-entries: a walk that selects an entry computes them the first time and
-reads them on every later walk (``_frob_store``; nothing is computed at
-key load, and the images are never serialized).  Per selected entry:
+entries.  A key allocates its stores empty when it is built; a walk that
+selects an entry computes its images the first time and reads them on
+every later walk.  Nothing is computed at key load, and the images are
+never serialized.  Per selected entry:
 
     walk                        multiplies   kept images it reads
     alpha1, alpha2 (_walk)          5        (a^(2q0), b^(2q0)) of the entry
-    gamma1 (_walk)                  3        b^(2q0)
+    gamma1 (_gamma1)                3        b^(2q0)
     y3 (_f1_walk)                   1        a^(2q0) of alpha1's pair
     U in decryption (_f1_walk)      2        the same, and beta^(2q0)
     gamma2 (_gamma2)                1        none
@@ -47,12 +48,11 @@ key load, and the images are never serialized).  Per selected entry:
 A slot's images cost one Frobenius map each, once per key.
 
 The first entry of an alpha or gamma1 walk is its start, not a step.  An
-alpha step forms a^(2q0+1) from the kept a^(2q0) with one multiply (on the
-log/exp tables a^(2q0+1) is one read of each table, and the kept a^(2q0)
-serves only y3 and U), so an op makes the same multiplies whether its
-entries' images were kept or not.  A warm op at n = 65, whose entries were
-all selected before, makes only the Frobenius maps of its few
-whole-element group multiplies and inverses.
+alpha step forms a^(2q0+1) from the kept a^(2q0) with one multiply, on
+every field, so an op makes the same multiplies whether its entries'
+images were kept or not.  A warm op at n = 65, whose entries were all
+selected before, makes only the Frobenius maps of its few whole-element
+group multiplies and inverses.
 
 Encryption of m under nonce (R1, R2) emits
 
@@ -135,11 +135,12 @@ class PublicKey:
     gamma2_base: GroupElement = field(init=False, repr=False, compare=False)
     gamma2_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # The Frobenius images x^(2q0) of the cover entries, kept from the first
-    # walk that selects an entry (``_frob_store``): (a^(2q0), b^(2q0)) of
-    # each alpha1 and alpha2 entry, b^(2q0) of each gamma1 entry.
-    alpha1_frob: list | None = field(default=None, init=False, repr=False, compare=False)
-    alpha2_frob: list | None = field(default=None, init=False, repr=False, compare=False)
-    gamma1_frob: list | None = field(default=None, init=False, repr=False, compare=False)
+    # walk that selects an entry: (a^(2q0), b^(2q0)) of each alpha1 and
+    # alpha2 entry, b^(2q0) of each gamma1 entry, one slot per entry, block
+    # after block.  The constructor allocates the stores empty.
+    alpha1_frob: list = field(init=False, repr=False, compare=False)
+    alpha2_frob: list = field(init=False, repr=False, compare=False)
+    gamma1_frob: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.group.params.n
@@ -168,9 +169,9 @@ class PublicKey:
         heads = [block[0] for block in self.gamma2.blocks]
         a2 = [a for a, _, _ in heads]
         k2 = tuple(map(f.pow_2q0_plus_1, a2[1:]))
-        # the base is the product of the heads with c zeroed, by the gamma1
-        # step of ``_walk`` with c2 = 0; each head is stepped by once, here,
-        # so its b^(2q0) is not kept
+        # the base is the product of the heads with c zeroed, by the step of
+        # ``_gamma1`` with c2 = 0; each head is stepped by once, here, so its
+        # b^(2q0) is not kept
         (_, b, _), *rest = heads
         c = 0
         for (x, y, _), k in zip(rest, k2):
@@ -183,6 +184,9 @@ class PublicKey:
             ("gamma1_k", tuple(map(f.pow_2q0_plus_1, a1[1:]))),
             ("gamma2_base", base),
             ("gamma2_k", k2),
+            ("alpha1_frob", [None] * sum(self.type1.r)),
+            ("alpha2_frob", [None] * sum(self.type2.r)),
+            ("gamma1_frob", [None] * sum(self.type1.r)),
         ):
             object.__setattr__(self, name, value)
 
@@ -203,7 +207,10 @@ class PrivateKey:
     chain1: tuple[GroupElement, ...]
     chain2: tuple[GroupElement, ...]
     # beta^(2q0) of each beta1 entry, kept as ``PublicKey`` keeps its images
-    beta1_frob: list | None = field(default=None, init=False, repr=False, compare=False)
+    beta1_frob: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "beta1_frob", [None] * sum(self.beta1.type.r))
 
 
 @dataclass(frozen=True)
@@ -299,57 +306,32 @@ def random_nonce(params: FieldParams, rng) -> SessionNonce:
     return SessionNonce(rng.getrandbits(params.n), rng.getrandbits(params.n))
 
 
-def _frob_store(key, cover: str) -> list:
-    """The key's store of Frobenius images for its ``cover``, allocated here
-    on the key's first walk: one slot per entry, block after block, so entry
-    j of block i sits at j plus the sizes of the blocks before i.
+def _walk(f: FieldParams, blocks, digits, store) -> tuple[int, int, int]:
+    """(a, b, c) of the product of the alpha entries the digits select.
 
-    Threads may share a key without a lock: a slot only ever goes from None
-    to the images of its own entry, so walks that fill it at once write equal
-    values, and walks that allocate the store at once each fill their own
-    list, of which the key keeps one.
-    """
-    store = getattr(key, cover + "_frob")
-    if store is None:
-        store = [None] * sum(getattr(key, cover).type.r)
-        object.__setattr__(key, cover + "_frob", store)
-    return store
-
-
-def _walk(f: FieldParams, blocks, digits, store, ks=None) -> tuple[int, int, int]:
-    """(a, b, c) of the product of the entry each digit selects in its block.
-
-    ``store`` holds the Frobenius images of the entries, laid out as
-    ``_frob_store`` says; a walk that finds an entry's slot empty computes
-    them and fills it.  A step by (a2, b2, c2) is the group law, t = a2*b:
+    ``store`` is the key's store for the cover; a walk that finds an entry's
+    slot empty computes (a2^(2q0), b2^(2q0)) and fills it.  Threads may
+    share a key without a lock: a slot only ever goes from None to the
+    images of its own entry, so walks that fill it at once write equal
+    values.  A step by (a2, b2, c2) is the group law, t = a2*b:
 
         a <- a*a2;  b <- t + b2;  c <- a2^(2q0+1)*c + t*b2^(2q0) + c2
 
-    Without ks a slot holds (a2^(2q0), b2^(2q0)), from which a2^(2q0+1) is
-    one multiply (one table read on the log/exp tables): 5 multiplies and,
-    once the slot is filled, no Frobenius map.  ks holds a2^(2q0+1) of each
-    block after the first, for blocks whose entries share one a (gamma1):
-    the step skips the a-chain (3 multiplies), a slot holds b2^(2q0) alone,
-    and the a returned is the first entry's, as the caller knows the
-    product's.
+    with a2^(2q0+1) one multiply from the kept a2^(2q0): 5 multiplies and,
+    once the slot is filled, no Frobenius map.
     """
     walk = zip(blocks, digits)
     block, j = next(walk)
     a, b, c = block[j]
     i = len(block)  # the slot of entry 0 of the next block
-    for (block, j), k in zip(walk, ks or repeat(None)):
+    for block, j in walk:
         a2, b2, c2 = block[j]
         p = store[i + j]
-        if k is None:
-            if p is None:
-                p = store[i + j] = (f.pow_2q0(a2), f.pow_2q0(b2))
-            pa, p = p
-            k = f.pow_2q0_plus_1(a2, pa)
-            a = f.mul(a, a2)
-        elif p is None:
-            p = store[i + j] = f.pow_2q0(b2)
+        if p is None:
+            p = store[i + j] = (f.pow_2q0(a2), f.pow_2q0(b2))
         t = f.mul(a2, b)
-        c = f.mul(k, c) ^ f.mul(t, p) ^ c2
+        c = f.mul(f.mul(p[0], a2), c) ^ f.mul(t, p[1]) ^ c2
+        a = f.mul(a, a2)
         b = t ^ b2
         i += len(block)
     return a, b, c
@@ -362,15 +344,30 @@ def _walk(f: FieldParams, blocks, digits, store, ks=None) -> tuple[int, int, int
 def _y1_mask(pk: PublicKey, d1, d2) -> GroupElement:
     """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message."""
     f = pk.group.params
-    w1 = _walk(f, pk.alpha1.blocks, d1, _frob_store(pk, "alpha1"))
-    w2 = _walk(f, pk.alpha2.blocks, d2, _frob_store(pk, "alpha2"))
+    w1 = _walk(f, pk.alpha1.blocks, d1, pk.alpha1_frob)
+    w2 = _walk(f, pk.alpha2.blocks, d2, pk.alpha2_frob)
     return pk.group.mul(w1, w2)
 
 
 def _gamma1(pk: PublicKey, d1) -> GroupElement:
-    """gamma1'(R1): every block has one a, so every walk has a = ``gamma1_a``."""
-    store = _frob_store(pk, "gamma1")
-    _, b, c = _walk(pk.group.params, pk.gamma1.blocks, d1, store, pk.gamma1_k)
+    """gamma1'(R1): every block has one a, so every walk has a = ``gamma1_a``
+    and steps as ``_walk`` without the a-chain, by the block's ``gamma1_k``
+    and a slot holding b2^(2q0) alone: 3 multiplies."""
+    f = pk.group.params
+    store = pk.gamma1_frob
+    walk = zip(pk.gamma1.blocks, d1)
+    block, j = next(walk)
+    _, b, c = block[j]
+    i = len(block)
+    for (block, j), k in zip(walk, pk.gamma1_k):
+        a2, b2, c2 = block[j]
+        p = store[i + j]
+        if p is None:
+            p = store[i + j] = f.pow_2q0(b2)
+        t = f.mul(a2, b)
+        c = f.mul(k, c) ^ f.mul(t, p) ^ c2
+        b = t ^ b2
+        i += len(block)
     return GroupElement(pk.gamma1_a, b, c)
 
 
@@ -402,8 +399,8 @@ def _f1_walk(pk: PublicKey, d1, sk: PrivateKey | None = None) -> tuple[int, int]
     keys' alpha1 and beta1 Frobenius stores (beta1 has alpha1's type).
     """
     f = pk.group.params
-    store = _frob_store(pk, "alpha1")
-    beta_store = _frob_store(sk, "beta1") if sk else None
+    store = pk.alpha1_frob
+    beta_store = sk.beta1_frob if sk else None
     betas = sk.beta1.blocks if sk else repeat(None)
     b = c = i = 0
     for block, j, beta in zip(pk.alpha1.blocks, d1, betas):

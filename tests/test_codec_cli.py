@@ -462,6 +462,96 @@ def test_parse_checks_singular_trapdoor():
         codec.parse_private_key(bytes(blob))
 
 
+def _private_sections(params, sk):
+    """The byte offsets of beta1, beta2, chain1 and chain2 in sk's file."""
+    n, size = params.n, (params.n + 7) // 8
+    t1, t2 = sk.beta1.type, sk.beta2.type
+    at = {"beta1": 7 + 1 + 1 + (n + 8) // 8 + 1 + (1 + 4 * t1.s) + (1 + 4 * t2.s)}
+    at["beta2"] = at["beta1"] + size * (sum(t1.r) + n + t1.s)
+    at["chain1"] = at["beta2"] + size * (sum(t2.r) + n + t2.s)
+    at["chain2"] = at["chain1"] + 3 * size * (t1.s + 1)
+    assert len(codec.serialize_private_key(sk)) == at["chain2"] + 3 * size * (t2.s + 1)
+    return at
+
+
+# (section, stored value flipped: an entry or an offset, its index, the index
+# of the first stored entry that then differs from the trapdoor's)
+@pytest.mark.parametrize(
+    "section, part, index, first",
+    [
+        ("beta1", "entry", 0, 0),
+        ("beta1", "entry", 5, 5),
+        ("beta2", "entry", 3, 3),
+        ("beta2", "offset", 1, None),  # every entry of block 1 moves
+    ],
+)
+def test_inconsistent_signature_named_with_offset(section, part, index, first):
+    # n = 9: two-byte elements, so the offsets count elements, not bytes
+    params, (pk, sk) = make_key(43, n=9)
+    sig, size = getattr(sk, section), 2
+    start = _private_sections(params, sk)[section]
+    if first is None:
+        first = sig.type.r[0]
+    at = start + size * (index if part == "entry" else sum(sig.type.r) + params.n + index)
+    blob = bytearray(codec.serialize_private_key(sk))
+    blob[at] ^= 1
+    with pytest.raises(codec.CodecError) as err:
+        codec.parse_private_key(bytes(blob))
+    assert str(err.value) == (
+        f"{section}: signature entries inconsistent with trapdoor at byte {start + size * first}"
+    )
+
+
+@pytest.mark.parametrize("section", ["beta1", "beta2"])
+def test_singular_trapdoor_named_with_offset(section):
+    params, (pk, sk) = make_key(44, n=9)
+    sig, size = getattr(sk, section), 2
+    at = _private_sections(params, sk)[section] + size * sum(sig.type.r)
+    blob = bytearray(codec.serialize_private_key(sk))
+    blob[at : at + size * params.n] = bytes(size * params.n)
+    with pytest.raises(codec.CodecError) as err:
+        codec.parse_private_key(bytes(blob))
+    assert str(err.value) == f"{section}: signature trapdoor map is singular at byte {at}"
+
+
+def test_chain_joint_named_with_offset():
+    params, (pk, sk) = make_key(45, n=9)
+    broken = dataclasses.replace(sk, chain2=(GroupElement(2, 1, 1),) + sk.chain2[1:])
+    at = _private_sections(params, sk)["chain2"]
+    with pytest.raises(codec.CodecError) as err:
+        codec.parse_private_key(codec.serialize_private_key(broken))
+    assert str(err.value) == f"chain2: chains do not share their joint element at byte {at}"
+
+
+# the indexes of the central elements in chain1 and in chain2, and the
+# element named: the first central one in file order; -1 is chain1's last
+# element, the joint, which chain2 repeats as its first
+@pytest.mark.parametrize(
+    "central1, central2, named",
+    [
+        ((1,), (), ("chain1", 1)),
+        ((), (1,), ("chain2", 1)),
+        ((-1,), (0,), ("chain1", -1)),
+        ((0, 1), (1,), ("chain1", 0)),
+    ],
+)
+def test_central_chain_element_named_with_offset(central1, central2, named):
+    params, (pk, sk) = make_key(46, n=9)
+    chains = {"chain1": list(sk.chain1), "chain2": list(sk.chain2)}
+    for name, central in (("chain1", central1), ("chain2", central2)):
+        for i in central:
+            g = chains[name][i]
+            chains[name][i] = GroupElement(g.a, 0, g.c)
+    broken = dataclasses.replace(
+        sk, chain1=tuple(chains["chain1"]), chain2=tuple(chains["chain2"])
+    )
+    name, i = named
+    at = _private_sections(params, sk)[name] + 3 * 2 * (i % len(chains[name]))
+    with pytest.raises(codec.CodecError) as err:
+        codec.parse_private_key(codec.serialize_private_key(broken))
+    assert str(err.value) == f"{name}: central masking element in chain at byte {at}"
+
+
 @pytest.mark.parametrize("n", [9, 17, 33, 65])
 def test_parsers_fail_only_with_codec_error(n):
     # arbitrary corruption may be rejected, never crash some other way; the

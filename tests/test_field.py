@@ -185,8 +185,7 @@ def test_primitives_match_oracle(n, modulus):
         assert p.pow_2q0(a) == oracle.pow_(a, 2 * p.q0, mod)
         assert p.frob_pow(a, k) == oracle.pow_(a, 1 << k, mod)
     for a in (0, 1, p.q - 1, rng.getrandbits(n), rng.getrandbits(n)):
-        want = oracle.pow_(a, 2 * p.q0 + 1, mod)
-        assert p.pow_2q0_plus_1(a) == p.pow_2q0_plus_1(a, p.pow_2q0(a)) == want
+        assert p.pow_2q0_plus_1(a) == oracle.pow_(a, 2 * p.q0 + 1, mod)
     if p._exp is not None:
         # the generator walk reaches every nonzero element
         assert sorted(p._exp[: p.q - 1]) == list(range(1, p.q))

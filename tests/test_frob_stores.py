@@ -89,11 +89,18 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
     assert filled and all(kept == want for kept, want in filled)
 
     # the stores stay out of equality and of the bytes, and a replaced key
-    # starts with empty ones
+    # starts with empty ones of its own
     fresh_pk, fresh_sk = dataclasses.replace(pk), dataclasses.replace(sk)
     assert fresh_pk == pk and fresh_sk == sk
-    assert fresh_pk.alpha1_frob is fresh_pk.alpha2_frob is fresh_pk.gamma1_frob is None
-    assert fresh_sk.beta1_frob is None
+    for name, key, fresh, cover in (
+        ("alpha1_frob", pk, fresh_pk, pk.alpha1),
+        ("alpha2_frob", pk, fresh_pk, pk.alpha2),
+        ("gamma1_frob", pk, fresh_pk, pk.gamma1),
+        ("beta1_frob", sk, fresh_sk, sk.beta1),
+    ):
+        store = getattr(fresh, name)
+        assert store is not getattr(key, name), name
+        assert store == [None] * sum(cover.type.r), name
     pub, priv = codec.serialize_public_key(pk), codec.serialize_private_key(sk)
     parsed_pk, parsed_sk = codec.parse_public_key(pub), codec.parse_private_key(priv)
     assert parsed_pk == pk and parsed_sk == sk
@@ -123,8 +130,15 @@ class CountingField(FieldParams):
 # 12 for decrypt's 4 multiplies and 2 inverses.
 WARM_FROB = {"encrypt": 6, "decrypt": 14}
 
+# Field multiplies per encrypt and decrypt, the same on every op, cold or warm
+MULS = {5: (28, 34), 17: (118, 106), 65: (481, 402)}
 
-@pytest.mark.parametrize("n", [17, 65])
+# Frobenius maps per encrypt and decrypt on fresh key pairs at n=17: each
+# selected entry's images, once
+COLD_FROB_17 = (40, 42)
+
+
+@pytest.mark.parametrize("n", [5, 17, 65])
 def test_ops_make_the_same_multiplies_cold_and_warm(n):
     f = CountingField(n)
     pk, sk = keygen(f, rng=random.Random(n))
@@ -141,8 +155,12 @@ def test_ops_make_the_same_multiplies_cold_and_warm(n):
     # cold: every op on key pairs no walk has touched
     for m, nonce in jobs:
         cold_pk, cold_sk = dataclasses.replace(pk), dataclasses.replace(sk)
-        ct, _ = counted("encrypt", encrypt, cold_pk, m, nonce)
-        counted("decrypt", decrypt, dataclasses.replace(pk), dataclasses.replace(sk), ct)
+        ct, frob = counted("encrypt", encrypt, cold_pk, m, nonce)
+        _, frob_d = counted(
+            "decrypt", decrypt, dataclasses.replace(pk), dataclasses.replace(sk), ct
+        )
+        if n == 17:
+            assert (frob, frob_d) == COLD_FROB_17
     # one key pair, twice over the same nonces: the second pass is warm
     for warm in (False, True):
         for m, nonce in jobs:
@@ -151,10 +169,8 @@ def test_ops_make_the_same_multiplies_cold_and_warm(n):
             assert out == m
             if warm:
                 assert frob <= WARM_FROB["encrypt"] and frob_d <= WARM_FROB["decrypt"]
-    for kind, muls in seen.items():
-        assert len(muls) == 1, (kind, muls)
-    if n == 65:  # no more than before the stores
-        assert set(seen["encrypt"]) == {481} and set(seen["decrypt"]) == {402}
+    muls = MULS[n]
+    assert (set(seen["encrypt"]), set(seen["decrypt"])) == ({muls[0]}, {muls[1]})
 
 
 def test_threads_share_cold_keys():

@@ -16,6 +16,7 @@ from mst3sz.scheme import (
     SessionNonce,
     _gamma1,
     _gamma2,
+    _y4,
     decode_message,
     decrypt,
     encode_message,
@@ -261,13 +262,14 @@ def test_image_products_match_oracle():
     pk, _ = make_key(12)
     for cover in (pk.alpha1, pk.alpha2):
         f1_blocks = [[(1, g.a, g.b) for g in blk] for blk in cover.blocks]
-        f2_blocks = [[(1, 0, g.b) for g in blk] for blk in cover.blocks]
         for r in range(P3.q):
-            sel = cover.select(r)
-            f1 = G3.mul_subgroup(IDENTITY, [(g.a, g.b) for g in sel])
-            f2 = G3.mul_center(IDENTITY, [g.b for g in sel])
+            f1 = G3.mul_subgroup(IDENTITY, [(g.a, g.b) for g in cover.select(r)])
             assert oracle.as_tuple(f1) == oracle.cover_product(P3, f1_blocks, r)
-            assert oracle.as_tuple(f2) == oracle.cover_product(P3, f2_blocks, r)
+    # y4, the product of the f2 images of the alpha2 entries
+    f2_blocks = [[(1, 0, g.b) for g in blk] for blk in pk.alpha2.blocks]
+    for r in range(P3.q):
+        f2 = _y4(pk, tau_inv(pk.type2, r))
+        assert oracle.as_tuple(f2) == oracle.cover_product(P3, f2_blocks, r)
 
 
 def test_decrypt_rejects_ciphertext_from_wider_field():
