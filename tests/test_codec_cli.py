@@ -497,9 +497,8 @@ def test_inconsistent_signature_named_with_offset(section, part, index, first):
     blob[at] ^= 1
     with pytest.raises(codec.CodecError) as err:
         codec.parse_private_key(bytes(blob))
-    assert str(err.value) == (
-        f"{section}: signature entries inconsistent with trapdoor at byte {start + size * first}"
-    )
+    at = start + size * first
+    assert str(err.value) == f"{section}: signature entries inconsistent with trapdoor at byte {at}"
 
 
 @pytest.mark.parametrize("section", ["beta1", "beta2"])
