@@ -18,13 +18,14 @@ terms taken once per table): attack 1 the alpha1 and alpha2 walks, attack
 2 the gamma walks, whose product it compares with y2, and attack 3 the
 products of alpha1's f1 images, which it compares with y3 before it sweeps
 R2 with the scheme's own y4.  The screens read what the key fixes.  Every
-gamma2 walk has the a and b of ``gamma2_base``, so attack 2 checks the
-product's a-coordinate once per attack and its b-coordinate once per R1,
-and then looks up the R2 whose walk has the one c-coordinate that gives
-y2.  With the default padding oracle, attack 1 tries only the R2 whose
-alpha2 walk has the a-coordinate of alpha1'(R1)^-1 * y1, since no valid
-padding at n <= 5 has a != 1, and inverts each alpha2 walk on its first
-try; a caller's oracle sees every candidate.  Skipped pairs still count as
+gamma2 walk has the a and b of ``gamma2_base``, whose step terms the key
+keeps, so attack 2 checks the product's a-coordinate once per attack and
+its b-coordinate once per R1, and then looks up the R2 whose walk has the
+one c-coordinate that gives y2.  With the default padding oracle, attack
+1 tries only the R2 whose alpha2 walk has the a-coordinate of
+alpha1'(R1)^-1 * y1, since no valid padding at n <= 5 has a != 1, and
+inverts each alpha2 walk on its first try; a caller's oracle sees every
+candidate.  Skipped pairs still count as
 trials, so attacks 1-2 count r1*q + r2 + 1 at a match (R1 outer, R2 inner)
 and q^2 without one.  A ciphertext without the shape of an encryption raises
 ``CiphertextError`` on entry, as it does in decryption.
@@ -116,10 +117,11 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     group = pk.group
     f = group.params
     q = f.q
-    # every gamma2 walk is gamma2_base * (1, 0, c), so the product h * g has
-    # a = gamma1_a * ga for every pair, its b-coordinate depends on R1 alone,
-    # and for a given R1 only the c of g is free
-    ga, gb, _, k, p = group.terms(pk.gamma2_base)
+    # every gamma2 walk is gamma2_base * (1, 0, c) and steps by the base's
+    # terms with only c changed, so the product h * g has a = gamma1_a * ga
+    # for every pair, its b-coordinate depends on R1 alone, and for a given
+    # R1 only the c of g is free
+    ga, gb, _, k, p = pk.gamma2_base
     y2a, y2b, y2c = ct.y2
     by_c = {}
     for r2, g in enumerate(induced_table(group, pk.gamma2)):

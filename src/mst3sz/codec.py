@@ -43,8 +43,10 @@ coordinate at byte 406`` or ``header: n must be odd at byte 8``.  A
 section's group elements are built after one a != 0 check over all of
 them (``GroupElement.from_columns``).  A public key whose gamma cover lacks
 the block structure every generated key has (one a per gamma1 block, one
-(a, b) per gamma2 block) is rejected at parse time with the cover and the
-block named, e.g. ``gamma2 block 3: entries differ outside c``.
+(a, b) per gamma2 block) is rejected at parse time with the cover, the
+block and the byte of the first coordinate that differs from its block's
+first entry named, e.g. ``gamma2 block 0: entries differ outside c at byte
+414``.
 """
 
 from __future__ import annotations
@@ -89,11 +91,7 @@ class _Reader:
         self.pos = 0
 
     def take(self, k: int, section: str) -> bytes:
-        if self.pos + k > len(self.data):
-            raise CodecError(f"{section}: truncated input at byte {self.pos}")
-        out = self.data[self.pos : self.pos + k]
-        self.pos += k
-        return out
+        return self.data[self._span(1, k, section) : self.pos]
 
     def u8(self, section: str) -> int:
         return self.take(1, section)[0]
@@ -240,16 +238,24 @@ def _read_signature(
     return sig
 
 
+def _header(magic: bytes, n: int) -> bytearray:
+    """Magic, version and width, the header every file starts with."""
+    return bytearray(magic + bytes((VERSION, n)))
+
+
 def _key_header(f: FieldParams, role: int) -> bytearray:
-    out = bytearray(KEY_MAGIC)
-    out.append(VERSION)
-    out.append(f.n)
+    out = _header(KEY_MAGIC, f.n)
     out += f.modulus.to_bytes((f.n + 1 + 7) // 8, "little")
     out.append(role)
     return out
 
 
-def _read_width(r: _Reader) -> int:
+def _read_header(r: _Reader, magic: bytes) -> int:
+    """The width n of a header with this magic and the current version."""
+    if r.take(len(magic), "header") != magic:
+        raise CodecError("bad magic")
+    if r.u8("header") != VERSION:
+        raise CodecError("unknown version")
     at = r.pos
     n = r.u8("header")
     try:
@@ -260,11 +266,7 @@ def _read_width(r: _Reader) -> int:
 
 
 def _parse_key_header(r: _Reader, expect_role: int) -> FieldParams:
-    if r.take(7, "header") != KEY_MAGIC:
-        raise CodecError("bad magic")
-    if r.u8("header") != VERSION:
-        raise CodecError("unknown version")
-    n = _read_width(r)
+    n = _read_header(r, KEY_MAGIC)
     at = r.pos
     modulus = int.from_bytes(r.take((n + 1 + 7) // 8, "header"), "little")
     # Only the published moduli share the process-wide cache; any other
@@ -301,16 +303,35 @@ def parse_public_key(data: bytes) -> PublicKey:
     alpha1 = _read_cover(r, params, t1, "alpha1")
     at2 = r.pos
     alpha2 = _read_cover(r, params, t2, "alpha2")
+    at3 = r.pos
     gamma1 = _read_cover(r, params, t1, "gamma1")
     gamma2 = _read_cover(r, params, t2, "gamma2")
     r.done()
+    size = _element_bytes(params.n)
     # every a is already nonzero, so a zero coordinate is a b or a c
     for name, start, cover in (("alpha1", at1, alpha1), ("alpha2", at2, alpha2)):
         coords = _coords(chain.from_iterable(cover.blocks))
         if 0 in coords:
-            at = start + _element_bytes(params.n) * coords.index(0)
+            at = start + size * coords.index(0)
             raise CodecError(f"{name}: cover entry with zero coordinate at byte {at}")
-    return PublicKey(SuzukiGroup(params), alpha1, alpha2, gamma1, gamma2)
+    try:
+        return PublicKey(SuzukiGroup(params), alpha1, alpha2, gamma1, gamma2)
+    except ValueError as e:
+        # a gamma block without its shared a (gamma1) or (a, b) (gamma2):
+        # name the first coordinate, in file order, that differs from its
+        # block's first entry
+        entries = (
+            (g, block[0], shared)
+            for cover, shared in ((gamma1, 1), (gamma2, 2))
+            for block in cover.blocks
+            for g in block
+        )
+        for i, (g, head, shared) in enumerate(entries):
+            for k in range(shared):
+                if g[k] != head[k]:
+                    at = at3 + size * (3 * i + k)
+                    raise CodecError(f"{e} at byte {at}") from None
+        raise
 
 
 def serialize_private_key(sk: PrivateKey) -> bytes:
@@ -353,9 +374,7 @@ def ciphertext_size(n: int) -> int:
 
 
 def serialize_ciphertext(params: FieldParams, ct: Ciphertext) -> bytes:
-    out = bytearray(CT_MAGIC)
-    out.append(VERSION)
-    out.append(params.n)
+    out = _header(CT_MAGIC, params.n)
     out += _pack(params, (
         ct.y1.a, ct.y1.b, ct.y1.c,
         ct.y2.a, ct.y2.b, ct.y2.c,
@@ -369,11 +388,7 @@ def serialize_ciphertext(params: FieldParams, ct: Ciphertext) -> bytes:
 def parse_ciphertext(data: bytes) -> tuple[int, Ciphertext]:
     """Returns (n, ciphertext); fixed coordinates are re-imposed."""
     r = _Reader(data)
-    if r.take(7, "header") != CT_MAGIC:
-        raise CodecError("bad magic")
-    if r.u8("header") != VERSION:
-        raise CodecError("unknown version")
-    n = _read_width(r)
+    n = _read_header(r, CT_MAGIC)
     params = make_params(n)
     v = r.elements(params, 9, "ciphertext")
     r.done()

@@ -27,6 +27,8 @@ the same a and b, differing only in c.  The key derives its walk terms
 from that once, and encryption walks the covers by them (``_gamma1``,
 ``_gamma2``): a gamma1 step skips the a-chain, and the gamma2 walk is one
 fixed product times (1, 0, h), h a Horner sum with one multiply per block.
+The key keeps that product's step terms, and y2 is one step of the
+gamma1 walk by them with h added to c.
 
 The walks read the digits of the nonce (``tau_inv``, taken once per
 encryption) and step through the selected entries' coordinates, building
@@ -39,20 +41,22 @@ every later walk.  Nothing is computed at key load, and the images are
 never serialized.  Per selected entry:
 
     walk                        multiplies   kept images it reads
-    alpha1, alpha2 (_walk)          5        (a^(2q0), b^(2q0)) of the entry
+    y1's mask (_walk)               5        (a^(2q0), b^(2q0)) of the entry
     gamma1 (_gamma1)                3        b^(2q0)
     y3 (_f1_walk)                   1        a^(2q0) of alpha1's pair
     U in decryption (_f1_walk)      2        the same, and beta^(2q0)
-    gamma2 (_gamma2)                1        none
+    gamma2 (_gamma2)                1        none; the key's base terms
 
 A slot's images cost one Frobenius map each, once per key.
 
-The first entry of an alpha or gamma1 walk is its start, not a step.  An
+The first entry of a walk is its start, not a step: y1's mask walks
+alpha1's blocks and then alpha2's, so alpha2's first entry is a step.  An
 alpha step forms a^(2q0+1) from the kept a^(2q0) with one multiply, on
 every field, so an op makes the same multiplies whether its entries'
 images were kept or not.  A warm op at n = 65, whose entries were all
-selected before, makes only the Frobenius maps of its few whole-element
-group multiplies and inverses.
+selected before, makes only the Frobenius maps of its whole-element group
+multiplies and inverses: one multiply per encrypt; three multiplies and
+two inverses per decrypt.
 
 Encryption of m under nonce (R1, R2) emits
 
@@ -121,8 +125,9 @@ class PublicKey:
     one (a, b); the constructor rejects a gamma cover without that shape.
     The terms: ``gamma1_a``, the product of the A_i (the a of every gamma1
     walk); ``gamma1_k``, A_i^(2q0+1) for the blocks after the first;
-    ``gamma2_base``, the product of the gamma2 blocks' (a, b, 0); and
-    ``gamma2_k``, a^(2q0+1) of the gamma2 blocks after the first.
+    ``gamma2_base``, the step terms (``SuzukiGroup.terms``) of the product
+    of the gamma2 blocks' (a, b, 0); and ``gamma2_k``, a^(2q0+1) of the
+    gamma2 blocks after the first.
     """
 
     group: SuzukiGroup
@@ -132,14 +137,13 @@ class PublicKey:
     gamma2: Cover
     gamma1_a: int = field(init=False, repr=False, compare=False)
     gamma1_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    gamma2_base: GroupElement = field(init=False, repr=False, compare=False)
+    gamma2_base: tuple[int, ...] = field(init=False, repr=False, compare=False)
     gamma2_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # The Frobenius images x^(2q0) of the cover entries, kept from the first
-    # walk that selects an entry: (a^(2q0), b^(2q0)) of each alpha1 and
-    # alpha2 entry, b^(2q0) of each gamma1 entry, one slot per entry, block
-    # after block.  The constructor allocates the stores empty.
-    alpha1_frob: list = field(init=False, repr=False, compare=False)
-    alpha2_frob: list = field(init=False, repr=False, compare=False)
+    # walk that selects an entry: (a^(2q0), b^(2q0)) of each alpha1, then
+    # alpha2 entry (y1's mask walks them as one cover), b^(2q0) of each
+    # gamma1 entry, block after block.  The constructor allocates them empty.
+    alpha_frob: list = field(init=False, repr=False, compare=False)
     gamma1_frob: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -178,14 +182,13 @@ class PublicKey:
             t = f.mul(x, b)
             c = f.mul(k, c) ^ f.mul(t, f.pow_2q0(y))
             b = t ^ y
-        base = GroupElement(reduce(f.mul, a2), b, c)
+        base = self.group.terms(GroupElement(reduce(f.mul, a2), b, c))
         for name, value in (
             ("gamma1_a", reduce(f.mul, a1)),
             ("gamma1_k", tuple(map(f.pow_2q0_plus_1, a1[1:]))),
             ("gamma2_base", base),
             ("gamma2_k", k2),
-            ("alpha1_frob", [None] * sum(self.type1.r)),
-            ("alpha2_frob", [None] * sum(self.type2.r)),
+            ("alpha_frob", [None] * (sum(self.type1.r) + sum(self.type2.r))),
             ("gamma1_frob", [None] * sum(self.type1.r)),
         ):
             object.__setattr__(self, name, value)
@@ -309,11 +312,11 @@ def random_nonce(params: FieldParams, rng) -> SessionNonce:
 def _walk(f: FieldParams, blocks, digits, store) -> tuple[int, int, int]:
     """(a, b, c) of the product of the alpha entries the digits select.
 
-    ``store`` is the key's store for the cover; a walk that finds an entry's
-    slot empty computes (a2^(2q0), b2^(2q0)) and fills it.  Threads may
-    share a key without a lock: a slot only ever goes from None to the
-    images of its own entry, so walks that fill it at once write equal
-    values.  A step by (a2, b2, c2) is the group law, t = a2*b:
+    ``store`` holds one slot per entry, block after block; a walk that
+    finds an entry's slot empty computes (a2^(2q0), b2^(2q0)) and fills it.
+    Threads may share a key without a lock: a slot only ever goes from None
+    to the images of its own entry, so walks that fill it at once write
+    equal values.  A step by (a2, b2, c2) is the group law, t = a2*b:
 
         a <- a*a2;  b <- t + b2;  c <- a2^(2q0+1)*c + t*b2^(2q0) + c2
 
@@ -342,11 +345,10 @@ def _walk(f: FieldParams, blocks, digits, store) -> tuple[int, int, int]:
 
 
 def _y1_mask(pk: PublicKey, d1, d2) -> GroupElement:
-    """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message."""
-    f = pk.group.params
-    w1 = _walk(f, pk.alpha1.blocks, d1, pk.alpha1_frob)
-    w2 = _walk(f, pk.alpha2.blocks, d2, pk.alpha2_frob)
-    return pk.group.mul(w1, w2)
+    """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message: one
+    walk over alpha1's blocks and then alpha2's, on the key's alpha store."""
+    blocks = pk.alpha1.blocks + pk.alpha2.blocks
+    return GroupElement(*_walk(pk.group.params, blocks, d1 + d2, pk.alpha_frob))
 
 
 def _gamma1(pk: PublicKey, d1) -> GroupElement:
@@ -371,13 +373,15 @@ def _gamma1(pk: PublicKey, d1) -> GroupElement:
     return GroupElement(pk.gamma1_a, b, c)
 
 
-def _gamma2(pk: PublicKey, d2) -> GroupElement:
-    """gamma2'(R2) = ``gamma2_base`` * (1, 0, h), one multiply per block.
+def _gamma2(pk: PublicKey, d2) -> tuple[int, int, int, int, int]:
+    """The step terms (``SuzukiGroup.terms``) of gamma2'(R2) =
+    ``gamma2_base`` * (1, 0, h), one multiply per block.
 
     Block i shares (a_i, b_i), so an entry is (a_i, b_i, 0) * (1, 0, c);
     as (1, 0, h) * (a_i, b_i, 0) = (a_i, b_i, 0) * (1, 0, a_i^(2q0+1)*h),
     the walk is the product of the (a_i, b_i, 0), the base, times (1, 0, h)
     for the Horner sum h <- a_i^(2q0+1)*h + c of the selected c-coordinates.
+    The walk has the base's a and b, so its terms are the base's with c + h.
     """
     f = pk.group.params
     walk = zip(pk.gamma2.blocks, d2)
@@ -385,8 +389,8 @@ def _gamma2(pk: PublicKey, d2) -> GroupElement:
     h = block[j][2]
     for (block, j), k in zip(walk, pk.gamma2_k):
         h = f.mul(k, h) ^ block[j][2]
-    base = pk.gamma2_base
-    return GroupElement(base.a, base.b, base.c ^ h)
+    a, b, c, k, p = pk.gamma2_base
+    return a, b, c ^ h, k, p
 
 
 def _f1_walk(pk: PublicKey, d1, sk: PrivateKey | None = None) -> tuple[int, int]:
@@ -395,11 +399,12 @@ def _f1_walk(pk: PublicKey, d1, sk: PrivateKey | None = None) -> tuple[int, int]
     the same digit, which gives decryption's U.
 
     A factor (1, b2, c2) keeps a and adds b2 to b, c <- c + b2^(2q0)*b + c2
-    (``SuzukiGroup.mul_subgroup``): one multiply, with b2^(2q0) read from the
-    keys' alpha1 and beta1 Frobenius stores (beta1 has alpha1's type).
+    (``SuzukiGroup.mul_subgroup``): one multiply, with b2^(2q0) read from
+    alpha1's slots, first in the alpha store, and the beta1 store (beta1
+    has alpha1's type).
     """
     f = pk.group.params
-    store = pk.alpha1_frob
+    store = pk.alpha_frob
     beta_store = sk.beta1_frob if sk else None
     betas = sk.beta1.blocks if sk else repeat(None)
     b = c = i = 0
@@ -454,7 +459,7 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
         raise ValueError("message out of range")
     d1, d2 = tau_inv(pk.type1, r1), tau_inv(pk.type2, r2)
     y1 = group.mul(_y1_mask(pk, d1, d2), m)
-    y2 = group.mul(_gamma1(pk, d1), _gamma2(pk, d2))
+    y2 = group.step(_gamma1(pk, d1), _gamma2(pk, d2))
     return Ciphertext(y1, y2, _y3(pk, d1), _y4(pk, d2))
 
 

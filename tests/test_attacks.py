@@ -143,7 +143,7 @@ def _ref_attack2(pk, ct):
     for r1, h in enumerate(g1):
         for r2, g in enumerate(g2):
             trials += 1
-            if group.mul(h, g) == ct.y2 and _ref_reproduces(pk, ct, SessionNonce(r1, r2)):
+            if group.step(h, g) == ct.y2 and _ref_reproduces(pk, ct, SessionNonce(r1, r2)):
                 return AttackResult(SessionNonce(r1, r2), trials, True, SessionNonce(r1, r2))
     return AttackResult(None, trials, False, None)
 

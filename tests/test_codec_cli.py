@@ -393,6 +393,7 @@ def test_public_key_rejects_gamma_type_mismatch():
     [
         ("gamma1", 1, 0, "gamma1 block 1: entries differ in a"),
         ("gamma2", 0, 1, "gamma2 block 0: entries differ outside c"),
+        ("gamma2", 1, 0, "gamma2 block 1: entries differ outside c"),
     ],
 )
 def test_parse_rejects_unstructured_gamma(cover, block, coord, expected):
@@ -406,7 +407,7 @@ def test_parse_rejects_unstructured_gamma(cover, block, coord, expected):
     blob[at] ^= 1
     with pytest.raises(codec.CodecError) as err:
         codec.parse_public_key(bytes(blob))
-    assert str(err.value) == expected
+    assert str(err.value) == f"{expected} at byte {at}"
 
 
 def test_parse_checks_chain_joint():

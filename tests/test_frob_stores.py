@@ -40,13 +40,12 @@ def _reselecting_nonces(pk, rng, n):
 
 
 def _filled_slots(pk, sk):
-    """(kept images, the entry's images) of every filled slot of the four
+    """(kept images, the entry's images) of every filled slot of the three
     stores, single images as 1-tuples."""
     f = pk.group.params
     out = []
     for store, blocks, coords in (
-        (pk.alpha1_frob, pk.alpha1.blocks, (0, 1)),
-        (pk.alpha2_frob, pk.alpha2.blocks, (0, 1)),
+        (pk.alpha_frob, pk.alpha1.blocks + pk.alpha2.blocks, (0, 1)),
         (pk.gamma1_frob, pk.gamma1.blocks, (1,)),
         (sk.beta1_frob, [[(b,) for b in block] for block in sk.beta1.blocks], (0,)),
     ):
@@ -92,15 +91,14 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
     # starts with empty ones of its own
     fresh_pk, fresh_sk = dataclasses.replace(pk), dataclasses.replace(sk)
     assert fresh_pk == pk and fresh_sk == sk
-    for name, key, fresh, cover in (
-        ("alpha1_frob", pk, fresh_pk, pk.alpha1),
-        ("alpha2_frob", pk, fresh_pk, pk.alpha2),
-        ("gamma1_frob", pk, fresh_pk, pk.gamma1),
-        ("beta1_frob", sk, fresh_sk, sk.beta1),
+    for name, key, fresh, size in (
+        ("alpha_frob", pk, fresh_pk, sum(pk.type1.r) + sum(pk.type2.r)),
+        ("gamma1_frob", pk, fresh_pk, sum(pk.type1.r)),
+        ("beta1_frob", sk, fresh_sk, sum(sk.beta1.type.r)),
     ):
         store = getattr(fresh, name)
         assert store is not getattr(key, name), name
-        assert store == [None] * sum(cover.type.r), name
+        assert store == [None] * size, name
     pub, priv = codec.serialize_public_key(pk), codec.serialize_private_key(sk)
     parsed_pk, parsed_sk = codec.parse_public_key(pub), codec.parse_private_key(priv)
     assert parsed_pk == pk and parsed_sk == sk
@@ -125,23 +123,43 @@ class CountingField(FieldParams):
         return FieldParams.frob_pow(self, a, k)
 
 
+class CountingGroup(SuzukiGroup):
+    """SuzukiGroup that counts its whole-element multiplies and inverses in
+    its CountingField's calls."""
+
+    def mul(self, g1, g2):
+        self.params.calls["group.mul"] += 1
+        return SuzukiGroup.mul(self, g1, g2)
+
+    def inv(self, g):
+        self.params.calls["group.inv"] += 1
+        return SuzukiGroup.inv(self, g)
+
+
+# Whole-element group multiplies and inverses per encrypt and decrypt: y1's
+# mask times m; the chain's ends, stripped from y2, and y1 unmasked
+GROUP_OPS = {"encrypt": (1, 0), "decrypt": (3, 2)}
+
 # A warm op makes only the Frobenius maps of its whole-element group
-# multiplies and inverses, at n=65 2 each: 6 for encrypt's 3 multiplies and
-# 12 for decrypt's 4 multiplies and 2 inverses.
-WARM_FROB = {"encrypt": 6, "decrypt": 14}
+# multiplies and inverses: at n=65 2 each, so 2 for encrypt's multiply and
+# 10 for decrypt's 3 multiplies and 2 inverses; on the log/exp tables
+# (n <= 17) a^(2q0+1) is one table read, so 1 per multiply and none per
+# inverse.
+WARM_FROB = {5: (1, 3), 17: (1, 3), 65: (2, 10)}
 
 # Field multiplies per encrypt and decrypt, the same on every op, cold or warm
-MULS = {5: (28, 34), 17: (118, 106), 65: (481, 402)}
+MULS = {5: (29, 35), 17: (119, 107), 65: (480, 402)}
 
 # Frobenius maps per encrypt and decrypt on fresh key pairs at n=17: each
 # selected entry's images, once
-COLD_FROB_17 = (40, 42)
+COLD_FROB_17 = (40, 43)
 
 
 @pytest.mark.parametrize("n", [5, 17, 65])
 def test_ops_make_the_same_multiplies_cold_and_warm(n):
     f = CountingField(n)
     pk, sk = keygen(f, rng=random.Random(n))
+    pk = dataclasses.replace(pk, group=CountingGroup(f))
     rng = random.Random(n + 1)
     jobs = [(SuzukiGroup(f).random_element(rng), random_nonce(f, rng)) for _ in range(6)]
     seen = {"encrypt": Counter(), "decrypt": Counter()}
@@ -150,6 +168,7 @@ def test_ops_make_the_same_multiplies_cold_and_warm(n):
         f.calls.clear()
         out = fn(*args)
         seen[kind][f.calls["mul"]] += 1
+        assert (f.calls["group.mul"], f.calls["group.inv"]) == GROUP_OPS[kind]
         return out, f.calls["frob"]
 
     # cold: every op on key pairs no walk has touched
@@ -168,7 +187,7 @@ def test_ops_make_the_same_multiplies_cold_and_warm(n):
             out, frob_d = counted("decrypt", decrypt, pk, sk, ct)
             assert out == m
             if warm:
-                assert frob <= WARM_FROB["encrypt"] and frob_d <= WARM_FROB["decrypt"]
+                assert (frob, frob_d) == WARM_FROB[n]
     muls = MULS[n]
     assert (set(seen["encrypt"]), set(seen["decrypt"])) == ({muls[0]}, {muls[1]})
 
@@ -210,7 +229,7 @@ def test_threads_share_cold_keys():
     assert results == [(ct, m) for ct, (m, _) in zip(want, jobs)]
     # a slot some thread filled holds what the single-threaded walks stored
     for key, skey in keys:
-        for name in ("alpha1_frob", "alpha2_frob", "gamma1_frob"):
+        for name in ("alpha_frob", "gamma1_frob"):
             shared, ref = getattr(key, name), getattr(ref_pk, name)
             assert all(s is None or s == r for s, r in zip(shared, ref)), name
         assert all(s is None or s == r for s, r in zip(skey.beta1_frob, ref_sk.beta1_frob))

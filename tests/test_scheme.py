@@ -113,11 +113,20 @@ def test_gamma_recomputes_from_parts(n, modulus):
                 assert oracle.as_tuple(g) == expect, (k, i)
 
 
+def _gamma2_element(pk, d2):
+    """gamma2'(R2) from ``_gamma2``'s step terms, checked against the
+    element's own terms."""
+    terms = _gamma2(pk, d2)
+    g = GroupElement(*terms[:3])
+    assert terms == pk.group.terms(g)
+    return g
+
+
 def _check_gamma_walks(pk, nonces):
     # every nonce against the generic fold, the last also against the
     # reference law (slow at large n)
     params = pk.group.params
-    for cover, walk in ((pk.gamma1, _gamma1), (pk.gamma2, _gamma2)):
+    for cover, walk in ((pk.gamma1, _gamma1), (pk.gamma2, _gamma2_element)):
         for r in nonces:
             assert walk(pk, tau_inv(cover.type, r)) == induced_map(pk.group, cover, r)
         blocks = [[oracle.as_tuple(g) for g in blk] for blk in cover.blocks]
