@@ -25,10 +25,10 @@ one c-coordinate that gives y2.  With the default padding oracle, attack
 1 tries only the R2 whose alpha2 walk has the a-coordinate of
 alpha1'(R1)^-1 * y1, since no valid padding at n <= 5 has a != 1, and
 inverts each alpha2 walk on its first try; a caller's oracle sees every
-candidate.  Skipped pairs still count as
-trials, so attacks 1-2 count r1*q + r2 + 1 at a match (R1 outer, R2 inner)
-and q^2 without one.  A ciphertext without the shape of an encryption raises
-``CiphertextError`` on entry, as it does in decryption.
+candidate.  Skipped pairs still count as trials, so attacks 1-2 count
+r1*q + r2 + 1 at a match (R1 outer, R2 inner) and q^2 without one.  A
+ciphertext without the shape of an encryption raises ``CiphertextError``
+on entry, as it does in decryption.
 
 Enumeration order is fixed: pairs (R1, R2) with R1 outer, R2 inner.  Any
 parallel split must still report the lowest-index verified match.

@@ -137,7 +137,8 @@ class CountingGroup(SuzukiGroup):
 
 
 # Whole-element group multiplies and inverses per encrypt and decrypt: y1's
-# mask times m; the chain's ends, stripped from y2, and y1 unmasked
+# mask times m; the chain's two ends stripped from y2 (2 multiplies, 1
+# inverse) and y1 unmasked (1 of each)
 GROUP_OPS = {"encrypt": (1, 0), "decrypt": (3, 2)}
 
 # A warm op makes only the Frobenius maps of its whole-element group
