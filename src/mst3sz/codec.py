@@ -43,10 +43,11 @@ coordinate at byte 406`` or ``header: n must be odd at byte 8``.  A
 section's group elements are built after one a != 0 check over all of
 them (``GroupElement.from_columns``).  A public key whose gamma cover lacks
 the block structure every generated key has (one a per gamma1 block, one
-(a, b) per gamma2 block) is rejected at parse time with the cover, the
-block and the byte of the first coordinate that differs from its block's
-first entry named, e.g. ``gamma2 block 0: entries differ outside c at byte
-414``.
+(a, b) per gamma2 block) is rejected at parse time: ``PublicKey`` names
+the cover and the block and indexes the first coordinate that differs
+from its block's first entry (``GammaBlockError``), and the parser adds
+that coordinate's byte, e.g. ``gamma2 block 0: entries differ outside c
+at byte 414``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from itertools import chain, islice
 from .field import IRREDUCIBLE, FieldParams, check_width, make_params
 from .group import GroupElement, SuzukiGroup
 from .logsig import Cover, SignatureType, TameSignature
-from .scheme import Ciphertext, PrivateKey, PublicKey
+from .scheme import Ciphertext, GammaBlockError, PrivateKey, PublicKey
 
 KEY_MAGIC = b"MST3SZ1"
 CT_MAGIC = b"MST3SZC"
@@ -316,22 +317,8 @@ def parse_public_key(data: bytes) -> PublicKey:
             raise CodecError(f"{name}: cover entry with zero coordinate at byte {at}")
     try:
         return PublicKey(SuzukiGroup(params), alpha1, alpha2, gamma1, gamma2)
-    except ValueError as e:
-        # a gamma block without its shared a (gamma1) or (a, b) (gamma2):
-        # name the first coordinate, in file order, that differs from its
-        # block's first entry
-        entries = (
-            (g, block[0], shared)
-            for cover, shared in ((gamma1, 1), (gamma2, 2))
-            for block in cover.blocks
-            for g in block
-        )
-        for i, (g, head, shared) in enumerate(entries):
-            for k in range(shared):
-                if g[k] != head[k]:
-                    at = at3 + size * (3 * i + k)
-                    raise CodecError(f"{e} at byte {at}") from None
-        raise
+    except GammaBlockError as e:
+        raise CodecError(f"{e} at byte {at3 + size * e.coord}") from None
 
 
 def serialize_private_key(sk: PrivateKey) -> bytes:

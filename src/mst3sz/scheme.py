@@ -34,20 +34,21 @@ The walks read the digits of the nonce (``tau_inv``, taken once per
 encryption) and step through the selected entries' coordinates, building
 no group element per step.  The group law needs x^(2q0) of a right
 factor's coordinates, and a cover entry is a right factor of every walk
-that selects it, so the keys keep those Frobenius images of their fixed
-entries.  A key allocates its stores empty when it is built; a walk that
-selects an entry computes its images the first time and reads them on
-every later walk.  Nothing is computed at key load, and the images are
-never serialized.  Per selected entry:
+that selects it, so each key keeps one Frobenius memo, ``frob``, that maps
+a coordinate x of its own entries to x^(2q0).  A walk computes an image
+the first time it meets the coordinate and reads it on every later walk.
+The memo starts empty when the key is built and is never serialized; the
+walks look up only the key's own cover and beta1 coordinates, so no
+ciphertext can grow it.  Per selected entry:
 
-    walk                        multiplies   kept images it reads
-    y1's mask (_walk)               5        (a^(2q0), b^(2q0)) of the entry
+    walk                        multiplies   images it reads
+    y1's mask (_walk)               5        a^(2q0), b^(2q0)
     gamma1 (_gamma1)                3        b^(2q0)
-    y3 (_f1_walk)                   1        a^(2q0) of alpha1's pair
+    y3 (_f1_walk)                   1        a^(2q0) of the alpha1 entry
     U in decryption (_f1_walk)      2        the same, and beta^(2q0)
     gamma2 (_gamma2)                1        none; the key's base terms
 
-A slot's images cost one Frobenius map each, once per key.
+Each image costs one Frobenius map, once per key.
 
 The first entry of a walk is its start, not a step: y1's mask walks
 alpha1's blocks and then alpha2's, so alpha2's first entry is a step.  An
@@ -111,6 +112,17 @@ class CiphertextError(ValueError):
     """Structurally malformed ciphertext."""
 
 
+class GammaBlockError(ValueError):
+    """A gamma block whose entries do not share their a (gamma1) or (a, b)
+    (gamma2).  ``coord`` indexes the first coordinate that differs from its
+    block's first entry, in the order gamma1's then gamma2's coordinates
+    are laid out, three per entry."""
+
+    def __init__(self, message: str, coord: int):
+        super().__init__(message)
+        self.coord = coord
+
+
 class SessionNonce(NamedTuple):
     r1: int
     r2: int
@@ -119,7 +131,7 @@ class SessionNonce(NamedTuple):
 @dataclass(frozen=True)
 class PublicKey:
     """The published covers, the gamma walk terms derived from them, and
-    the Frobenius images of cover entries that walks keep.
+    the Frobenius memo of the walks.
 
     Every gamma1 block shares one a-coordinate A_i, and every gamma2 block
     one (a, b); the constructor rejects a gamma cover without that shape.
@@ -139,12 +151,8 @@ class PublicKey:
     gamma1_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
     gamma2_base: tuple[int, ...] = field(init=False, repr=False, compare=False)
     gamma2_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # The Frobenius images x^(2q0) of the cover entries, kept from the first
-    # walk that selects an entry: (a^(2q0), b^(2q0)) of each alpha1, then
-    # alpha2 entry (y1's mask walks them as one cover), b^(2q0) of each
-    # gamma1 entry, block after block.  The constructor allocates them empty.
-    alpha_frob: list = field(init=False, repr=False, compare=False)
-    gamma1_frob: list = field(init=False, repr=False, compare=False)
+    # x -> x^(2q0) for the alpha and gamma1 coordinates the walks step by
+    frob: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.group.params.n
@@ -158,16 +166,24 @@ class PublicKey:
             if gamma.type != alpha.type:
                 t, u = gamma.type.r, alpha.type.r
                 raise ValueError(f"gamma{k} type {t} differs from alpha{k} type {u}")
+        # the first entry that breaks a block is the first one equal to it,
+        # as every entry before it matches the block's first
+        before = 0  # gamma entries before this block, in file order
         for i, block in enumerate(self.gamma1.blocks):
             a = block[0].a
             for x, _, _ in block:
                 if x != a:
-                    raise ValueError(f"gamma1 block {i}: entries differ in a")
+                    at = 3 * (before + [g[0] for g in block].index(x))
+                    raise GammaBlockError(f"gamma1 block {i}: entries differ in a", at)
+            before += len(block)
         for i, block in enumerate(self.gamma2.blocks):
             a, b, _ = block[0]
-            for x, y, _ in block:
+            for x, y, c in block:
                 if x != a or y != b:
-                    raise ValueError(f"gamma2 block {i}: entries differ outside c")
+                    at = 3 * (before + block.index((x, y, c))) + (x == a)
+                    msg = f"gamma2 block {i}: entries differ outside c"
+                    raise GammaBlockError(msg, at)
+            before += len(block)
         f = self.group.params
         a1 = [block[0].a for block in self.gamma1.blocks]
         heads = [block[0] for block in self.gamma2.blocks]
@@ -188,8 +204,6 @@ class PublicKey:
             ("gamma1_k", tuple(map(f.pow_2q0_plus_1, a1[1:]))),
             ("gamma2_base", base),
             ("gamma2_k", k2),
-            ("alpha_frob", [None] * (sum(self.type1.r) + sum(self.type2.r))),
-            ("gamma1_frob", [None] * sum(self.type1.r)),
         ):
             object.__setattr__(self, name, value)
 
@@ -209,11 +223,8 @@ class PrivateKey:
     beta2: TameSignature
     chain1: tuple[GroupElement, ...]
     chain2: tuple[GroupElement, ...]
-    # beta^(2q0) of each beta1 entry, kept as ``PublicKey`` keeps its images
-    beta1_frob: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta1_frob", [None] * sum(self.beta1.type.r))
+    # x -> x^(2q0) for the beta1 entries decryption steps by
+    frob: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -309,34 +320,34 @@ def random_nonce(params: FieldParams, rng) -> SessionNonce:
     return SessionNonce(rng.getrandbits(params.n), rng.getrandbits(params.n))
 
 
-def _walk(f: FieldParams, blocks, digits, store) -> tuple[int, int, int]:
+def _walk(f: FieldParams, blocks, digits, memo) -> tuple[int, int, int]:
     """(a, b, c) of the product of the alpha entries the digits select.
 
-    ``store`` holds one slot per entry, block after block; a walk that
-    finds an entry's slot empty computes (a2^(2q0), b2^(2q0)) and fills it.
-    Threads may share a key without a lock: a slot only ever goes from None
-    to the images of its own entry, so walks that fill it at once write
-    equal values.  A step by (a2, b2, c2) is the group law, t = a2*b:
+    ``memo`` maps a coordinate x to x^(2q0); a walk that meets a coordinate
+    it lacks computes the image and adds it.  Threads may share a key
+    without a lock: x only ever maps to x^(2q0), so walks that add it at
+    once write equal values.  A step by (a2, b2, c2) is the group law,
+    t = a2*b:
 
         a <- a*a2;  b <- t + b2;  c <- a2^(2q0+1)*c + t*b2^(2q0) + c2
 
     with a2^(2q0+1) one multiply from the kept a2^(2q0): 5 multiplies and,
-    once the slot is filled, no Frobenius map.
+    once both images are kept, no Frobenius map.
     """
+    get = memo.get
     walk = zip(blocks, digits)
     block, j = next(walk)
     a, b, c = block[j]
-    i = len(block)  # the slot of entry 0 of the next block
     for block, j in walk:
         a2, b2, c2 = block[j]
-        p = store[i + j]
-        if p is None:
-            p = store[i + j] = (f.pow_2q0(a2), f.pow_2q0(b2))
+        if (pa := get(a2)) is None:
+            pa = memo[a2] = f.pow_2q0(a2)
+        if (pb := get(b2)) is None:
+            pb = memo[b2] = f.pow_2q0(b2)
         t = f.mul(a2, b)
-        c = f.mul(f.mul(p[0], a2), c) ^ f.mul(t, p[1]) ^ c2
+        c = f.mul(f.mul(pa, a2), c) ^ f.mul(t, pb) ^ c2
         a = f.mul(a, a2)
         b = t ^ b2
-        i += len(block)
     return a, b, c
 
 
@@ -346,30 +357,28 @@ def _walk(f: FieldParams, blocks, digits, store) -> tuple[int, int, int]:
 
 def _y1_mask(pk: PublicKey, d1, d2) -> GroupElement:
     """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message: one
-    walk over alpha1's blocks and then alpha2's, on the key's alpha store."""
+    walk over alpha1's blocks and then alpha2's."""
     blocks = pk.alpha1.blocks + pk.alpha2.blocks
-    return GroupElement(*_walk(pk.group.params, blocks, d1 + d2, pk.alpha_frob))
+    return GroupElement(*_walk(pk.group.params, blocks, d1 + d2, pk.frob))
 
 
 def _gamma1(pk: PublicKey, d1) -> GroupElement:
     """gamma1'(R1): every block has one a, so every walk has a = ``gamma1_a``
     and steps as ``_walk`` without the a-chain, by the block's ``gamma1_k``
-    and a slot holding b2^(2q0) alone: 3 multiplies."""
+    and the memo's b2^(2q0): 3 multiplies."""
     f = pk.group.params
-    store = pk.gamma1_frob
+    memo = pk.frob
+    get = memo.get
     walk = zip(pk.gamma1.blocks, d1)
     block, j = next(walk)
     _, b, c = block[j]
-    i = len(block)
     for (block, j), k in zip(walk, pk.gamma1_k):
         a2, b2, c2 = block[j]
-        p = store[i + j]
-        if p is None:
-            p = store[i + j] = f.pow_2q0(b2)
+        if (p := get(b2)) is None:
+            p = memo[b2] = f.pow_2q0(b2)
         t = f.mul(a2, b)
         c = f.mul(k, c) ^ f.mul(t, p) ^ c2
         b = t ^ b2
-        i += len(block)
     return GroupElement(pk.gamma1_a, b, c)
 
 
@@ -400,28 +409,28 @@ def _f1_walk(pk: PublicKey, d1, sk: PrivateKey | None = None) -> tuple[int, int]
 
     A factor (1, b2, c2) keeps a and adds b2 to b, c <- c + b2^(2q0)*b + c2
     (``SuzukiGroup.mul_subgroup``): one multiply, with b2^(2q0) read from
-    alpha1's slots, first in the alpha store, and the beta1 store (beta1
-    has alpha1's type).
+    the public key's memo for an alpha1 entry's a and from the private
+    key's for a beta1 entry.
     """
     f = pk.group.params
-    store = pk.alpha_frob
-    beta_store = sk.beta1_frob if sk else None
+    memo = pk.frob
+    get = memo.get
+    beta_memo = sk.frob if sk else {}
+    beta_get = beta_memo.get
     betas = sk.beta1.blocks if sk else repeat(None)
-    b = c = i = 0
+    b = c = 0
     for block, j, beta in zip(pk.alpha1.blocks, d1, betas):
         a2, b2, _ = block[j]
-        p = store[i + j]
-        if p is None:
-            p = store[i + j] = (f.pow_2q0(a2), f.pow_2q0(b2))
-        c ^= f.mul(p[0], b) ^ b2
+        if (p := get(a2)) is None:
+            p = memo[a2] = f.pow_2q0(a2)
+        c ^= f.mul(p, b) ^ b2
         b ^= a2
         if beta:
-            p = beta_store[i + j]
-            if p is None:
-                p = beta_store[i + j] = f.pow_2q0(beta[j])
+            x = beta[j]
+            if (p := beta_get(x)) is None:
+                p = beta_memo[x] = f.pow_2q0(x)
             c ^= f.mul(p, b)
-            b ^= beta[j]
-        i += len(block)
+            b ^= x
     return b, c
 
 

@@ -1,9 +1,10 @@
-"""The keys' stores of Frobenius images, filled by the walks on first use.
+"""The keys' Frobenius memos, filled by the walks on first use.
 
-A key pair computes each cover entry's x^(2q0) images the first time a walk
-selects the entry and reads them on every later walk.  These tests hold the
-stored walks to the independent reference at every width, cold and warm,
-pin the per-op field work, and share one cold key between threads.
+A key maps each coordinate x a walk steps by to x^(2q0) the first time a
+walk meets it and reads the image on every later walk.  These tests hold
+the memoized walks to the independent reference at every width, cold and
+warm, pin the per-op field work, share one cold key between threads, and
+check that decrypting any ciphertext adds only the key's own coordinates.
 """
 
 import dataclasses
@@ -18,9 +19,9 @@ import pytest
 
 from mst3sz import codec
 from mst3sz.field import FieldParams, make_params
-from mst3sz.group import SuzukiGroup
+from mst3sz.group import GroupElement, SuzukiGroup
 from mst3sz.logsig import tau, tau_inv
-from mst3sz.scheme import decrypt, encrypt, keygen, random_nonce
+from mst3sz.scheme import Ciphertext, decrypt, encrypt, keygen, random_nonce
 
 import oracle
 from test_field import DIFFERENTIAL_FIELDS
@@ -37,24 +38,6 @@ def _reselecting_nonces(pk, rng, n):
         mixed = [tau(t, tuple(rng.choice(p) for p in zip(u, v))) for _ in range(6)]
         halves.append([tau(t, u), tau(t, v), *mixed])
     return list(zip(*halves))
-
-
-def _filled_slots(pk, sk):
-    """(kept images, the entry's images) of every filled slot of the three
-    stores, single images as 1-tuples."""
-    f = pk.group.params
-    out = []
-    for store, blocks, coords in (
-        (pk.alpha_frob, pk.alpha1.blocks + pk.alpha2.blocks, (0, 1)),
-        (pk.gamma1_frob, pk.gamma1.blocks, (1,)),
-        (sk.beta1_frob, [[(b,) for b in block] for block in sk.beta1.blocks], (0,)),
-    ):
-        entries = (e for block in blocks for e in block)
-        for p, e in zip(store, entries):
-            if p is not None:
-                kept = p if isinstance(p, tuple) else (p,)
-                out.append((kept, tuple(f.pow_2q0(e[i]) for i in coords)))
-    return out
 
 
 @pytest.mark.parametrize(
@@ -78,27 +61,22 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
 
     # keys that no walk has touched for every encrypt and every decrypt;
     # then one key pair that fills as it goes, and once more, warm: every
-    # entry these nonces select is stored by then
+    # image these nonces' walks read is kept by then
     fresh = (lambda: (dataclasses.replace(pk), dataclasses.replace(sk)))
     for keys in (fresh, lambda: (pk, sk), lambda: (pk, sk)):
         for nonce, want in zip(nonces, wants):
             check(keys, nonce, want)
-    # each filled slot holds the images of its own entry
-    filled = _filled_slots(pk, sk)
-    assert filled and all(kept == want for kept, want in filled)
+    # every memo entry maps x to x^(2q0)
+    for key in (pk, sk):
+        assert key.frob and all(p == params.pow_2q0(x) for x, p in key.frob.items())
 
-    # the stores stay out of equality and of the bytes, and a replaced key
-    # starts with empty ones of its own
+    # the memos stay out of equality and of the bytes, and a replaced key
+    # starts with an empty one of its own
     fresh_pk, fresh_sk = dataclasses.replace(pk), dataclasses.replace(sk)
     assert fresh_pk == pk and fresh_sk == sk
-    for name, key, fresh, size in (
-        ("alpha_frob", pk, fresh_pk, sum(pk.type1.r) + sum(pk.type2.r)),
-        ("gamma1_frob", pk, fresh_pk, sum(pk.type1.r)),
-        ("beta1_frob", sk, fresh_sk, sum(sk.beta1.type.r)),
-    ):
-        store = getattr(fresh, name)
-        assert store is not getattr(key, name), name
-        assert store == [None] * size, name
+    for key, fresh in ((pk, fresh_pk), (sk, fresh_sk)):
+        assert fresh.frob is not key.frob
+        assert fresh.frob == {}
     pub, priv = codec.serialize_public_key(pk), codec.serialize_private_key(sk)
     parsed_pk, parsed_sk = codec.parse_public_key(pub), codec.parse_private_key(priv)
     assert parsed_pk == pk and parsed_sk == sk
@@ -152,8 +130,9 @@ WARM_FROB = {5: (1, 3), 17: (1, 3), 65: (2, 10)}
 MULS = {5: (29, 35), 17: (119, 107), 65: (480, 402)}
 
 # Frobenius maps per encrypt and decrypt on fresh key pairs at n=17: each
-# selected entry's images, once
-COLD_FROB_17 = (40, 43)
+# image a walk reads, once.  y1's mask starts at alpha1's first entry, so
+# that entry's b^(2q0) is never read and not computed.
+COLD_FROB_17 = (39, 42)
 
 
 @pytest.mark.parametrize("n", [5, 17, 65])
@@ -228,9 +207,31 @@ def test_threads_share_cold_keys():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [(ct, m) for ct, (m, _) in zip(want, jobs)]
-    # a slot some thread filled holds what the single-threaded walks stored
+    # an image some thread kept is what the single-threaded walks kept
     for key, skey in keys:
-        for name in ("alpha_frob", "gamma1_frob"):
-            shared, ref = getattr(key, name), getattr(ref_pk, name)
-            assert all(s is None or s == r for s, r in zip(shared, ref)), name
-        assert all(s is None or s == r for s, r in zip(skey.beta1_frob, ref_sk.beta1_frob))
+        for shared, ref in ((key.frob, ref_pk.frob), (skey.frob, ref_sk.frob)):
+            assert shared.keys() <= ref.keys()
+            assert all(p == ref[x] for x, p in shared.items())
+
+
+def test_memos_hold_only_the_keys_coordinates():
+    # decrypt real ciphertexts and well-shaped random ones under one key
+    # pair; the memos may hold only the coordinates the walks step by
+    params = make_params(17)
+    pk, sk = keygen(params, rng=random.Random(17))
+    rng = random.Random(18)
+    group = SuzukiGroup(params)
+    cts = [encrypt(pk, group.random_element(rng), random_nonce(params, rng)) for _ in range(8)]
+    for _ in range(40):
+        b, c, h = (params.random_element(rng) for _ in range(3))
+        y1, y2 = group.random_element(rng), group.random_element(rng)
+        cts.append(Ciphertext(y1, y2, GroupElement(1, b, c), GroupElement(1, 0, h)))
+    for ct in cts:
+        decrypt(pk, sk, ct)
+    alpha = [e for cover in (pk.alpha1, pk.alpha2) for block in cover.blocks for e in block]
+    gamma1 = [e for block in pk.gamma1.blocks for e in block]
+    public = [e.a for e in alpha] + [e.b for e in alpha] + [e.b for e in gamma1]
+    private = [b for block in sk.beta1.blocks for b in block]
+    for memo, allowed in ((pk.frob, public), (sk.frob, private)):
+        assert memo and memo.keys() <= set(allowed)
+        assert len(memo) <= len(allowed)
