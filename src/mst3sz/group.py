@@ -25,11 +25,7 @@ factors given as (b, c) pairs (1 multiply and 1 Frobenius per factor);
 central factors (1, 0, c) only add to c.
 ``logsig.induced_map`` walks a cover as a fold of ``mul``, and a whole
 table of walks (``logsig.induced_table``) steps by each entry's terms.
-The scheme's own cover walks (``scheme._walk``, which walks alpha1 and
-then alpha2 as one cover for y1's mask, and ``scheme._gamma1``) apply the
-law to the selected entries' coordinates directly, with Frobenius images
-the keys keep; y2 is one ``step`` of the gamma1 walk by the gamma2 walk's
-terms, which the key's fixed gamma2 product gives.
+The scheme walks its covers by the law on coordinates; ``scheme`` says how.
 
 A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
 so building one costs about what building a tuple does.  Every constructor

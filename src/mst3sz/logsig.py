@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
 from math import prod
-from operator import mul, xor
+from operator import getitem, mul, xor
 
 from .group import GroupElement, SuzukiGroup
 
@@ -97,7 +97,7 @@ def tau_inv(sig_type: SignatureType, x: int) -> tuple[int, ...]:
 
 def _select(self, x: int) -> list:
     """The entry of each block that the digits of x select."""
-    return [block[j] for block, j in zip(self.blocks, tau_inv(self.type, x))]
+    return list(map(getitem, self.blocks, tau_inv(self.type, x)))
 
 
 # -- covers of group elements ---------------------------------------------

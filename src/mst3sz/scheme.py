@@ -25,25 +25,28 @@ structure that every key has and ``PublicKey`` checks: every gamma1 entry
 of block i has the same a-coordinate, and every gamma2 entry of block i
 the same a and b, differing only in c.  The key derives its walk terms
 from that once, and encryption walks the covers by them (``_gamma1``,
-``_gamma2``): a gamma1 step skips the a-chain, and the gamma2 walk is one
-fixed product times (1, 0, h), h a Horner sum with one multiply per block.
-The key keeps that product's step terms, and y2 is one step of the
-gamma1 walk by them with h added to c.
+``_gamma2``).  Entries that share their a are walked by one law that
+skips the a-chain, ``_fixed_a_walk``: a gamma1 walk is one, and so is
+the key's product of the gamma2 blocks' (a, b, 0), the base of every
+gamma2 walk.  A gamma2 walk is that base times (1, 0, h), h a Horner sum
+with one multiply per block.  The key keeps the base's step terms, and y2
+is one step of the gamma1 walk by them with h added to c.
 
 The walks read the digits of the nonce (``tau_inv``, taken once per
-encryption) and step through the selected entries' coordinates, building
-no group element per step.  The group law needs x^(2q0) of a right
-factor's coordinates, and a cover entry is a right factor of every walk
-that selects it, so each key keeps one Frobenius memo, ``frob``, that maps
-a coordinate x of its own entries to x^(2q0).  A walk computes an image
-the first time it meets the coordinate and reads it on every later walk.
-The memo starts empty when the key is built and is never serialized; the
-walks look up only the key's own cover and beta1 coordinates, so no
-ciphertext can grow it.  Per selected entry:
+encryption) and step through the entries the digits select,
+``map(getitem, blocks, digits)``, building no group element per step.
+The group law needs x^(2q0) of a right factor's coordinates, and a cover
+entry is a right factor of every walk that selects it, so each key keeps
+one Frobenius memo, ``frob``, that maps a coordinate x of its own entries
+to x^(2q0).  A walk computes an image the first time it meets the
+coordinate and reads it on every later walk.  The memo starts empty when
+the key is built and is never serialized; the walks look up only the
+key's own cover and beta1 coordinates, so no ciphertext can grow it.  Per
+selected entry:
 
     walk                        multiplies   images it reads
     y1's mask (_walk)               5        a^(2q0), b^(2q0)
-    gamma1 (_gamma1)                3        b^(2q0)
+    gamma1 (_fixed_a_walk)          3        b^(2q0)
     y3 (_f1_walk)                   1        a^(2q0) of the alpha1 entry
     U in decryption (_f1_walk)      2        the same, and beta^(2q0)
     gamma2 (_gamma2)                1        none; the key's base terms
@@ -92,6 +95,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
+from operator import getitem
 from typing import NamedTuple
 
 from .field import FieldParams
@@ -138,8 +142,8 @@ class PublicKey:
     The terms: ``gamma1_a``, the product of the A_i (the a of every gamma1
     walk); ``gamma1_k``, A_i^(2q0+1) for the blocks after the first;
     ``gamma2_base``, the step terms (``SuzukiGroup.terms``) of the product
-    of the gamma2 blocks' (a, b, 0); and ``gamma2_k``, a^(2q0+1) of the
-    gamma2 blocks after the first.
+    of the gamma2 blocks' (a, b, 0), walked by ``_fixed_a_walk``; and
+    ``gamma2_k``, a^(2q0+1) of the gamma2 blocks after the first.
     """
 
     group: SuzukiGroup
@@ -169,12 +173,14 @@ class PublicKey:
         # the first entry that breaks a block is the first one equal to it,
         # as every entry before it matches the block's first
         before = 0  # gamma entries before this block, in file order
+        a1, a2, heads = [], [], []  # the blocks' a, and the gamma2 blocks' (a, b, 0)
         for i, block in enumerate(self.gamma1.blocks):
             a = block[0].a
             for x, _, _ in block:
                 if x != a:
                     at = 3 * (before + [g[0] for g in block].index(x))
                     raise GammaBlockError(f"gamma1 block {i}: entries differ in a", at)
+            a1.append(a)
             before += len(block)
         for i, block in enumerate(self.gamma2.blocks):
             a, b, _ = block[0]
@@ -183,26 +189,17 @@ class PublicKey:
                     at = 3 * (before + block.index((x, y, c))) + (x == a)
                     msg = f"gamma2 block {i}: entries differ outside c"
                     raise GammaBlockError(msg, at)
+            a2.append(a)
+            heads.append((a, b, 0))
             before += len(block)
         f = self.group.params
-        a1 = [block[0].a for block in self.gamma1.blocks]
-        heads = [block[0] for block in self.gamma2.blocks]
-        a2 = [a for a, _, _ in heads]
         k2 = tuple(map(f.pow_2q0_plus_1, a2[1:]))
-        # the base is the product of the heads with c zeroed, by the step of
-        # ``_gamma1`` with c2 = 0; each head is stepped by once, here, so its
-        # b^(2q0) is not kept
-        (_, b, _), *rest = heads
-        c = 0
-        for (x, y, _), k in zip(rest, k2):
-            t = f.mul(x, b)
-            c = f.mul(k, c) ^ f.mul(t, f.pow_2q0(y))
-            b = t ^ y
-        base = self.group.terms(GroupElement(reduce(f.mul, a2), b, c))
+        # each head is stepped by once, here, so its b^(2q0) is not kept
+        b, c = _fixed_a_walk(f, heads, k2, {})
         for name, value in (
             ("gamma1_a", reduce(f.mul, a1)),
             ("gamma1_k", tuple(map(f.pow_2q0_plus_1, a1[1:]))),
-            ("gamma2_base", base),
+            ("gamma2_base", self.group.terms(GroupElement(reduce(f.mul, a2), b, c))),
             ("gamma2_k", k2),
         ):
             object.__setattr__(self, name, value)
@@ -332,14 +329,13 @@ def _walk(f: FieldParams, blocks, digits, memo) -> tuple[int, int, int]:
         a <- a*a2;  b <- t + b2;  c <- a2^(2q0+1)*c + t*b2^(2q0) + c2
 
     with a2^(2q0+1) one multiply from the kept a2^(2q0): 5 multiplies and,
-    once both images are kept, no Frobenius map.
+    once both images are kept, no Frobenius map.  Entries whose a the key
+    fixes take ``_fixed_a_walk`` instead.
     """
     get = memo.get
-    walk = zip(blocks, digits)
-    block, j = next(walk)
-    a, b, c = block[j]
-    for block, j in walk:
-        a2, b2, c2 = block[j]
+    entries = map(getitem, blocks, digits)
+    a, b, c = next(entries)
+    for a2, b2, c2 in entries:
         if (pa := get(a2)) is None:
             pa = memo[a2] = f.pow_2q0(a2)
         if (pb := get(b2)) is None:
@@ -362,23 +358,29 @@ def _y1_mask(pk: PublicKey, d1, d2) -> GroupElement:
     return GroupElement(*_walk(pk.group.params, blocks, d1 + d2, pk.frob))
 
 
-def _gamma1(pk: PublicKey, d1) -> GroupElement:
-    """gamma1'(R1): every block has one a, so every walk has a = ``gamma1_a``
-    and steps as ``_walk`` without the a-chain, by the block's ``gamma1_k``
-    and the memo's b2^(2q0): 3 multiplies."""
-    f = pk.group.params
-    memo = pk.frob
+def _fixed_a_walk(f: FieldParams, entries, ks, memo) -> tuple[int, int]:
+    """(b, c) of the product of ``entries``, whose a-coordinates the caller
+    knows, and so the product's a.  A step by (a2, b2, c2) is that of
+    ``_walk`` without the a-chain, with k = a2^(2q0+1) taken from ``ks``,
+    one per entry after the first, and b2^(2q0) from ``memo`` as there:
+    3 multiplies."""
     get = memo.get
-    walk = zip(pk.gamma1.blocks, d1)
-    block, j = next(walk)
-    _, b, c = block[j]
-    for (block, j), k in zip(walk, pk.gamma1_k):
-        a2, b2, c2 = block[j]
+    entries = iter(entries)
+    _, b, c = next(entries)
+    for (a2, b2, c2), k in zip(entries, ks):
         if (p := get(b2)) is None:
             p = memo[b2] = f.pow_2q0(b2)
         t = f.mul(a2, b)
         c = f.mul(k, c) ^ f.mul(t, p) ^ c2
         b = t ^ b2
+    return b, c
+
+
+def _gamma1(pk: PublicKey, d1) -> GroupElement:
+    """gamma1'(R1): every block has one a, so every walk has a = ``gamma1_a``
+    and is a fixed-a walk by ``gamma1_k``."""
+    entries = map(getitem, pk.gamma1.blocks, d1)
+    b, c = _fixed_a_walk(pk.group.params, entries, pk.gamma1_k, pk.frob)
     return GroupElement(pk.gamma1_a, b, c)
 
 
@@ -393,11 +395,10 @@ def _gamma2(pk: PublicKey, d2) -> tuple[int, int, int, int, int]:
     The walk has the base's a and b, so its terms are the base's with c + h.
     """
     f = pk.group.params
-    walk = zip(pk.gamma2.blocks, d2)
-    block, j = next(walk)
-    h = block[j][2]
-    for (block, j), k in zip(walk, pk.gamma2_k):
-        h = f.mul(k, h) ^ block[j][2]
+    entries = map(getitem, pk.gamma2.blocks, d2)
+    _, _, h = next(entries)
+    for (_, _, c2), k in zip(entries, pk.gamma2_k):
+        h = f.mul(k, h) ^ c2
     a, b, c, k, p = pk.gamma2_base
     return a, b, c ^ h, k, p
 
@@ -417,16 +418,14 @@ def _f1_walk(pk: PublicKey, d1, sk: PrivateKey | None = None) -> tuple[int, int]
     get = memo.get
     beta_memo = sk.frob if sk else {}
     beta_get = beta_memo.get
-    betas = sk.beta1.blocks if sk else repeat(None)
+    betas = map(getitem, sk.beta1.blocks, d1) if sk else repeat(None)
     b = c = 0
-    for block, j, beta in zip(pk.alpha1.blocks, d1, betas):
-        a2, b2, _ = block[j]
+    for (a2, b2, _), x in zip(map(getitem, pk.alpha1.blocks, d1), betas):
         if (p := get(a2)) is None:
             p = memo[a2] = f.pow_2q0(a2)
         c ^= f.mul(p, b) ^ b2
         b ^= a2
-        if beta:
-            x = beta[j]
+        if x is not None:
             if (p := beta_get(x)) is None:
                 p = beta_memo[x] = f.pow_2q0(x)
             c ^= f.mul(p, b)
@@ -443,8 +442,8 @@ def _y4(pk: PublicKey, d2) -> GroupElement:
     """The product of the f2 images (1, 0, b) of the alpha2 entries R2
     selects: central factors, so the b-coordinates add."""
     c = 0
-    for block, j in zip(pk.alpha2.blocks, d2):
-        c ^= block[j][1]
+    for _, b, _ in map(getitem, pk.alpha2.blocks, d2):
+        c ^= b
     return GroupElement(1, 0, c)
 
 

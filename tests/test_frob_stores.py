@@ -14,6 +14,7 @@ import random
 import sys
 import threading
 from collections import Counter
+from itertools import chain, count, product
 
 import pytest
 
@@ -129,6 +130,10 @@ WARM_FROB = {5: (1, 3), 17: (1, 3), 65: (2, 10)}
 # Field multiplies per encrypt and decrypt, the same on every op, cold or warm
 MULS = {5: (29, 35), 17: (119, 107), 65: (480, 402)}
 
+# Field multiplies and Frobenius maps to build a public key from its covers
+# (the gamma walk terms), which a parse of the key's bytes pays
+BUILD_PUBLIC_KEY = {5: (5, 2), 17: (35, 8), 65: (218, 95)}
+
 # Frobenius maps per encrypt and decrypt on fresh key pairs at n=17: each
 # image a walk reads, once.  y1's mask starts at alpha1's first entry, so
 # that entry's b^(2q0) is never read and not computed.
@@ -168,8 +173,27 @@ def test_ops_make_the_same_multiplies_cold_and_warm(n):
             assert out == m
             if warm:
                 assert (frob, frob_d) == WARM_FROB[n]
+    if n == 5:
+        # a zero beta1 entry is legal, and U's walk steps by it as by any
+        # other: every nonce under a key that has one
+        keys = (keygen(f, rng=random.Random(s)) for s in count())
+        zero_pk, zero_sk = next(k for k in keys if 0 in chain(*k[1].beta1.blocks))
+        zero_pk = dataclasses.replace(zero_pk, group=CountingGroup(f))
+        m = SuzukiGroup(f).random_element(rng)
+        for nonce in product(range(f.q), repeat=2):
+            ct, _ = counted("encrypt", encrypt, zero_pk, m, nonce)
+            assert counted("decrypt", decrypt, zero_pk, zero_sk, ct)[0] == m
     muls = MULS[n]
     assert (set(seen["encrypt"]), set(seen["decrypt"])) == ({muls[0]}, {muls[1]})
+
+
+@pytest.mark.parametrize("n", [5, 17, 65])
+def test_public_key_build_cost(n):
+    f = CountingField(n)
+    pk, _ = keygen(f, rng=random.Random(n))
+    f.calls.clear()
+    dataclasses.replace(pk)
+    assert (f.calls["mul"], f.calls["frob"]) == BUILD_PUBLIC_KEY[n]
 
 
 def test_threads_share_cold_keys():
