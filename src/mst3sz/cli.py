@@ -277,11 +277,13 @@ def _selftest_checks():
                 prod = G.mul(u1, u2)
                 assert G.f2(prod) == G.mul(G.f2(u1), G.f2(u2))
                 assert prod.b == u1.b ^ u2.b
-        # the subgroup law against the G.mul fold, from general starts
+        # the u-factor law against the G.mul fold, from general starts: the
+        # alpha entry (u1.b, u1.c, 0) has f1 image u1, and beta is u2.b
         for g in G.elements():
             for u1, u2 in zip(us[::9], us[::-7]):
-                fold = G.mul(G.mul(g, u1), u2)
-                assert G.mul_subgroup(g, ((u1.b, u1.c), (u2.b, u2.c))) == fold
+                fold = G.mul(G.mul(g, u1), GroupElement(1, u2.b, 0))
+                pairs = (((u1.b, u1.c, 0), u2.b),)
+                assert (g.a, *scheme._u_walk(p, g.b, g.c, pairs, {}, {})) == fold
 
     def tame_round_trip():
         t = SignatureType((2, 2, 2))

@@ -19,13 +19,10 @@ terms once.  The group has order q^2*(q-1) and identity ``IDENTITY`` =
 (1, 0, 0), the same element in every field.  The elements (1, 0, c) form
 the designated q-element center (``in_center``) and (1, b, c) the
 q^2-element subgroup whose products add b-coordinates -- both facts carry
-the cryptosystem.  Right factors from the subgroup take a cheaper law,
-from any left element g: ``mul_subgroup`` multiplies g by (1, b, c)
-factors given as (b, c) pairs (1 multiply and 1 Frobenius per factor);
-central factors (1, 0, c) only add to c.
-``logsig.induced_map`` walks a cover as a fold of ``mul``, and a whole
-table of walks (``logsig.induced_table``) steps by each entry's terms.
-The scheme walks its covers by the law on coordinates; ``scheme`` says how.
+the cryptosystem.  ``logsig.induced_map`` walks a cover as a fold of
+``mul``, and a whole table of walks (``logsig.induced_table``) steps by
+each entry's terms.  The scheme walks its covers by the law on
+coordinates; ``scheme`` says how.
 
 A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
 so building one costs about what building a tuple does.  Every constructor
@@ -162,19 +159,6 @@ class SuzukiGroup:
     def f2(self, g: GroupElement) -> GroupElement:
         """(a, b, c) -> (1, 0, b); defined on all triples, not just a = 1."""
         return GroupElement(1, 0, g.b)
-
-    def mul_subgroup(self, g: GroupElement, pairs) -> GroupElement:
-        """g * (1, b1, c1) * (1, b2, c2) * ..., the factors given as (b, c).
-
-        A right factor (1, b2, c2) keeps a and adds b2 to b:
-        (a, b, c) * (1, b2, c2) = (a, b + b2, c + b2^(2q0)*b + c2).
-        """
-        f = self.params
-        a, b, c = g
-        for b2, c2 in pairs:
-            c ^= f.mul(f.pow_2q0(b2), b) ^ c2
-            b ^= b2
-        return GroupElement(a, b, c)
 
     def stats(self) -> GroupStats:
         q = self.params.q

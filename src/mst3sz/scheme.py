@@ -10,11 +10,12 @@ Key generation builds, for k = 1, 2:
     gamma_k[i][j] = t_(i-1)(k)^-1 * f_k(alpha_k[i][j]) * beta_k[i][j] * t_i(k).
 
 Each factor f_k(alpha) * beta lies in a subgroup and is applied as a right
-factor, once, by its own law.  For k = 1, keygen multiplies t_(i-1)^-1 by
-(1, a, b) * (1, beta, 0) (``SuzukiGroup.mul_subgroup``) and the group law
-adds t_i, whose step terms (``SuzukiGroup.terms``) are taken once per
+factor, once, by its own law.  For k = 1 it is the u factor
+(1, a, b) * (1, beta, 0), and one law, ``_u_walk``, applies u factors to
+any left element: keygen applies an entry's u to t_(i-1)^-1 and the group
+law adds t_i, whose step terms (``SuzukiGroup.terms``) are taken once per
 block, so each entry pays 4 field multiplies for it and no Frobenius map;
-decryption builds U by the same subgroup law (``_f1_walk``).  For k = 2
+decryption's U is the product of the u factors R1 selects.  For k = 2
 the factor is (1, 0, v), v = b + beta, and (1, 0, v) * t =
 t * (1, 0, t.a^(2q0+1) * v), so an entry is E_i = t_(i-1)^-1 * t_i with
 t_i.a^(2q0+1) * v added to c: one step per block, by t_i's terms, which
@@ -47,20 +48,21 @@ selected entry:
     walk                        multiplies   images it reads
     y1's mask (_walk)               5        a^(2q0), b^(2q0)
     gamma1 (_fixed_a_walk)          3        b^(2q0)
-    y3 (_f1_walk)                   1        a^(2q0) of the alpha1 entry
-    U in decryption (_f1_walk)      2        the same, and beta^(2q0)
+    y3 (_y3)                        1        a^(2q0) of the alpha1 entry
+    U in decryption (_u_walk)       2        the same, and beta^(2q0)
     gamma2 (_gamma2)                1        none; the key's base terms
 
 Each image costs one Frobenius map, once per key.
 
 The first entry of a walk is its start, not a step: y1's mask walks
-alpha1's blocks and then alpha2's, so alpha2's first entry is a step.  An
-alpha step forms a^(2q0+1) from the kept a^(2q0) with one multiply, on
-every field, so an op makes the same multiplies whether its entries'
-images were kept or not.  A warm op at n = 65, whose entries were all
-selected before, makes only the Frobenius maps of its whole-element group
-multiplies and inverses: one multiply per encrypt; three multiplies and
-two inverses per decrypt.
+alpha1's blocks and then alpha2's, so alpha2's first entry is a step; U
+starts at (0, 0), so its first u factor is a step.  An alpha step forms
+a^(2q0+1) from the kept a^(2q0) with one multiply, on every field, so an
+op makes the same multiplies whether its entries' images were kept or
+not.  A warm op at n = 65, whose entries were all selected before, makes
+only the Frobenius maps of its whole-element group multiplies and
+inverses: one multiply per encrypt; three multiplies and two inverses per
+decrypt.
 
 Encryption of m under nonce (R1, R2) emits
 
@@ -73,8 +75,8 @@ where U multiplies the R1-selected u factors and V the R2-selected v
 factors.  Note y3 is a product of f1 IMAGES: f1 is not a homomorphism, so
 this differs from f1 of the product, and only the image-product form makes
 the cancellation below work.  The images lie in subgroups: ``_y3`` and
-``_y4`` form the products there from the identity, by the subgroup's law
-and by XOR of the b-coordinates, and attack 3 sweeps ``_y4``.
+``_y4`` form the products there, by the subgroup's law and by XOR of the
+b-coordinates, and attack 3 sweeps ``_y4``.
 
 Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  V is
 central, so X.b = U.b and X.c = U.c + V.c.  U.b is y3.b plus
@@ -94,7 +96,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat
 from operator import getitem
 from typing import NamedTuple
 
@@ -244,12 +245,12 @@ def _masked_cover(
     """gamma1: t_(i-1)^-1 * f1(alpha) * (1, beta, 0) * t_i, entry by entry."""
     blocks = []
     for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
-        left = group.inv(chain[i])
+        a, b, c = group.inv(chain[i])
         right = group.terms(chain[i + 1])
         blocks.append(
             tuple(
-                group.step(group.mul_subgroup(left, ((a.a, a.b), (b, 0))), right)
-                for a, b in zip(ablock, bblock)
+                group.step((a, *_u_walk(group.params, b, c, (pair,), {}, {})), right)
+                for pair in zip(ablock, bblock)
             )
         )
     return Cover(alpha.type, tuple(blocks))
@@ -403,39 +404,41 @@ def _gamma2(pk: PublicKey, d2) -> tuple[int, int, int, int, int]:
     return a, b, c ^ h, k, p
 
 
-def _f1_walk(pk: PublicKey, d1, sk: PrivateKey | None = None) -> tuple[int, int]:
-    """(b, c) of the product of the f1 images (1, a, b) of the alpha1 entries
-    R1 selects; with sk, each followed by (1, beta, 0) for the beta1 entry of
-    the same digit, which gives decryption's U.
-
-    A factor (1, b2, c2) keeps a and adds b2 to b, c <- c + b2^(2q0)*b + c2
-    (``SuzukiGroup.mul_subgroup``): one multiply, with b2^(2q0) read from
-    the public key's memo for an alpha1 entry's a and from the private
-    key's for a beta1 entry.
-    """
-    f = pk.group.params
-    memo = pk.frob
+def _u_walk(f: FieldParams, b: int, c: int, pairs, memo, beta_memo) -> tuple[int, int]:
+    """(b, c) of (a, b, c) times the u factor f1(alpha) * (1, beta, 0) of
+    each (alpha entry, beta entry) pair, for any a, which the factors keep.
+    A factor (1, b2, c2) adds b2 to b and b2^(2q0)*b + c2 to c, so a u
+    factor is 2 multiplies, with alpha.a^(2q0) read from ``memo`` and
+    beta^(2q0) from ``beta_memo`` as in ``_walk``."""
     get = memo.get
-    beta_memo = sk.frob if sk else {}
     beta_get = beta_memo.get
-    betas = map(getitem, sk.beta1.blocks, d1) if sk else repeat(None)
-    b = c = 0
-    for (a2, b2, _), x in zip(map(getitem, pk.alpha1.blocks, d1), betas):
+    for (a2, b2, _), x in pairs:
         if (p := get(a2)) is None:
             p = memo[a2] = f.pow_2q0(a2)
         c ^= f.mul(p, b) ^ b2
         b ^= a2
-        if x is not None:
-            if (p := beta_get(x)) is None:
-                p = beta_memo[x] = f.pow_2q0(x)
-            c ^= f.mul(p, b)
-            b ^= x
+        if (p := beta_get(x)) is None:
+            p = beta_memo[x] = f.pow_2q0(x)
+        c ^= f.mul(p, b)
+        b ^= x
     return b, c
 
 
 def _y3(pk: PublicKey, d1) -> GroupElement:
-    """The product of the f1 images of the alpha1 entries R1 selects."""
-    return GroupElement(1, *_f1_walk(pk, d1))
+    """The product of the f1 images (1, a, b) of the alpha1 entries R1
+    selects.  It starts at the first image; each later one adds a2 to b and
+    a2^(2q0)*b + b2 to c, one multiply, a2^(2q0) read from the key's memo."""
+    f = pk.group.params
+    memo = pk.frob
+    get = memo.get
+    entries = map(getitem, pk.alpha1.blocks, d1)
+    b, c, _ = next(entries)
+    for a2, b2, _ in entries:
+        if (p := get(a2)) is None:
+            p = memo[a2] = f.pow_2q0(a2)
+        c ^= f.mul(p, b) ^ b2
+        b ^= a2
+    return GroupElement(1, b, c)
 
 
 def _y4(pk: PublicKey, d2) -> GroupElement:
@@ -488,7 +491,9 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
     _check_ciphertext(group, ct)
     x = group.mul(group.mul(sk.chain1[0], ct.y2), group.inv(sk.chain2[-1]))
     r1 = factor_tame(sk.beta1, x.b ^ ct.y3.b)
-    _, uc = _f1_walk(pk, tau_inv(pk.type1, r1), sk)
+    d1 = tau_inv(pk.type1, r1)
+    pairs = zip(map(getitem, pk.alpha1.blocks, d1), map(getitem, sk.beta1.blocks, d1))
+    _, uc = _u_walk(group.params, 0, 0, pairs, pk.frob, sk.frob)
     r2 = factor_tame(sk.beta2, x.c ^ uc ^ ct.y4.c)
     return SessionNonce(r1, r2)
 

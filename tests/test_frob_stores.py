@@ -87,7 +87,7 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
 
 
 class CountingField(FieldParams):
-    """FieldParams that counts its multiplies and Frobenius maps."""
+    """FieldParams that counts its multiplies, Frobenius maps and inverses."""
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -100,6 +100,10 @@ class CountingField(FieldParams):
     def frob_pow(self, a: int, k: int) -> int:
         self.calls["frob"] += 1
         return FieldParams.frob_pow(self, a, k)
+
+    def inv(self, a: int) -> int:
+        self.calls["inv"] += 1
+        return FieldParams.inv(self, a)
 
 
 class CountingGroup(SuzukiGroup):
@@ -128,16 +132,20 @@ GROUP_OPS = {"encrypt": (1, 0), "decrypt": (3, 2)}
 WARM_FROB = {5: (1, 3), 17: (1, 3), 65: (2, 10)}
 
 # Field multiplies per encrypt and decrypt, the same on every op, cold or warm
-MULS = {5: (29, 35), 17: (119, 107), 65: (480, 402)}
+MULS = {5: (28, 35), 17: (118, 107), 65: (479, 402)}
 
 # Field multiplies and Frobenius maps to build a public key from its covers
 # (the gamma walk terms), which a parse of the key's bytes pays
 BUILD_PUBLIC_KEY = {5: (5, 2), 17: (35, 8), 65: (218, 95)}
 
+# Field multiplies, Frobenius maps and inverses per keygen
+KEYGEN = {5: (105, 30, 4), 17: (351, 96, 16), 65: (1590, 615, 64)}
+
 # Frobenius maps per encrypt and decrypt on fresh key pairs at n=17: each
-# image a walk reads, once.  y1's mask starts at alpha1's first entry, so
-# that entry's b^(2q0) is never read and not computed.
-COLD_FROB_17 = (39, 42)
+# image a walk reads, once.  y1's mask and y3 start at alpha1's first
+# entry, so encrypt never reads that entry's b^(2q0) or a^(2q0) and computes
+# neither; decryption's U starts at (0, 0) and reads the a^(2q0).
+COLD_FROB_17 = (38, 42)
 
 
 @pytest.mark.parametrize("n", [5, 17, 65])
@@ -194,6 +202,13 @@ def test_public_key_build_cost(n):
     f.calls.clear()
     dataclasses.replace(pk)
     assert (f.calls["mul"], f.calls["frob"]) == BUILD_PUBLIC_KEY[n]
+
+
+@pytest.mark.parametrize("n", [5, 17, 65])
+def test_keygen_cost(n):
+    f = CountingField(n)
+    keygen(f, rng=random.Random(n))
+    assert (f.calls["mul"], f.calls["frob"], f.calls["inv"]) == KEYGEN[n]
 
 
 def test_threads_share_cold_keys():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mst3sz.field import BinaryField, FieldParams, is_irreducible, make_params
 from mst3sz.group import IDENTITY, CurvePoint, GroupElement, SuzukiGroup
 from mst3sz.logsig import covering_type, gen_random_cover, induced_map
+from mst3sz.scheme import _u_walk
 
 import oracle
 from test_field import DIFFERENTIAL_FIELDS
@@ -170,10 +171,20 @@ def test_right_factor_laws_match_oracle(n, modulus):
     g = SuzukiGroup(p)
     rng = random.Random(n)
     starts = list(g.elements()) if n == 3 else [rand_el(rng, g) for _ in range(20)]
+    # one pair of memos for every walk, so later walks read kept images
+    memo, beta_memo = {}, {}
     for start in starts:
-        pairs = [(p.random_element(rng), p.random_element(rng)) for _ in range(rng.randrange(4))]
-        got = g.mul_subgroup(start, pairs)
-        assert oracle.as_tuple(got) == _fold(p, start, [(1, b, c) for b, c in pairs])
+        # (alpha entry, beta entry) pairs, about half of the betas 0
+        pairs = [
+            (
+                (p.random_element(rng), p.random_element(rng), p.random_element(rng)),
+                p.random_element(rng) if rng.random() < 0.5 else 0,
+            )
+            for _ in range(rng.randrange(4))
+        ]
+        b, c = _u_walk(p, start.b, start.c, pairs, memo, beta_memo)
+        u = [f for (a2, b2, _), x in pairs for f in ((1, a2, b2), (1, x, 0))]
+        assert (start.a, b, c) == _fold(p, start, u)
 
 
 def test_inverse_examples():

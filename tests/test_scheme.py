@@ -16,6 +16,8 @@ from mst3sz.scheme import (
     SessionNonce,
     _gamma1,
     _gamma2,
+    _u_walk,
+    _y3,
     _y4,
     decode_message,
     decrypt,
@@ -269,11 +271,16 @@ def test_encrypt_matches_oracle_large(n, modulus):
 
 def test_image_products_match_oracle():
     pk, _ = make_key(12)
+    # y3, the product of the f1 images of the alpha1 entries R1 selects; and
+    # each cover's f1 image product as u factors with beta = 0, from (0, 0)
     for cover in (pk.alpha1, pk.alpha2):
         f1_blocks = [[(1, g.a, g.b) for g in blk] for blk in cover.blocks]
         for r in range(P3.q):
-            f1 = G3.mul_subgroup(IDENTITY, [(g.a, g.b) for g in cover.select(r)])
-            assert oracle.as_tuple(f1) == oracle.cover_product(P3, f1_blocks, r)
+            want = oracle.cover_product(P3, f1_blocks, r)
+            if cover is pk.alpha1:
+                assert oracle.as_tuple(_y3(pk, tau_inv(pk.type1, r))) == want
+            pairs = [(g, 0) for g in cover.select(r)]
+            assert (1, *_u_walk(P3, 0, 0, pairs, {}, {})) == want
     # y4, the product of the f2 images of the alpha2 entries
     f2_blocks = [[(1, 0, g.b) for g in blk] for blk in pk.alpha2.blocks]
     for r in range(P3.q):
