@@ -3,7 +3,8 @@
 
 Runs attacks 1-3 against batches of random ciphertexts at n = 3 and n = 5
 and prints mean trial counts, their growth ratios, and the stated
-worst-case difficulties for comparison.
+worst-case difficulties for comparison.  Exits nonzero, naming the attack
+and n, when any attack fails to find a ciphertext's nonce.
 
 Usage: python scripts/attack_scaling.py [--cts 200] [--seed 1]
 """
@@ -11,6 +12,7 @@ Usage: python scripts/attack_scaling.py [--cts 200] [--seed 1]
 import argparse
 import random
 import statistics
+import sys
 
 from mst3sz.attacks import (
     attack1_bruteforce_ciphertext,
@@ -23,18 +25,20 @@ from mst3sz.group import SuzukiGroup
 from mst3sz.scheme import encrypt, keygen, random_nonce
 
 
-def measure(n: int, cts: int, rng) -> dict:
+def measure(n: int, cts: int, rng) -> tuple[dict, list]:
+    """Mean trials of each attack, and the attacks that missed a nonce."""
     params = make_params(n)
     group = SuzukiGroup(params)
     pk, _ = keygen(params, rng=rng)
-    trials = {1: [], 2: [], 3: []}
+    results = {1: [], 2: [], 3: []}
     for _ in range(cts):
         m = group.random_element(rng)
         ct = encrypt(pk, m, random_nonce(params, rng))
-        trials[1].append(attack1_bruteforce_ciphertext(pk, ct, oracle=lambda g: g == m).trials)
-        trials[2].append(attack2_bruteforce_nonce(pk, ct).trials)
-        trials[3].append(attack3_session_key(pk, ct).trials)
-    return {k: statistics.mean(v) for k, v in trials.items()}
+        results[1].append(attack1_bruteforce_ciphertext(pk, ct, oracle=lambda g: g == m))
+        results[2].append(attack2_bruteforce_nonce(pk, ct))
+        results[3].append(attack3_session_key(pk, ct))
+    means = {k: statistics.mean(r.trials for r in v) for k, v in results.items()}
+    return means, [k for k, v in results.items() if not all(r.success for r in v)]
 
 
 def main() -> None:
@@ -44,7 +48,8 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    means = {n: measure(n, args.cts, rng) for n in (3, 5)}
+    measured = {n: measure(n, args.cts, rng) for n in (3, 5)}
+    means = {n: m for n, (m, _) in measured.items()}
 
     print(f"{'attack':>8} {'mean@n=3':>10} {'mean@n=5':>10} {'ratio':>7} "
           f"{'bound@8':>8} {'bound@32':>9}")
@@ -57,6 +62,9 @@ def main() -> None:
             b3, b5 = 2 * b3, 2 * b5
         print(f"{k:>8} {m3:>10.1f} {m5:>10.1f} {m5 / m3:>7.2f} {b3:>8} {b5:>9}")
     print("\nexpected growth: x16 for attacks 1-2 (q^2), x4 for attack 3 (q)")
+    missed = [f"attack {k} at n={n}" for n, (_, ks) in measured.items() for k in ks]
+    if missed:
+        sys.exit("missed the encrypting nonce: " + ", ".join(missed))
 
 
 if __name__ == "__main__":

@@ -12,17 +12,20 @@ same y2, or the same y4 -- while full consistency determines the nonce
 uniquely (decryption derives it as a function of (y2, y3, y4)).
 Verification runs only on filter hits and is not counted as a trial;
 trials count enumeration steps, bounded by q^2 for attacks 1-2 and 2q for
-attack 3.  Each attack tabulates only what its enumeration reads, every
-cover through one ``induced_table`` (prefix products, each entry's step
-terms taken once per table): attack 1 the alpha1 and alpha2 walks, attack
-2 the gamma walks, whose product it compares with y2, and attack 3 the
-products of alpha1's f1 images, which it compares with y3 before it sweeps
-R2 with the scheme's own y4.  The screens read what the key fixes.  Every
-gamma2 walk has the a and b of ``gamma2_base``, whose step terms the key
-keeps, so attack 2 checks the product's a-coordinate once per attack and
-its b-coordinate once per R1, and then looks up the R2 whose walk has the
-one c-coordinate that gives y2.  With the default padding oracle, attack
-1 tries only the R2 whose alpha2 walk has the a-coordinate of
+attack 3.  Each attack tabulates, in ``tau``'s index order, only what its
+screen reads, and keeps nothing between calls: attack 1 the alpha1 and
+alpha2 walks, through ``induced_table`` (prefix products, each entry's
+step terms taken once per table); attacks 2 and 3 one coordinate of each
+walk (``_coord_table``), walking a whole element only where it matches.
+The screens read what the key fixes.  Every gamma2 walk has the a and b of
+``gamma2_base``, so attack 2 checks y2's a once per attack; y2's b then
+fixes the b of the gamma1 walk, tabulated by the fixed-a law b <- a*b + b2,
+and only an R1 with that b (about 1.5 per attack-5 ciphertext) is walked
+whole (``_gamma1``) to look up the R2 whose ``_gamma2`` sum h gives y2's c.
+Attack 3 runs ``_y3`` only where y3's b, the sum of the selected alpha1
+a-coordinates, matches (about 2.0 walks per ciphertext), then sweeps R2
+with the scheme's own y4.  With the default padding oracle, attack 1
+tries only the R2 whose alpha2 walk has the a-coordinate of
 alpha1'(R1)^-1 * y1, since no valid padding at n <= 5 has a != 1, and
 inverts each alpha2 walk on its first try; a caller's oracle sees every
 candidate.  Skipped pairs still count as trials, so attacks 1-2 count
@@ -40,9 +43,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .group import IDENTITY, GroupElement
-from .logsig import Cover, induced_table, tau_inv
+from .logsig import induced_table, tau_inv
 from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message, encrypt
-from .scheme import _check_ciphertext, _y4
+from .scheme import _check_ciphertext, _gamma1, _y3, _y4
 
 _MAX_N = 5
 
@@ -111,27 +114,39 @@ def attack1_bruteforce_ciphertext(
     return AttackResult(None, q * q, False, None)
 
 
+def _coord_table(f, blocks, coord: int, ks=()) -> list[int]:
+    """For every index in ``tau``'s order, the Horner sum x <- k_i*x + e[coord]
+    over the entries e it selects, k_i = ks[i-1] multiplied once into each
+    sum of the blocks before block i (a plain sum without ks)."""
+    table = [e[coord] for e in blocks[0]]
+    for i, block in enumerate(blocks[1:]):
+        xs = [f.mul(ks[i], x) for x in table] if ks else table
+        table = [x ^ e[coord] for e in block for x in xs]
+    return table
+
+
 def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     """Enumerate nonces until the masked-cover product matches y2."""
     _check_input(pk, ct)
-    group = pk.group
-    f = group.params
+    f = pk.group.params
     q = f.q
-    # every gamma2 walk is gamma2_base * (1, 0, c) and steps by the base's
-    # terms with only c changed, so the product h * g has a = gamma1_a * ga
-    # for every pair, its b-coordinate depends on R1 alone, and for a given
-    # R1 only the c of g is free
-    ga, gb, _, k, p = pk.gamma2_base
+    # a gamma1 walk is (gamma1_a, b, c) and a gamma2 walk has the terms of
+    # gamma2_base with h added to c (``_gamma2``), so their product is
+    # (gamma1_a*ga, t + gb, k*c + t*p + gc + h), t = ga*b
+    ga, gb, gc, k, p = pk.gamma2_base
     y2a, y2b, y2c = ct.y2
-    by_c = {}
-    for r2, g in enumerate(induced_table(group, pk.gamma2)):
-        by_c.setdefault(g.c, []).append(r2)
-    g1 = induced_table(group, pk.gamma1) if f.mul(pk.gamma1_a, ga) == y2a else ()
-    for r1, h in enumerate(g1):
-        t = f.mul(ga, h.b)
-        if t ^ gb != y2b:
-            continue
-        for r2 in by_c.get(y2c ^ f.mul(k, h.c) ^ f.mul(t, p), ()):
+    if f.mul(pk.gamma1_a, ga) != y2a:
+        return AttackResult(None, q * q, False, None)
+    t = y2b ^ gb
+    by_h = {}
+    for r2, h in enumerate(_coord_table(f, pk.gamma2.blocks, 2, pk.gamma2_k)):
+        by_h.setdefault(h, []).append(r2)
+    g1 = pk.gamma1.blocks
+    bs = _coord_table(f, g1, 1, [block[0].a for block in g1[1:]])
+    want, rest = f.mul(f.inv(ga), t), y2c ^ f.mul(t, p) ^ gc
+    for r1 in (r for r, b in enumerate(bs) if b == want):
+        c = _gamma1(pk, tau_inv(pk.type1, r1)).c
+        for r2 in by_h.get(rest ^ f.mul(k, c), ()):
             if _reproduces(pk, ct, nonce := SessionNonce(r1, r2)):
                 return AttackResult(nonce, r1 * q + r2 + 1, True, nonce)
     return AttackResult(None, q * q, False, None)
@@ -140,10 +155,12 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
 def attack3_session_key(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     """Recover R1 from y3 and R2 from y4, one coordinate at a time."""
     _check_input(pk, ct)
-    group = pk.group
-    q = group.params.q
-    images = Cover(pk.type1, tuple(tuple(map(group.f1, b)) for b in pk.alpha1.blocks))
-    cand1 = [r1 for r1, y3 in enumerate(induced_table(group, images)) if y3 == ct.y3]
+    q = pk.group.params.q
+    y3 = ct.y3
+    bs = _coord_table(pk.group.params, pk.alpha1.blocks, 0)  # y3.b of every R1
+    cand1 = [
+        r for r, b in enumerate(bs) if b == y3.b and _y3(pk, tau_inv(pk.type1, r)) == y3
+    ]
     trials = q  # the R1 sweep
     for r2 in range(q):
         trials += 1

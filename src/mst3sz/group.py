@@ -20,8 +20,8 @@ terms once.  The group has order q^2*(q-1) and identity ``IDENTITY`` =
 the designated q-element center (``in_center``) and (1, b, c) the
 q^2-element subgroup whose products add b-coordinates -- both facts carry
 the cryptosystem.  ``logsig.induced_map`` walks a cover as a fold of
-``mul``, and a whole table of walks (``logsig.induced_table``) steps by
-each entry's terms.  The scheme walks its covers by the law on
+``mul``, and attack 1's table of every walk (``logsig.induced_table``)
+steps by each entry's terms.  The scheme walks its covers by the law on
 coordinates; ``scheme`` says how.
 
 A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,

@@ -7,10 +7,10 @@ shared by covers and tame signatures).  A ``Cover`` holds s blocks of group
 elements and maps x to the left-to-right product of the selected entries
 (``induced_map``, the reference walk that tests and the benchmark time: a
 fold of ``SuzukiGroup.mul`` over ``Cover.select``).  ``induced_table``
-lists that map for every x at once by prefix products: each block steps
-the whole table so far by its entries, whose step terms it takes once.  A
-cover keeps no state derived from a field, so one cover can be walked in
-any field of its width.
+lists that map for every x at once by prefix products, for attack 1: each
+block steps the whole table so far by its entries, whose step terms it
+takes once.  A cover keeps no state derived from a field, so one cover
+can be walked in any field of its width.
 
 A ``TameSignature`` lives over the additive group of GF(q).  Its type
 covers GF(2^n) when the block sizes multiply to 2^n.  The canonical entry

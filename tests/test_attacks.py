@@ -15,7 +15,7 @@ from mst3sz.attacks import (
     complexity_report,
     default_validity_predicate,
 )
-from mst3sz.field import make_params
+from mst3sz.field import FieldParams, make_params
 from mst3sz.group import GroupElement, SuzukiGroup
 from mst3sz.logsig import induced_map, tau_inv
 from mst3sz.scheme import (
@@ -163,16 +163,19 @@ def _ref_attack3(pk, ct):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_attacks_match_per_trial_reference(n):
-    # 3 keys x 10 ciphertexts per width: padded messages (the default
+    # 3 keys x 11 ciphertexts per width: padded messages (the default
     # oracle's screen), random messages under a matching oracle, and the
-    # tampers, among them a y2 that no nonce gives
+    # tampers, among them a y2 that no nonce gives and a y3 that passes
+    # attack 3's b-screen but not the whole comparison
     params = make_params(n)
     rng = random.Random(30 + n)
     q = params.q
     tampered_y2 = 0
     for _ in range(3):
         pk, _ = keygen(params, rng=rng)
-        for kind in ("valid", "valid", "valid", "valid", "swap", "y2", "y2", "y3", "y4", "pad"):
+        for kind in (
+            "valid", "valid", "valid", "valid", "swap", "y2", "y2", "y3", "y3c", "y4", "pad"
+        ):
             if kind == "pad":
                 m = encode_message(params, b"")
             else:
@@ -363,6 +366,8 @@ def _tampered(pk, ct, rng, kind):
         return replace(ct, y2=group.random_element(rng))
     if kind == "y3":
         return replace(ct, y3=GroupElement(1, ct.y3.b ^ 1 << rng.randrange(n), ct.y3.c))
+    if kind == "y3c":  # y3's b, which attack 3 screens on, is kept
+        return replace(ct, y3=GroupElement(1, ct.y3.b, ct.y3.c ^ 1 << rng.randrange(n)))
     if kind == "y4":
         return replace(ct, y4=GroupElement(1, 0, ct.y4.c ^ 1 << rng.randrange(n)))
     return ct
@@ -438,7 +443,8 @@ def _attack_scaling():
 
 
 def test_attack_scaling_measure_within_complexity_report():
-    means = _attack_scaling().measure(3, 4, random.Random(1))
+    means, missed = _attack_scaling().measure(3, 4, random.Random(1))
+    assert missed == []  # every attack found every nonce
     report = complexity_report(P3)
     bounds = {1: report["attack1"], 2: report["attack2"], 3: 2 * report["attack3"]}
     assert set(means) == set(bounds)
@@ -456,3 +462,42 @@ def test_attack_scaling_script_smoke(monkeypatch, capsys):
     for _, m3, m5, _, b3, b5 in rows:
         assert 1 <= float(m3) <= int(b3)
         assert 1 <= float(m5) <= int(b5)
+
+
+def test_attack_scaling_exits_naming_a_missed_attack(monkeypatch, capsys):
+    script = _attack_scaling()
+    missed = AttackResult(None, 1, False, None)
+    monkeypatch.setattr(script, "attack2_bruteforce_nonce", lambda pk, ct: missed)
+    monkeypatch.setattr(sys, "argv", ["attack_scaling.py", "--cts", "2"])
+    with pytest.raises(SystemExit, match="attack 2 at n=3, attack 2 at n=5$"):
+        script.main()
+    assert capsys.readouterr().out.splitlines()[0].split()[0] == "attack"
+
+
+class _CountingField(FieldParams):
+    """FieldParams that counts its multiplies."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.muls = 0
+
+    def mul(self, a: int, b: int) -> int:
+        self.muls += 1
+        return FieldParams.mul(self, a, b)
+
+
+# Field multiplies of attacks 2 and 3 over 8 padded n=5 ciphertexts: the
+# coordinate tables, the screens and the whole walks on screen hits, and
+# the encryptions that verify candidates
+ATTACK_MULS = {2: 432, 3: 323}
+
+
+def test_attack_cost():
+    f = _CountingField(5)
+    pk, _ = keygen(f, rng=random.Random(14))
+    rng = random.Random(15)
+    cts = [encrypt(pk, encode_message(f, b""), random_nonce(f, rng)) for _ in range(8)]
+    for k, attack in ((2, attack2_bruteforce_nonce), (3, attack3_session_key)):
+        f.muls = 0
+        assert all(attack(pk, ct).success for ct in cts)
+        assert f.muls == ATTACK_MULS[k], k
