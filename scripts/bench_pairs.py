@@ -7,7 +7,9 @@ For every workload that BENCHMARK.json lists, runs its command untraced
 side that runs first alternates from pair to pair.  It keeps each run's
 last-line JSON and, per end-to-end metric, both sides' medians and
 quartiles and the number of pairs the change won (ties count for neither
-side).  It also keeps the full seed-1 report of each side, untraced and
+side).  Next to each checkout's commit it records a SHA-256 over its
+``src/``, which ties a record to its code where the commit is unknown.
+It also keeps the full seed-1 report of each side, untraced and
 traced, as the benchmark writes it under ``.perfbench_out/``, and sets
 each per-layer count metric of the two traced reports side by side under
 ``pairs[workload]["counts"]``.  The summary of ``peak_rss_mb`` also
@@ -30,6 +32,7 @@ from this repository's BENCHMARK.json.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -69,6 +72,24 @@ def commit(checkout: Path) -> str:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
     return proc.stdout.strip() or "unknown"
+
+
+def src_hash(checkout: Path) -> str:
+    """SHA-256 over the checkout's ``src/``: for each file, in sorted order of
+    its path relative to ``src/``, that path and the file's bytes.  Bytecode
+    caches (``__pycache__``) are left out, so running the code keeps it."""
+    src = checkout / "src"
+    files = sorted(
+        (p.relative_to(src).as_posix(), p)
+        for p in src.rglob("*")
+        if p.is_file() and "__pycache__" not in p.parts
+    )
+    h = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def quartiles(xs: list[float]) -> tuple[float, float]:
@@ -157,6 +178,7 @@ def main(argv=None) -> int:
             "command": command, "seconds": seconds, "seeds": seeds,
             "report_seed": REPORT_SEED,
             "commits": {side: commit(path) for side, path in sides.items()},
+            "src_sha256": {side: src_hash(path) for side, path in sides.items()},
         },
         "runs": [],
         "pairs": {},

@@ -4,12 +4,14 @@ Attacks 1-3 are executable enumerations with operation counters, capped to
 small fields (n <= 5).  Attacks 4-5 have stated difficulties but no usable
 procedure, so they appear only in ``complexity_report``.
 
-A candidate nonce is accepted only when ``scheme.encrypt`` under it
-reproduces the ciphertext's y2, y3 and y4 (attack 1's candidate message
-then reproduces y1 by construction).  Single-component matches are not
-injective at these field sizes -- most keys admit several nonces with the
-same y2, or the same y4 -- while full consistency determines the nonce
-uniquely (decryption derives it as a function of (y2, y3, y4)).
+A candidate nonce is accepted only when encryption under it reproduces
+the ciphertext's y2, y3 and y4 (attack 1's candidate message then
+reproduces y1 by construction).  ``scheme._reproduces`` checks that by
+the components the nonce fixes, y4, then y3, then y2, without walking
+y1's mask.  Single-component matches are not injective at these field
+sizes -- most keys admit several nonces with the same y2, or the same
+y4 -- while full consistency determines the nonce uniquely (decryption
+derives it as a function of (y2, y3, y4)).
 Verification runs only on filter hits and is not counted as a trial;
 trials count enumeration steps, bounded by q^2 for attacks 1-2 and 2q for
 attack 3.  Each attack tabulates, in ``tau``'s index order, only what its
@@ -24,7 +26,8 @@ and only an R1 with that b (about 1.5 per attack-5 ciphertext) is walked
 whole (``_gamma1``) to look up the R2 whose ``_gamma2`` sum h gives y2's c.
 Attack 3 runs ``_y3`` only where y3's b, the sum of the selected alpha1
 a-coordinates, matches (about 2.0 walks per ciphertext), then sweeps R2
-with the scheme's own y4.  With the default padding oracle, attack 1
+through a ``_coord_table`` of y4's c, the sum of the selected alpha2
+b-coordinates.  With the default padding oracle, attack 1
 tries only the R2 whose alpha2 walk has the a-coordinate of
 alpha1'(R1)^-1 * y1, since no valid padding at n <= 5 has a != 1, and
 inverts each alpha2 walk on its first try; a caller's oracle sees every
@@ -42,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .group import IDENTITY, GroupElement
+from .group import GroupElement
 from .logsig import induced_table, tau_inv
-from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message, encrypt
-from .scheme import _check_ciphertext, _gamma1, _y3, _y4
+from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message
+from .scheme import _check_ciphertext, _gamma1, _reproduces, _y3
 
 _MAX_N = 5
 
@@ -62,12 +65,6 @@ def _check_input(pk: PublicKey, ct: Ciphertext) -> None:
     if pk.group.params.n > _MAX_N:
         raise ValueError("parameters too large for enumeration (need n <= 5)")
     _check_ciphertext(pk.group, ct)
-
-
-def _reproduces(pk: PublicKey, ct: Ciphertext, nonce: SessionNonce) -> bool:
-    """Whether encrypting under nonce gives the y2, y3 and y4 of ct."""
-    e = encrypt(pk, IDENTITY, nonce)
-    return (e.y2, e.y3, e.y4) == (ct.y2, ct.y3, ct.y4)
 
 
 def default_validity_predicate(pk: PublicKey) -> Callable[[GroupElement], bool]:
@@ -155,16 +152,17 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
 def attack3_session_key(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     """Recover R1 from y3 and R2 from y4, one coordinate at a time."""
     _check_input(pk, ct)
-    q = pk.group.params.q
+    f = pk.group.params
     y3 = ct.y3
-    bs = _coord_table(pk.group.params, pk.alpha1.blocks, 0)  # y3.b of every R1
+    bs = _coord_table(f, pk.alpha1.blocks, 0)  # y3.b of every R1
     cand1 = [
         r for r, b in enumerate(bs) if b == y3.b and _y3(pk, tau_inv(pk.type1, r)) == y3
     ]
-    trials = q  # the R1 sweep
-    for r2 in range(q):
+    trials = f.q  # the R1 sweep
+    # y4 is central: its c, the sum of the selected alpha2 b's, is all of it
+    for r2, c in enumerate(_coord_table(f, pk.alpha2.blocks, 1)):
         trials += 1
-        if _y4(pk, tau_inv(pk.type2, r2)) == ct.y4:
+        if c == ct.y4.c:
             for r1 in cand1:
                 nonce = SessionNonce(r1, r2)
                 if _reproduces(pk, ct, nonce):

@@ -76,7 +76,9 @@ factors.  Note y3 is a product of f1 IMAGES: f1 is not a homomorphism, so
 this differs from f1 of the product, and only the image-product form makes
 the cancellation below work.  The images lie in subgroups: ``_y3`` and
 ``_y4`` form the products there, by the subgroup's law and by XOR of the
-b-coordinates, and attack 3 sweeps ``_y4``.
+b-coordinates.  ``_reproduces``, the attacks' nonce check, compares y4,
+y3 and y2 by these walks without walking y1's mask; attack 3 reads y4's
+c from a table of the same XOR sums.
 
 Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  V is
 central, so X.b = U.b and X.c = U.c + V.c.  U.b is y3.b plus
@@ -474,6 +476,19 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     return Ciphertext(y1, y2, _y3(pk, d1), _y4(pk, d2))
 
 
+def _reproduces(pk: PublicKey, ct: Ciphertext, nonce: SessionNonce) -> bool:
+    """Whether encrypting any message under nonce gives the y2, y3 and y4 of
+    ct.  It compares only what the nonce fixes, cheapest first: y4 (XOR
+    only), y3 (1 multiply a step), then y2 by the gamma walks; y1's mask is
+    not walked.  A nonce out of range raises ``ValueError``, as in encrypt."""
+    d1, d2 = tau_inv(pk.type1, nonce.r1), tau_inv(pk.type2, nonce.r2)
+    return (
+        _y4(pk, d2) == ct.y4
+        and _y3(pk, d1) == ct.y3
+        and pk.group.step(_gamma1(pk, d1), _gamma2(pk, d2)) == ct.y2
+    )
+
+
 def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce:
     """The nonce the trapdoors derive from (y2, y3, y4).
 
@@ -499,6 +514,14 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
 
 
 def decrypt(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> GroupElement:
+    """The masked message of ct, unmasked under the nonce the keys recover.
+
+    A ciphertext carries n only in its bytes (``codec.parse_ciphertext``
+    returns it beside the ``Ciphertext``).  One parsed for another n raises
+    ``CiphertextError`` where a coordinate falls outside GF(q) and, when
+    every coordinate fits, decrypts under a wrong nonce; the CLI checks the
+    parsed n against the key's first.
+    """
     group = pk.group
     r1, r2 = recover_nonce(pk, sk, ct)
     mask = _y1_mask(pk, tau_inv(pk.type1, r1), tau_inv(pk.type2, r2))

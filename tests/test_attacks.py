@@ -23,6 +23,7 @@ from mst3sz.scheme import (
     SessionNonce,
     _gamma1,
     _gamma2,
+    _reproduces,
     _y3,
     _y4,
     encode_message,
@@ -159,6 +160,31 @@ def _ref_attack3(pk, ct):
                 if _ref_reproduces(pk, ct, SessionNonce(r1, r2)):
                     return AttackResult(SessionNonce(r1, r2), trials, True, SessionNonce(r1, r2))
     return AttackResult(None, trials, False, None)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_reproduces_matches_full_encryption(n):
+    # the nonce check agrees with re-encryption on every nonce pair, for
+    # encryptions and for ciphertexts with one of y4, y3, y2 changed: at the
+    # encrypting nonce those pass every earlier component and fail at it
+    params = make_params(n)
+    q = params.q
+    rng = random.Random(40 + n)
+    nonces = [SessionNonce(r1, r2) for r1 in range(q) for r2 in range(q)]
+    for _ in range(2):
+        pk, _ = keygen(params, rng=rng)
+        for kind in (None, None, "y4", "y3", "y2"):
+            nonce = random_nonce(params, rng)
+            ct = encrypt(pk, pk.group.random_element(rng), nonce)
+            if kind:
+                a, b, c = getattr(ct, kind)
+                ct = replace(ct, **{kind: GroupElement(a, b, c ^ 1)})
+            got = [_reproduces(pk, ct, x) for x in nonces]
+            assert got == [_ref_reproduces(pk, ct, x) for x in nonces], kind
+            assert got[nonces.index(nonce)] == (kind is None)
+    for bad in (SessionNonce(q, 0), SessionNonce(0, q), SessionNonce(-1, 0)):
+        with pytest.raises(ValueError):
+            _reproduces(pk, ct, bad)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -486,10 +512,10 @@ class _CountingField(FieldParams):
         return FieldParams.mul(self, a, b)
 
 
-# Field multiplies of attacks 2 and 3 over 8 padded n=5 ciphertexts: the
-# coordinate tables, the screens and the whole walks on screen hits, and
-# the encryptions that verify candidates
-ATTACK_MULS = {2: 432, 3: 323}
+# Field multiplies of attacks 1-3 over 8 padded n=5 ciphertexts: the
+# tables, the screens and the whole walks on screen hits, and the nonce
+# checks that verify candidates
+ATTACK_MULS = {1: 3818, 2: 196, 3: 114}
 
 
 def test_attack_cost():
@@ -497,7 +523,11 @@ def test_attack_cost():
     pk, _ = keygen(f, rng=random.Random(14))
     rng = random.Random(15)
     cts = [encrypt(pk, encode_message(f, b""), random_nonce(f, rng)) for _ in range(8)]
-    for k, attack in ((2, attack2_bruteforce_nonce), (3, attack3_session_key)):
+    for k, attack in (
+        (1, attack1_bruteforce_ciphertext),
+        (2, attack2_bruteforce_nonce),
+        (3, attack3_session_key),
+    ):
         f.muls = 0
         assert all(attack(pk, ct).success for ct in cts)
         assert f.muls == ATTACK_MULS[k], k

@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,20 @@ def test_rss_fit_leaves_out_a_side_without_two_op_counts():
         {"side": "change", "attempted": 700, "peak_rss_mb": 21.0},
     ]
     assert bench_pairs.rss_fit(runs) == {}
+
+
+def test_src_hash_follows_the_bytes_of_src(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    copy = tmp_path / "copy"
+    shutil.copytree(root / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    want = bench_pairs.src_hash(root)
+    assert bench_pairs.src_hash(copy) == want
+    cache = copy / "src" / "mst3sz" / "__pycache__"
+    cache.mkdir()
+    (cache / "scheme.cpython-311.pyc").write_bytes(b"left by a run")
+    assert bench_pairs.src_hash(copy) == want  # bytecode caches are left out
+    path = copy / "src" / "mst3sz" / "scheme.py"
+    data = bytearray(path.read_bytes())
+    data[0] ^= 1
+    path.write_bytes(bytes(data))
+    assert bench_pairs.src_hash(copy) != want
