@@ -76,8 +76,9 @@ def commit(checkout: Path) -> str:
 
 def src_hash(checkout: Path) -> str:
     """SHA-256 over the checkout's ``src/``: for each file, in sorted order of
-    its path relative to ``src/``, that path and the file's bytes.  Bytecode
-    caches (``__pycache__``) are left out, so running the code keeps it."""
+    its path relative to ``src/``, that path, the file's length and its
+    bytes.  Bytecode caches (``__pycache__``) are left out, so running the
+    code keeps the hash."""
     src = checkout / "src"
     files = sorted(
         (p.relative_to(src).as_posix(), p)
