@@ -15,8 +15,12 @@ each per-layer count metric of the two traced reports side by side under
 ``pairs[workload]["counts"]``.  The summary of ``peak_rss_mb`` also
 holds, per side, a least-squares fit of that metric against the ops the
 run attempted (``fit``: slope in KB per op, intercept in MB), since a
-fixed-length run's peak RSS grows with the ops it completes.  Everything
-goes into one JSON file:
+fixed-length run's peak RSS grows with the ops it completes.  The
+benchmark scales its times by a host clock; each untraced run's row also
+keeps the measured ``raw.op_ms_p50`` from its report, summarized like the
+scaled metrics, with ``opposite_pairs``: the pairs whose raw and scaled
+``op_ms_p50`` rank parent and change oppositely.  Everything goes into one
+JSON file:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --out BENCH_change.json --pairs 10 --first-seed 101
@@ -41,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_SEED = 1
+RAW = {"name": "raw.op_ms_p50", "better": "lower"}  # the unscaled op_ms_p50
 
 
 def run(checkout: Path, command: list[str], workload: str, seed: int, seconds: float,
@@ -129,6 +134,23 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def opposite_pairs(runs: list[dict], scaled: str = "op_ms_p50",
+                   raw: str = RAW["name"]) -> list[int]:
+    """The pairs whose scaled and raw metric rank parent and change
+    oppositely, one side ahead on each; a tie on either ranks neither."""
+    by_pair: dict[int, dict[str, dict]] = {}
+    for r in runs:
+        if scaled in r and raw in r:
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r
+    out = []
+    for pair, sides in sorted(by_pair.items()):
+        if len(sides) == 2:
+            parent, change = sides["parent"], sides["change"]
+            if (change[scaled] - parent[scaled]) * (change[raw] - parent[raw]) < 0:
+                out.append(pair)
+    return out
+
+
 def rss_fit(runs: list[dict]) -> dict:
     """Per side, the least-squares line of peak_rss_mb against attempted.
 
@@ -204,12 +226,18 @@ def main(argv=None) -> int:
                        "correct": last["correct"], "attempted": last["attempted"],
                        "failed": last["failed"]}
                 row.update({k: v["value"] for k, v in last["metrics"].items()})
+                metrics = report(sides[side], workload, seed, 0)["metrics"]
+                if RAW["name"] in metrics:
+                    row[RAW["name"]] = metrics[RAW["name"]]["value"]
                 runs.append(row)
                 print(f"{workload} pair {i + 1} {side}: op_ms_p50 "
-                      f"{row.get('op_ms_p50', float('nan')):.4f}", file=sys.stderr)
-        summary = summarize(runs, bench["end_to_end"])
+                      f"{row.get('op_ms_p50', float('nan')):.4f} raw "
+                      f"{row.get(RAW['name'], float('nan')):.4f}", file=sys.stderr)
+        summary = summarize(runs, bench["end_to_end"] + [RAW])
         if "peak_rss_mb" in summary:
             summary["peak_rss_mb"]["fit"] = rss_fit(runs)
+        if RAW["name"] in summary:
+            summary[RAW["name"]]["opposite_pairs"] = opposite_pairs(runs)
         out["pairs"][workload] = {
             "runs": runs, "summary": summary,
             "counts": counts(traced, bench["per_layer"]),

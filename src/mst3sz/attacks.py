@@ -27,7 +27,8 @@ whole (``_gamma1``) to look up the R2 whose ``_gamma2`` sum h gives y2's c.
 Attack 3 runs ``_y3`` only where y3's b, the sum of the selected alpha1
 a-coordinates, matches (about 2.0 walks per ciphertext), then sweeps R2
 through a ``_coord_table`` of y4's c, the sum of the selected alpha2
-b-coordinates.  With the default padding oracle, attack 1
+b-coordinates; its candidates then match y4 and y3 whole, so it checks
+only their y2 (``_reproduces_y2``).  With the default padding oracle, attack 1
 tries only the R2 whose alpha2 walk has the a-coordinate of
 alpha1'(R1)^-1 * y1, since no valid padding at n <= 5 has a != 1, and
 inverts each alpha2 walk on its first try; a caller's oracle sees every
@@ -48,7 +49,7 @@ from typing import Callable
 from .group import GroupElement
 from .logsig import induced_table, tau_inv
 from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message
-from .scheme import _check_ciphertext, _gamma1, _reproduces, _y3
+from .scheme import _check_ciphertext, _gamma1, _reproduces, _reproduces_y2, _y3
 
 _MAX_N = 5
 
@@ -139,7 +140,7 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     for r2, h in enumerate(_coord_table(f, pk.gamma2.blocks, 2, pk.gamma2_k)):
         by_h.setdefault(h, []).append(r2)
     g1 = pk.gamma1.blocks
-    bs = _coord_table(f, g1, 1, [block[0].a for block in g1[1:]])
+    bs = _coord_table(f, g1, 1, [block[0][0] for block in g1[1:]])
     want, rest = f.mul(f.inv(ga), t), y2c ^ f.mul(t, p) ^ gc
     for r1 in (r for r, b in enumerate(bs) if b == want):
         c = _gamma1(pk, tau_inv(pk.type1, r1)).c
@@ -156,16 +157,20 @@ def attack3_session_key(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     y3 = ct.y3
     bs = _coord_table(f, pk.alpha1.blocks, 0)  # y3.b of every R1
     cand1 = [
-        r for r, b in enumerate(bs) if b == y3.b and _y3(pk, tau_inv(pk.type1, r)) == y3
+        (r, d1)
+        for r, b in enumerate(bs)
+        if b == y3.b and _y3(pk, d1 := tau_inv(pk.type1, r)) == y3
     ]
     trials = f.q  # the R1 sweep
-    # y4 is central: its c, the sum of the selected alpha2 b's, is all of it
+    # y4 is central: its c, the sum of the selected alpha2 b's, is all of it,
+    # so a candidate matches y4 and y3 already and only y2 is left to check
     for r2, c in enumerate(_coord_table(f, pk.alpha2.blocks, 1)):
         trials += 1
         if c == ct.y4.c:
-            for r1 in cand1:
-                nonce = SessionNonce(r1, r2)
-                if _reproduces(pk, ct, nonce):
+            d2 = tau_inv(pk.type2, r2)
+            for r1, d1 in cand1:
+                if _reproduces_y2(pk, ct, d1, d2):
+                    nonce = SessionNonce(r1, r2)
                     return AttackResult(nonce, trials, True, nonce)
     return AttackResult(None, trials, False, None)
 

@@ -39,9 +39,13 @@ the header's width and modulus and the per-section checks name the section
 and, where it is known, the byte offset of the bad element, e.g.
 ``alpha1: element has nonzero padding bits at byte 51``, ``ciphertext:
 group element needs a != 0 at byte 9``, ``alpha2: cover entry with zero
-coordinate at byte 406`` or ``header: n must be odd at byte 8``.  A
-section's group elements are built after one a != 0 check over all of
-them (``GroupElement.from_columns``).  A public key whose gamma cover lacks
+coordinate at byte 406`` or ``header: n must be odd at byte 8``; such an error
+also carries them as its ``section`` and ``offset``.  Each section of
+(a, b, c) triples is checked for a != 0 once, on the a-column of the
+values it unpacked.  A cover's entries are then plain triples zipped from
+its columns, and the alpha covers' zero-coordinate check runs on those
+same values; chain and ciphertext elements are built as ``GroupElement``s
+(``GroupElement.from_columns``).  A public key whose gamma cover lacks
 the block structure every generated key has (one a per gamma1 block, one
 (a, b) per gamma2 block) is rejected at parse time: ``PublicKey`` names
 the cover and the block and indexes the first coordinate that differs
@@ -75,7 +79,20 @@ STANDIN_WIDTHS_128BIT = (63, 65)
 
 
 class CodecError(ValueError):
-    """Malformed or inconsistent serialized material."""
+    """Malformed or inconsistent serialized material.  An error that names
+    a byte carries the ``section`` its text starts with (None where the
+    text names none) and that byte's ``offset``; other errors have None."""
+
+    section: str | None = None
+    offset: int | None = None
+
+
+def _error(section: str | None, what: str, offset: int) -> CodecError:
+    """The ``CodecError`` "{section}: {what} at byte {offset}", or "{what} at
+    byte {offset}" without a section, with both attributes set."""
+    e = CodecError(f"{section + ': ' if section else ''}{what} at byte {offset}")
+    e.section, e.offset = section, offset
+    return e
 
 
 def _element_bytes(n: int) -> int:
@@ -103,7 +120,7 @@ class _Reader:
         start, end = self.pos, self.pos + count * size
         if end > len(self.data):
             at = start + (len(self.data) - start) // size * size
-            raise CodecError(f"{section}: truncated input at byte {at}")
+            raise _error(section, "truncated input", at)
         self.pos = end
         return start
 
@@ -130,14 +147,12 @@ class _Reader:
             vals = struct.unpack_from(f"<{count}{_WORD_CODES[word]}", buf, off)
         if max(vals) >= f.q:
             at = start + size * next(i for i, v in enumerate(vals) if v >= f.q)
-            raise CodecError(
-                f"{section}: element has nonzero padding bits at byte {at}"
-            )
+            raise _error(section, "element has nonzero padding bits", at)
         return vals
 
     def done(self) -> None:
         if self.pos != len(self.data):
-            raise CodecError(f"trailing bytes after payload at byte {self.pos}")
+            raise _error(None, "trailing bytes after payload", self.pos)
 
 
 def _codec_errors(parse):
@@ -160,32 +175,28 @@ def _pack(f: FieldParams, values) -> bytes:
     return b"".join([v.to_bytes(size, "little") for v in values])
 
 
-def _coords(elements) -> list[int]:
-    return list(chain.from_iterable(elements))
-
-
-def _group_elements(
+def _columns(
     f: FieldParams, vals: Sequence[int], start: int, section: str
-) -> list[GroupElement]:
-    """The group elements of (a, b, c) values read from byte ``start``, a
-    zero a named by its byte offset."""
+) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+    """The a, b and c columns of (a, b, c) values read from byte ``start``,
+    after one check that no a is 0, which names the first by its byte."""
     a = vals[0::3]
-    try:
-        return GroupElement.from_columns(a, vals[1::3], vals[2::3])
-    except ValueError as e:
+    if 0 in a:
         at = start + 3 * _element_bytes(f.n) * a.index(0)
-        raise CodecError(f"{section}: {e} at byte {at}") from None
+        raise _error(section, "group element needs a != 0", at)
+    return a, vals[1::3], vals[2::3]
 
 
 def _triples(r: _Reader, f: FieldParams, count: int, section: str) -> list[GroupElement]:
     """The next ``count`` group elements."""
     start = r.pos
-    return _group_elements(f, r.elements(f, 3 * count, section), start, section)
+    vals = r.elements(f, 3 * count, section)
+    return GroupElement.from_columns(*_columns(f, vals, start, section))
 
 
 def _blocks(items, sizes) -> tuple[tuple, ...]:
     it = iter(items)
-    return tuple(tuple(islice(it, k)) for k in sizes)
+    return tuple([tuple(islice(it, k)) for k in sizes])
 
 
 def _write_type(out: bytearray, t: SignatureType) -> None:
@@ -198,22 +209,25 @@ def _read_type(r: _Reader, f: FieldParams, section: str) -> SignatureType:
     start = r.pos
     s = r.u8(section)
     if s == 0:
-        raise CodecError(f"{section}: type with zero blocks at byte {start}")
+        raise _error(section, "type with zero blocks", start)
     sizes = r.u32s(s, section)
     try:
         t = SignatureType(sizes)
     except ValueError as e:  # a block size below 2, named by its u32
         at = start + 1 + 4 * next(i for i, ri in enumerate(sizes) if ri < 2)
-        raise CodecError(f"{section}: {e} at byte {at}") from None
+        raise _error(section, str(e), at) from None
     if not t.covers_bits(f.n):
-        raise CodecError(
-            f"{section}: signature type does not cover the field at byte {start}"
-        )
+        raise _error(section, "signature type does not cover the field", start)
     return t
 
 
-def _read_cover(r: _Reader, f: FieldParams, t: SignatureType, section: str) -> Cover:
-    return Cover(t, _blocks(_triples(r, f, sum(t.r), section), t.r))
+def _read_cover(
+    r: _Reader, f: FieldParams, t: SignatureType, section: str
+) -> tuple[Cover, Sequence[int]]:
+    """The next cover, of plain (a, b, c) triples, and the values read."""
+    start = r.pos
+    vals = r.elements(f, 3 * sum(t.r), section)
+    return Cover(t, _blocks(zip(*_columns(f, vals, start, section)), t.r)), vals
 
 
 def _read_signature(
@@ -229,13 +243,11 @@ def _read_signature(
     try:
         sig = TameSignature(t, cols, offsets)
     except ValueError as e:  # a singular map: the type and widths are checked
-        raise CodecError(f"{section}: {e} at byte {start + size * entries}") from None
+        raise _error(section, str(e), start + size * entries) from None
     if sig.blocks != blocks:
         pairs = zip(chain.from_iterable(sig.blocks), vals)
         at = start + size * next(i for i, (x, y) in enumerate(pairs) if x != y)
-        raise CodecError(
-            f"{section}: signature entries inconsistent with trapdoor at byte {at}"
-        )
+        raise _error(section, "signature entries inconsistent with trapdoor", at)
     return sig
 
 
@@ -262,7 +274,7 @@ def _read_header(r: _Reader, magic: bytes) -> int:
     try:
         check_width(n)
     except ValueError as e:
-        raise CodecError(f"header: {e} at byte {at}") from None
+        raise _error("header", str(e), at) from None
     return n
 
 
@@ -278,7 +290,7 @@ def _parse_key_header(r: _Reader, expect_role: int) -> FieldParams:
         try:
             params = FieldParams(n, modulus)
         except ValueError as e:
-            raise CodecError(f"header: {e} at byte {at}") from None
+            raise _error("header", str(e), at) from None
     if r.u8("header") != expect_role:
         raise CodecError("wrong key role for this operation")
     return params
@@ -290,7 +302,7 @@ def serialize_public_key(pk: PublicKey) -> bytes:
     _write_type(out, pk.type1)
     _write_type(out, pk.type2)
     for cover in (pk.alpha1, pk.alpha2, pk.gamma1, pk.gamma2):
-        out += _pack(f, _coords(chain.from_iterable(cover.blocks)))
+        out += _pack(f, [x for block in cover.blocks for e in block for x in e])
     return bytes(out)
 
 
@@ -301,24 +313,24 @@ def parse_public_key(data: bytes) -> PublicKey:
     t1 = _read_type(r, params, "type1")
     t2 = _read_type(r, params, "type2")
     at1 = r.pos
-    alpha1 = _read_cover(r, params, t1, "alpha1")
+    alpha1, vals1 = _read_cover(r, params, t1, "alpha1")
     at2 = r.pos
-    alpha2 = _read_cover(r, params, t2, "alpha2")
+    alpha2, vals2 = _read_cover(r, params, t2, "alpha2")
     at3 = r.pos
-    gamma1 = _read_cover(r, params, t1, "gamma1")
-    gamma2 = _read_cover(r, params, t2, "gamma2")
+    gamma1, _ = _read_cover(r, params, t1, "gamma1")
+    gamma2, _ = _read_cover(r, params, t2, "gamma2")
     r.done()
     size = _element_bytes(params.n)
     # every a is already nonzero, so a zero coordinate is a b or a c
-    for name, start, cover in (("alpha1", at1, alpha1), ("alpha2", at2, alpha2)):
-        coords = _coords(chain.from_iterable(cover.blocks))
-        if 0 in coords:
-            at = start + size * coords.index(0)
-            raise CodecError(f"{name}: cover entry with zero coordinate at byte {at}")
+    for name, start, vals in (("alpha1", at1, vals1), ("alpha2", at2, vals2)):
+        if 0 in vals:
+            at = start + size * vals.index(0)
+            raise _error(name, "cover entry with zero coordinate", at)
     try:
         return PublicKey(SuzukiGroup(params), alpha1, alpha2, gamma1, gamma2)
     except GammaBlockError as e:
-        raise CodecError(f"{e} at byte {at3 + size * e.coord}") from None
+        # the text before the colon names the cover and its block
+        raise _error(*str(e).split(": ", 1), at3 + size * e.coord) from None
 
 
 def serialize_private_key(sk: PrivateKey) -> bytes:
@@ -329,7 +341,7 @@ def serialize_private_key(sk: PrivateKey) -> bytes:
     for sig in (sk.beta1, sk.beta2):
         out += _pack(f, [*chain.from_iterable(sig.blocks), *sig.lin_cols, *sig.offsets])
     for masks in (sk.chain1, sk.chain2):
-        out += _pack(f, _coords(masks))
+        out += _pack(f, chain.from_iterable(masks))
     return bytes(out)
 
 
@@ -347,12 +359,12 @@ def parse_private_key(data: bytes) -> PrivateKey:
     chain2 = tuple(_triples(r, params, t2.s + 1, "chain2"))
     r.done()
     if chain1[-1] != chain2[0]:
-        raise CodecError(f"chain2: chains do not share their joint element at byte {at2}")
+        raise _error("chain2", "chains do not share their joint element", at2)
     for name, start, masks in (("chain1", at1, chain1), ("chain2", at2, chain2)):
         for i, g in enumerate(masks):
             if g.b == 0:
                 at = start + 3 * _element_bytes(params.n) * i
-                raise CodecError(f"{name}: central masking element in chain at byte {at}")
+                raise _error(name, "central masking element in chain", at)
     return PrivateKey(SuzukiGroup(params), beta1, beta2, chain1, chain2)
 
 
@@ -379,7 +391,7 @@ def parse_ciphertext(data: bytes) -> tuple[int, Ciphertext]:
     params = make_params(n)
     v = r.elements(params, 9, "ciphertext")
     r.done()
-    y1, y2 = _group_elements(params, v[:6], 9, "ciphertext")
+    y1, y2 = GroupElement.from_columns(*_columns(params, v[:6], 9, "ciphertext"))
     return n, Ciphertext(y1, y2, GroupElement(1, v[6], v[7]), GroupElement(1, 0, v[8]))
 
 

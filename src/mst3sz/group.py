@@ -28,7 +28,12 @@ A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
 so building one costs about what building a tuple does.  Every constructor
 it offers (the class call, ``from_columns`` for many at once, ``copy`` and
 ``pickle``) rejects a = 0.  Equality and hashing are the tuple's:
-``GroupElement(1, 2, 3) == (1, 2, 3)`` is true.
+``GroupElement(1, 2, 3) == (1, 2, 3)`` is true.  Group-law results,
+chains, ciphertexts and messages are ``GroupElement``s; cover entries are
+plain (a, b, c) tuples, which the methods here take like any triple.  Their
+a != 0 is checked where they are made: by the key parser's column check
+(``codec``) and by the generators (``logsig.gen_random_cover`` and
+keygen's masked covers, products of elements with a != 0).
 """
 
 from __future__ import annotations
@@ -150,15 +155,15 @@ class SuzukiGroup:
         return lhs == rhs
 
     def in_center(self, g: GroupElement) -> bool:
-        return g.a == 1 and g.b == 0
+        return g[0] == 1 and g[1] == 0
 
     def f1(self, g: GroupElement) -> GroupElement:
-        """(a, b, c) -> (1, a, b)."""
-        return GroupElement(1, g.a, g.b)
+        """(a, b, c) -> (1, a, b), for any triple, such as a cover entry."""
+        return GroupElement(1, g[0], g[1])
 
     def f2(self, g: GroupElement) -> GroupElement:
         """(a, b, c) -> (1, 0, b); defined on all triples, not just a = 1."""
-        return GroupElement(1, 0, g.b)
+        return GroupElement(1, 0, g[1])
 
     def stats(self) -> GroupStats:
         q = self.params.q

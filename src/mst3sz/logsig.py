@@ -4,9 +4,12 @@ A signature type (r_1, ..., r_s) splits indexes 0 <= x < m = prod(r_i) into
 mixed-radix digits (j_1, ..., j_s), j_1 least significant (``tau`` /
 ``tau_inv``), and each digit selects one entry of its block (``select``,
 shared by covers and tame signatures).  A ``Cover`` holds s blocks of group
-elements and maps x to the left-to-right product of the selected entries
+elements as plain (a, b, c) tuples, checked for a != 0 where they are made
+(the key parser and the generators, such as ``gen_random_cover``), and
+maps x to the left-to-right product of the selected entries
 (``induced_map``, the reference walk that tests and the benchmark time: a
-fold of ``SuzukiGroup.mul`` over ``Cover.select``).  ``induced_table``
+fold of ``SuzukiGroup.mul`` over ``Cover.select``; like ``induced_table``,
+it returns ``GroupElement``s even for a one-block cover).  ``induced_table``
 lists that map for every x at once by prefix products, for attack 1: each
 block steps the whole table so far by its entries, whose step terms it
 takes once.  A cover keeps no state derived from a field, so one cover
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, starmap
 from math import prod
 from operator import getitem, mul, xor
 
@@ -106,12 +109,11 @@ def _select(self, x: int) -> list:
 @dataclass(frozen=True)
 class Cover:
     type: SignatureType
-    blocks: tuple[tuple[GroupElement, ...], ...]
+    # plain (a, b, c) triples, a != 0: the parser and the generators check it
+    blocks: tuple[tuple[tuple[int, int, int], ...], ...]
 
     def __post_init__(self):
-        if len(self.blocks) != self.type.s or any(
-            len(block) != ri for block, ri in zip(self.blocks, self.type.r)
-        ):
+        if tuple(map(len, self.blocks)) != self.type.r:
             raise ValueError("block shapes do not match type")
 
     select = _select
@@ -119,7 +121,8 @@ class Cover:
 
 def induced_map(group: SuzukiGroup, cover: Cover, x: int) -> GroupElement:
     """Product of one entry per block, selected by the digits of x."""
-    return reduce(group.mul, cover.select(x))
+    first, *rest = cover.select(x)
+    return reduce(group.mul, rest, GroupElement(*first))
 
 
 def induced_table(group: SuzukiGroup, cover: Cover) -> list[GroupElement]:
@@ -129,7 +132,7 @@ def induced_table(group: SuzukiGroup, cover: Cover) -> list[GroupElement]:
     entries in turn, so the index order is ``tau``'s, j_1 least significant.
     """
     first, *rest = cover.blocks
-    table = list(first)
+    table = list(starmap(GroupElement, first))
     for block in rest:
         table = [group.step(p, t) for t in map(group.terms, block) for p in table]
     return table
@@ -140,7 +143,7 @@ def gen_random_cover(group: SuzukiGroup, sig_type: SignatureType, rng) -> Cover:
     f = group.params
     blocks = tuple(
         tuple(
-            GroupElement(f.random_nonzero(rng), f.random_nonzero(rng), f.random_nonzero(rng))
+            (f.random_nonzero(rng), f.random_nonzero(rng), f.random_nonzero(rng))
             for _ in range(ri)
         )
         for ri in sig_type.r

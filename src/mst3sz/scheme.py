@@ -78,7 +78,8 @@ the cancellation below work.  The images lie in subgroups: ``_y3`` and
 ``_y4`` form the products there, by the subgroup's law and by XOR of the
 b-coordinates.  ``_reproduces``, the attacks' nonce check, compares y4,
 y3 and y2 by these walks without walking y1's mask; attack 3 reads y4's
-c from a table of the same XOR sums.
+c from a table of the same XOR sums, and as its screens match y4 and y3
+whole, it checks a candidate's y2 alone (``_reproduces_y2``).
 
 Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  V is
 central, so X.b = U.b and X.c = U.c + V.c.  U.b is y3.b plus
@@ -178,7 +179,7 @@ class PublicKey:
         before = 0  # gamma entries before this block, in file order
         a1, a2, heads = [], [], []  # the blocks' a, and the gamma2 blocks' (a, b, 0)
         for i, block in enumerate(self.gamma1.blocks):
-            a = block[0].a
+            a = block[0][0]
             for x, _, _ in block:
                 if x != a:
                     at = 3 * (before + [g[0] for g in block].index(x))
@@ -245,13 +246,14 @@ def _masked_cover(
     group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain: tuple[GroupElement, ...]
 ) -> Cover:
     """gamma1: t_(i-1)^-1 * f1(alpha) * (1, beta, 0) * t_i, entry by entry."""
+    f = group.params
     blocks = []
     for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
         a, b, c = group.inv(chain[i])
         right = group.terms(chain[i + 1])
         blocks.append(
             tuple(
-                group.step((a, *_u_walk(group.params, b, c, (pair,), {}, {})), right)
+                tuple(group.step((a, *_u_walk(f, b, c, (pair,), {}, {})), right))
                 for pair in zip(ablock, bblock)
             )
         )
@@ -275,7 +277,7 @@ def _masked_central_cover(
         k = right[3]  # t_i.a^(2q0+1)
         blocks.append(
             tuple(
-                GroupElement(ea, eb, ec ^ f.mul(k, ab ^ b))
+                (ea, eb, ec ^ f.mul(k, ab ^ b))
                 for (_, ab, _), b in zip(ablock, bblock)
             )
         )
@@ -485,8 +487,13 @@ def _reproduces(pk: PublicKey, ct: Ciphertext, nonce: SessionNonce) -> bool:
     return (
         _y4(pk, d2) == ct.y4
         and _y3(pk, d1) == ct.y3
-        and pk.group.step(_gamma1(pk, d1), _gamma2(pk, d2)) == ct.y2
+        and _reproduces_y2(pk, ct, d1, d2)
     )
+
+
+def _reproduces_y2(pk: PublicKey, ct: Ciphertext, d1, d2) -> bool:
+    """Whether the gamma walks of the digits d1 and d2 give the y2 of ct."""
+    return pk.group.step(_gamma1(pk, d1), _gamma2(pk, d2)) == ct.y2
 
 
 def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce:

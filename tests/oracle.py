@@ -111,7 +111,7 @@ def cover_product(params, blocks, x: int) -> tuple:
 
 
 def as_tuple(g) -> tuple:
-    return (g.a, g.b, g.c)
+    return (g[0], g[1], g[2])
 
 
 def encrypt(params, pk, m: tuple, r1: int, r2: int) -> tuple:

@@ -132,13 +132,13 @@ def test_criterion_5_telescoping_identity():
                 for ablk, bblk, j in zip(pk.alpha1.blocks, sk.beta1.blocks,
                                          tau_inv(pk.type1, r1)):
                     u = G3.mul(u, G3.mul(G3.f1(ablk[j]), GroupElement(1, bblk[j], 0)))
-                    bsum ^= ablk[j].a ^ bblk[j]
+                    bsum ^= ablk[j][0] ^ bblk[j]
                 v = IDENTITY
                 csum = 0
                 for ablk, bblk, j in zip(pk.alpha2.blocks, sk.beta2.blocks,
                                          tau_inv(pk.type2, r2)):
                     v = G3.mul(v, G3.mul(G3.f2(ablk[j]), GroupElement(1, 0, bblk[j])))
-                    csum ^= ablk[j].b ^ bblk[j]
+                    csum ^= ablk[j][1] ^ bblk[j]
                 if not (
                     lhs == G3.mul(u, v)
                     and u.a == 1

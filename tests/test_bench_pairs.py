@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -103,3 +104,62 @@ def test_src_hash_follows_the_bytes_of_src(tmp_path):
     data[0] ^= 1
     path.write_bytes(bytes(data))
     assert bench_pairs.src_hash(copy) != want
+
+
+def test_raw_op_times_are_summarized_beside_the_scaled_ones():
+    # pair 1: both rank the change ahead; pair 2: scaled says change, raw
+    # says parent; pair 3: scaled says parent, raw says change; pair 4:
+    # raw ties, so it ranks neither side; pair 5 lacks its raw times
+    raw = bench_pairs.RAW["name"]
+    runs = [
+        *_rows(1, {"op_ms_p50": 2.0, raw: 3.0}, {"op_ms_p50": 1.0, raw: 2.0}),
+        *_rows(2, {"op_ms_p50": 2.0, raw: 3.0}, {"op_ms_p50": 1.5, raw: 3.5}),
+        *_rows(3, {"op_ms_p50": 2.0, raw: 3.0}, {"op_ms_p50": 2.5, raw: 2.5}),
+        *_rows(4, {"op_ms_p50": 2.0, raw: 3.0}, {"op_ms_p50": 1.0, raw: 3.0}),
+        *_rows(5, {"op_ms_p50": 2.0}, {"op_ms_p50": 1.0}),
+    ]
+    assert bench_pairs.opposite_pairs(runs) == [2, 3]
+    out = bench_pairs.summarize(runs, METRICS + [bench_pairs.RAW])
+    scaled, unscaled = out["op_ms_p50"], out[raw]
+    assert scaled["pairs"] == 5 and unscaled["pairs"] == 4
+    assert unscaled["parent_median"] == 3.0
+    assert unscaled["change_median"] == pytest.approx(2.75)
+    assert unscaled["change_better_pairs"] == 2  # pairs 1 and 3
+    assert (unscaled["change_q1"], unscaled["change_q3"]) == pytest.approx((2.125, 3.375))
+
+
+def test_main_keeps_each_untraced_runs_raw_op_time(tmp_path, monkeypatch):
+    # fake runs: the change is faster by the scaled clock in both pairs,
+    # but slower by the raw one in the second pair
+    scaled = {("parent", 11): 2.0, ("change", 11): 1.0, ("parent", 12): 2.0, ("change", 12): 1.5}
+    raw = {("parent", 11): 3.0, ("change", 11): 2.0, ("parent", 12): 3.0, ("change", 12): 3.5}
+    sides = {tmp_path / "parent": "parent", tmp_path / "change": "change"}
+
+    def run(checkout, command, workload, seed, seconds, trace):
+        value = scaled.get((sides[checkout], seed), 9.0)
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"op_ms_p50": {"value": value}}}
+
+    def report(checkout, workload, seed, trace):
+        metrics = {}
+        if (sides[checkout], seed) in raw:
+            metrics["raw.op_ms_p50"] = {"value": raw[sides[checkout], seed]}
+        return {"meta": {}, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "report", report)
+    out = tmp_path / "out.json"
+    for side in sides:
+        side.mkdir()
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--out", str(out), "--pairs", "2", "--first-seed", "11", "--workload", "session-17",
+    ]) == 0
+    got = json.loads(out.read_text())["pairs"]["session-17"]
+    assert [(r["side"], r["seed"], r["raw.op_ms_p50"]) for r in got["runs"]] == [
+        ("parent", 11, 3.0), ("change", 11, 2.0), ("change", 12, 3.5), ("parent", 12, 3.0),
+    ]
+    summary = got["summary"]
+    assert summary["op_ms_p50"]["change_better_pairs"] == 2
+    assert summary["raw.op_ms_p50"]["change_better_pairs"] == 1
+    assert summary["raw.op_ms_p50"]["opposite_pairs"] == [2]

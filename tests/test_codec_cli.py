@@ -290,6 +290,7 @@ def test_zero_a_rejected_with_section_and_offset(section, k):
     with pytest.raises(codec.CodecError, match="a != 0") as err:
         parse(bytes(bad))
     assert str(err.value) == f"{section}: group element needs a != 0 at byte {at}"
+    assert (err.value.section, err.value.offset) == (section, at)
 
 
 def _cover_counts(pk):
@@ -337,6 +338,99 @@ def test_parse_checks_alpha_entry_constraint():
             with pytest.raises(codec.CodecError, match="zero coordinate") as err:
                 codec.parse_public_key(bytes(bad))
             assert str(err.value) == f"{section}: cover entry with zero coordinate at byte {at}"
+
+
+# -- the public-key parse path -----------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_cover_entries_are_plain_triples(n):
+    # keygen's covers and the parsed ones hold plain tuples, equal entry by
+    # entry; the generator makes the same entry type
+    from mst3sz.logsig import covering_type, gen_random_cover
+
+    params, (pk, _) = make_key(44, n)
+    parsed = codec.parse_public_key(codec.serialize_public_key(pk))
+    for name in ("alpha1", "alpha2", "gamma1", "gamma2"):
+        made, read = getattr(pk, name), getattr(parsed, name)
+        for entries in (made.blocks, read.blocks):
+            assert all(type(e) is tuple for block in entries for e in block), name
+        assert read.blocks == made.blocks, name
+        assert type(read.blocks) is tuple and all(type(b) is tuple for b in read.blocks)
+    cover = gen_random_cover(SuzukiGroup(params), covering_type(n), random.Random(45))
+    assert all(type(e) is tuple for block in cover.blocks for e in block)
+
+
+@pytest.mark.parametrize(
+    "n, modulus", [(3, None), (5, None), (17, None), (65, None), (17, 0x2000F)],
+    ids=["3", "5", "17", "65", "17-x^17+x^3+x^2+x+1"],
+)
+def test_public_key_bytes_survive_parse(n, modulus):
+    params = make_params(n) if modulus is None else FieldParams(n, modulus)
+    pk, _ = keygen(params, rng=random.Random(46))
+    blob = codec.serialize_public_key(pk)
+    assert codec.serialize_public_key(codec.parse_public_key(blob)) == blob
+
+
+def test_trailing_bytes_reported_before_a_zero_alpha_coordinate():
+    _, (pk, _) = make_key(47)
+    blob = codec.serialize_public_key(pk)
+    bad = bytearray(blob)
+    bad[_section_start(blob, 1, _cover_counts(pk), "alpha1") + 1] = 0  # entry 0's b
+    with pytest.raises(codec.CodecError, match="zero coordinate"):
+        codec.parse_public_key(bytes(bad))
+    with pytest.raises(codec.CodecError) as err:
+        codec.parse_public_key(bytes(bad) + b"\x00")
+    assert str(err.value) == f"trailing bytes after payload at byte {len(blob)}"
+    assert (err.value.section, err.value.offset) == (None, len(blob))
+
+
+_COVERS = ("alpha1", "alpha2", "gamma1", "gamma2")
+
+
+@pytest.mark.parametrize(
+    "section, k, coord, fault",
+    [(s, 2, 0, "zero") for s in _COVERS]
+    + [(s, 3, c, "zero") for s in ("alpha1", "alpha2") for c in (1, 2)]
+    + [(s, 1, c, "padding") for s, c in zip(_COVERS, (0, 1, 2, 0))],
+)
+def test_cover_errors_carry_section_and_offset(section, k, coord, fault):
+    # coordinate coord of entry k of a cover at n = 9, two bytes an element:
+    # zeroed, or with a padding bit set in its top byte
+    _, (pk, _) = make_key(48, 9)
+    blob = codec.serialize_public_key(pk)
+    at = _section_start(blob, 2, _cover_counts(pk), section) + 2 * (3 * k + coord)
+    bad = bytearray(blob)
+    if fault == "zero":
+        bad[at : at + 2] = bytes(2)
+    else:
+        bad[at + 1] |= 0x80
+    with pytest.raises(codec.CodecError) as err:
+        codec.parse_public_key(bytes(bad))
+    what = {
+        ("zero", 0): "group element needs a != 0",
+        ("zero", 1): "cover entry with zero coordinate",
+        ("zero", 2): "cover entry with zero coordinate",
+    }.get((fault, coord), "element has nonzero padding bits")
+    assert str(err.value) == f"{section}: {what} at byte {at}"
+    assert (err.value.section, err.value.offset) == (section, at)
+
+
+def test_error_attributes_follow_the_message():
+    # a gamma block error names the cover and block before its colon; an
+    # error without a byte has neither attribute
+    _, (pk, _) = make_key(49, 5)
+    blob = codec.serialize_public_key(pk)
+    at = _section_start(blob, 1, _cover_counts(pk), "gamma1") + 3 * 1
+    bad = bytearray(blob)
+    bad[at] ^= 1  # the a of gamma1's entry 1, in block 0 with entry 0
+    with pytest.raises(codec.CodecError) as err:
+        codec.parse_public_key(bytes(bad))
+    assert str(err.value) == f"gamma1 block 0: entries differ in a at byte {at}"
+    assert (err.value.section, err.value.offset) == ("gamma1 block 0", at)
+    with pytest.raises(codec.CodecError, match="role") as err:
+        codec.parse_private_key(blob)
+    assert (err.value.section, err.value.offset) == (None, None)
 
 
 def _non_covering_covers():

@@ -269,7 +269,7 @@ def test_memos_hold_only_the_keys_coordinates():
         decrypt(pk, sk, ct)
     alpha = [e for cover in (pk.alpha1, pk.alpha2) for block in cover.blocks for e in block]
     gamma1 = [e for block in pk.gamma1.blocks for e in block]
-    public = [e.a for e in alpha] + [e.b for e in alpha] + [e.b for e in gamma1]
+    public = [e[0] for e in alpha] + [e[1] for e in alpha] + [e[1] for e in gamma1]
     private = [b for block in sk.beta1.blocks for b in block]
     for memo, allowed in ((pk.frob, public), (sk.frob, private)):
         assert memo and memo.keys() <= set(allowed)

@@ -111,7 +111,7 @@ def test_gen_random_cover():
     assert [len(b) for b in cover.blocks] == [2, 2, 2]
     for block in cover.blocks:
         for g in block:
-            assert g.a != 0 and g.b != 0 and g.c != 0
+            assert g[0] != 0 and g[1] != 0 and g[2] != 0
             assert not G3.in_center(g)
     other = gen_random_cover(G3, T222, random.Random(2))
     assert cover != other  # distinct seeds give distinct covers
@@ -129,6 +129,21 @@ def test_induced_map_examples():
         assert induced_map(G3, single, j) == single.blocks[0][j]
     with pytest.raises(ValueError):
         induced_map(G3, cover, 8)
+
+
+@pytest.mark.parametrize("r", [(8,), (2, 4)])
+def test_induced_walks_return_group_elements(r):
+    # at n = 3 the covering type is one block of 8: its walks are its own
+    # entries, plain tuples, and still come back as GroupElements
+    cover = gen_random_cover(G3, SignatureType(r), random.Random(20))
+    table = induced_table(G3, cover)
+    for x in range(8):
+        got = induced_map(G3, cover, x)
+        assert type(got) is GroupElement and type(table[x]) is GroupElement
+        assert got == table[x]
+    assert covering_type(3).r == (8,)
+    if len(r) == 1:
+        assert table == list(cover.blocks[0])
 
 
 def test_induced_map_matches_recomposition_oracle():

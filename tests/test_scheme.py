@@ -70,9 +70,9 @@ def test_keygen_beta_embeddings():
                 u = G3.mul(G3.mul(chain[i], g), G3.inv(chain[i + 1]))
                 assert u.a == 1
                 if gamma is pk.gamma1:
-                    assert u.b == a.a ^ b
+                    assert u.b == a[0] ^ b
                 else:
-                    assert u == GroupElement(1, 0, a.b ^ b)
+                    assert u == GroupElement(1, 0, a[1] ^ b)
 
 
 def test_keygen_rejects_non_covering_types():
@@ -176,16 +176,16 @@ def test_public_key_rejects_unstructured_gamma():
     pk, _ = make_key(7, t1=SignatureType((2, 4)), t2=SignatureType((4, 2)))
     g1, g2 = pk.gamma1.blocks, pk.gamma2.blocks
     e = g1[1][2]
-    bad1 = (g1[0], g1[1][:2] + (GroupElement(e.a ^ 1 or 2, e.b, e.c),) + g1[1][3:])
+    bad1 = (g1[0], g1[1][:2] + (GroupElement(e[0] ^ 1 or 2, e[1], e[2]),) + g1[1][3:])
     e = g2[0][3]
-    bad2 = (g2[0][:3] + (GroupElement(e.a, e.b ^ 1, e.c),), g2[1])
+    bad2 = (g2[0][:3] + (GroupElement(e[0], e[1] ^ 1, e[2]),), g2[1])
     with pytest.raises(ValueError, match=r"^gamma1 block 1: entries differ in a$"):
         dataclasses.replace(pk, gamma1=Cover(pk.type1, bad1))
     with pytest.raises(ValueError, match=r"^gamma2 block 0: entries differ outside c$"):
         dataclasses.replace(pk, gamma2=Cover(pk.type2, bad2))
     # gamma2 entries may differ in c
     e = g2[1][1]
-    free = (g2[0], (g2[1][0], GroupElement(e.a, e.b, e.c ^ 1)))
+    free = (g2[0], (g2[1][0], GroupElement(e[0], e[1], e[2] ^ 1)))
     dataclasses.replace(pk, gamma2=Cover(pk.type2, free))
 
 
@@ -209,7 +209,7 @@ def test_encrypt_structure():
         # y4 carries the plain XOR of the selected alpha2 b-coordinates
         total = 0
         for blk, j in zip(pk.alpha2.blocks, tau_inv(pk.type2, r2)):
-            total ^= blk[j].b
+            total ^= blk[j][1]
         assert ct.y4.c == total
 
 
@@ -274,7 +274,7 @@ def test_image_products_match_oracle():
     # y3, the product of the f1 images of the alpha1 entries R1 selects; and
     # each cover's f1 image product as u factors with beta = 0, from (0, 0)
     for cover in (pk.alpha1, pk.alpha2):
-        f1_blocks = [[(1, g.a, g.b) for g in blk] for blk in cover.blocks]
+        f1_blocks = [[(1, g[0], g[1]) for g in blk] for blk in cover.blocks]
         for r in range(P3.q):
             want = oracle.cover_product(P3, f1_blocks, r)
             if cover is pk.alpha1:
@@ -282,7 +282,7 @@ def test_image_products_match_oracle():
             pairs = [(g, 0) for g in cover.select(r)]
             assert (1, *_u_walk(P3, 0, 0, pairs, {}, {})) == want
     # y4, the product of the f2 images of the alpha2 entries
-    f2_blocks = [[(1, 0, g.b) for g in blk] for blk in pk.alpha2.blocks]
+    f2_blocks = [[(1, 0, g[1]) for g in blk] for blk in pk.alpha2.blocks]
     for r in range(P3.q):
         f2 = _y4(pk, tau_inv(pk.type2, r))
         assert oracle.as_tuple(f2) == oracle.cover_product(P3, f2_blocks, r)
@@ -384,11 +384,11 @@ def test_telescoped_mask_factors():
             assert lhs == G3.mul(u, v)
             bsum = 0
             for ablk, j in zip(pk.alpha1.blocks, tau_inv(pk.type1, r1)):
-                bsum ^= ablk[j].a
+                bsum ^= ablk[j][0]
             assert u.b == bsum ^ evaluate_tame(sk.beta1, r1)
             csum = 0
             for ablk, j in zip(pk.alpha2.blocks, tau_inv(pk.type2, r2)):
-                csum ^= ablk[j].b
+                csum ^= ablk[j][1]
             assert v.c == csum ^ evaluate_tame(sk.beta2, r2)
 
 
