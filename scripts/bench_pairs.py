@@ -134,10 +134,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def opposite_pairs(runs: list[dict], scaled: str = "op_ms_p50",
-                   raw: str = RAW["name"]) -> list[int]:
-    """The pairs whose scaled and raw metric rank parent and change
+def opposite_pairs(runs: list[dict]) -> list[int]:
+    """The pairs whose scaled and raw ``op_ms_p50`` rank parent and change
     oppositely, one side ahead on each; a tie on either ranks neither."""
+    scaled, raw = "op_ms_p50", RAW["name"]
     by_pair: dict[int, dict[str, dict]] = {}
     for r in runs:
         if scaled in r and raw in r:
