@@ -28,7 +28,7 @@ Attack 3 runs ``_y3`` only where y3's b, the sum of the selected alpha1
 a-coordinates, matches (about 2.0 walks per ciphertext), then sweeps R2
 through a ``_coord_table`` of y4's c, the sum of the selected alpha2
 b-coordinates; its candidates then match y4 and y3 whole, so it checks
-only their y2 (``_reproduces_y2``).  With the default padding oracle, attack 1
+only their y2 (``_y2``).  With the default padding oracle, attack 1
 tries only the R2 whose alpha2 walk has the a-coordinate of
 alpha1'(R1)^-1 * y1, since no valid padding at n <= 5 has a != 1, and
 inverts each alpha2 walk on its first try; a caller's oracle sees every
@@ -49,7 +49,7 @@ from typing import Callable
 from .group import GroupElement
 from .logsig import induced_table, tau_inv
 from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message
-from .scheme import _check_ciphertext, _gamma1, _reproduces, _reproduces_y2, _y3
+from .scheme import _check_ciphertext, _gamma1, _reproduces, _y2, _y3
 
 _MAX_N = 5
 
@@ -169,7 +169,7 @@ def attack3_session_key(pk: PublicKey, ct: Ciphertext) -> AttackResult:
         if c == ct.y4.c:
             d2 = tau_inv(pk.type2, r2)
             for r1, d1 in cand1:
-                if _reproduces_y2(pk, ct, d1, d2):
+                if _y2(pk, d1, d2) == ct.y2:
                     nonce = SessionNonce(r1, r2)
                     return AttackResult(nonce, trials, True, nonce)
     return AttackResult(None, trials, False, None)

@@ -17,6 +17,7 @@ import statistics
 import sys
 import time
 import traceback
+from pathlib import Path
 
 from . import attacks, codec, scheme
 from .field import _mul_mod, make_params
@@ -52,16 +53,6 @@ def _parse_type(text: str) -> SignatureType:
         raise _UsageError(f"bad type {text!r}: {e}") from None
 
 
-def _read_file(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_file(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def _decode_armor(data: bytes, args) -> bytes:
     try:
         if args.base64:
@@ -95,8 +86,8 @@ def _cmd_keygen(args) -> int:
     pk, sk = scheme.keygen(p, t1, t2, rng=_rng(args.seed))
     pub = codec.serialize_public_key(pk)
     priv = codec.serialize_private_key(sk)
-    _write_file(args.pub, pub)
-    _write_file(args.priv, priv)
+    Path(args.pub).write_bytes(pub)
+    Path(args.priv).write_bytes(priv)
     summary = {
         "n": p.n,
         "type1": list(pk.type1.r),
@@ -113,35 +104,35 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_encrypt(args) -> int:
-    pk = codec.parse_public_key(_read_file(args.pub))
+    pk = codec.parse_public_key(Path(args.pub).read_bytes())
     params = pk.group.params
-    payload = _read_file(args.infile)
+    payload = Path(args.infile).read_bytes()
     m = scheme.encode_message(params, payload)
     nonce = scheme.random_nonce(params, _rng(args.seed))
     ct = scheme.encrypt(pk, m, nonce)
-    _write_file(args.out, _encode_armor(codec.serialize_ciphertext(params, ct), args))
+    Path(args.out).write_bytes(_encode_armor(codec.serialize_ciphertext(params, ct), args))
     return 0
 
 
 def _read_ciphertext(path: str, args, pk) -> scheme.Ciphertext:
     """De-armor and parse a ciphertext file made under pk's width."""
-    n, ct = codec.parse_ciphertext(_decode_armor(_read_file(path), args))
+    n, ct = codec.parse_ciphertext(_decode_armor(Path(path).read_bytes(), args))
     if n != pk.group.params.n:
         raise codec.CodecError("ciphertext was made for different parameters")
     return ct
 
 
 def _cmd_decrypt(args) -> int:
-    pk = codec.parse_public_key(_read_file(args.pub))
-    sk = codec.parse_private_key(_read_file(args.priv))
+    pk = codec.parse_public_key(Path(args.pub).read_bytes())
+    sk = codec.parse_private_key(Path(args.priv).read_bytes())
     ct = _read_ciphertext(args.infile, args, pk)
     m = scheme.decrypt(pk, sk, ct)
-    _write_file(args.out, scheme.decode_message(pk.group.params, m))
+    Path(args.out).write_bytes(scheme.decode_message(pk.group.params, m))
     return 0
 
 
 def _cmd_attack(args) -> int:
-    pk = codec.parse_public_key(_read_file(args.pub))
+    pk = codec.parse_public_key(Path(args.pub).read_bytes())
     ct = _read_ciphertext(args.ct, args, pk)
     run = {
         1: attacks.attack1_bruteforce_ciphertext,

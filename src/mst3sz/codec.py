@@ -29,27 +29,31 @@ y4.b = 0), which are re-imposed on parse.  Blob size is therefore exactly
 9 + 9*ceil(n/8) bytes.
 
 Parsers read each section (a cover, a signature with its trapdoor columns
-and offsets, a chain, the nine ciphertext elements) whole,
-with one ``struct`` unpack of little-endian B/H/I/Q words: each element
-widens to the next word of 1, 2, 4, 8 or 16 bytes, through a zeroed copy
-of the section (at most 16/9 of its bytes) where it is narrower, as at
-n=17 (3 -> 4 bytes).  Every failure is a ``CodecError``; those about
-truncation, padding, a group element's a = 0, a zero alpha coordinate,
-the header's width and modulus and the per-section checks name the section
-and, where it is known, the byte offset of the bad element, e.g.
-``alpha1: element has nonzero padding bits at byte 51``, ``ciphertext:
-group element needs a != 0 at byte 9``, ``alpha2: cover entry with zero
-coordinate at byte 406`` or ``header: n must be odd at byte 8``; such an error
-also carries them as its ``section`` and ``offset``.  Each section of
-(a, b, c) triples is checked for a != 0 once, on the a-column of the
-values it unpacked.  A cover's entries are then plain triples zipped from
-its columns, and the alpha covers' zero-coordinate check runs on those
-same values; chain and ciphertext elements are built as ``GroupElement``s
-(``GroupElement.from_columns``).  A public key whose gamma cover lacks
-the block structure every generated key has (one a per gamma1 block, one
-(a, b) per gamma2 block) is rejected at parse time: ``PublicKey`` names
-the cover and the block and indexes the first coordinate that differs
-from its block's first entry (``GammaBlockError``), and the parser adds
+and offsets, a chain, the nine ciphertext elements) whole, knowing only
+the width n: the byte readers take n, not a field, so a ciphertext is
+parsed without building one, and only a key's header builds the field of
+its ``SuzukiGroup``.  A section is read with one ``struct`` unpack of
+little-endian B/H/I/Q words: each element widens to the next word of 1,
+2, 4, 8 or 16 bytes, through a zeroed copy of the section (at most 16/9
+of its bytes) where it is narrower, as at n=17 (3 -> 4 bytes).  Every
+failure is a ``CodecError``; those about truncation, padding, a group
+element's a = 0, a zero alpha coordinate, the header's width and modulus
+and the per-section checks name the section and, where it is known, the
+byte offset of the bad element, e.g. ``alpha1: element has nonzero
+padding bits at byte 51``, ``ciphertext: group element needs a != 0 at
+byte 9``, ``alpha2: cover entry with zero coordinate at byte 406`` or
+``header: n must be odd at byte 8``; such an error also carries them as
+its ``section`` and ``offset``.  Each section of (a, b, c) triples is
+checked for a != 0 once, on the a-column of the values it unpacked.
+Cover entries and chain elements are then plain triples zipped from
+those columns, by one reader for both, and the alpha covers'
+zero-coordinate check runs on the same values; the ciphertext's y1 and
+y2 are built by the ``GroupElement`` class call.  A public key whose
+gamma cover lacks the block structure every generated key has (one a per
+gamma1 block, one (a, b) per gamma2 block) is rejected at parse time:
+``PublicKey`` raises ``GammaBlockError``, which names the cover and the
+block as its ``section``, the failed check, and the index of the first
+coordinate that differs from its block's first entry; the parser adds
 that coordinate's byte, e.g. ``gamma2 block 0: entries differ outside c
 at byte 414``.
 """
@@ -128,10 +132,10 @@ class _Reader:
         """The next ``count`` u32 words, read in one unpack."""
         return struct.unpack_from(f"<{count}I", self.data, self._span(count, 4, section))
 
-    def elements(self, f: FieldParams, count: int, section: str) -> Sequence[int]:
+    def elements(self, n: int, count: int, section: str) -> Sequence[int]:
         """The next ``count`` field elements, read in one unpack and checked;
         each is widened to a 1, 2, 4, 8 or 16-byte word by a strided copy."""
-        size = _element_bytes(f.n)
+        size = _element_bytes(n)
         start = self._span(count, size, section)
         word = 1 << (size - 1).bit_length()
         if word == size:
@@ -145,8 +149,8 @@ class _Reader:
             vals = [lo | hi << 64 for lo, hi in zip(q[::2], q[1::2])]
         else:
             vals = struct.unpack_from(f"<{count}{_WORD_CODES[word]}", buf, off)
-        if max(vals) >= f.q:
-            at = start + size * next(i for i, v in enumerate(vals) if v >= f.q)
+        if max(vals) >> n:
+            at = start + size * next(i for i, v in enumerate(vals) if v >> n)
             raise _error(section, "element has nonzero padding bits", at)
         return vals
 
@@ -170,28 +174,30 @@ def _codec_errors(parse):
     return wrapper
 
 
-def _pack(f: FieldParams, values) -> bytes:
-    size = _element_bytes(f.n)
+def _pack(n: int, values) -> bytes:
+    size = _element_bytes(n)
     return b"".join([v.to_bytes(size, "little") for v in values])
 
 
 def _columns(
-    f: FieldParams, vals: Sequence[int], start: int, section: str
+    n: int, vals: Sequence[int], start: int, section: str
 ) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
     """The a, b and c columns of (a, b, c) values read from byte ``start``,
     after one check that no a is 0, which names the first by its byte."""
     a = vals[0::3]
     if 0 in a:
-        at = start + 3 * _element_bytes(f.n) * a.index(0)
+        at = start + 3 * _element_bytes(n) * a.index(0)
         raise _error(section, "group element needs a != 0", at)
     return a, vals[1::3], vals[2::3]
 
 
-def _triples(r: _Reader, f: FieldParams, count: int, section: str) -> list[GroupElement]:
-    """The next ``count`` group elements."""
+def _read_triples(
+    r: _Reader, n: int, count: int, section: str
+) -> tuple[tuple[tuple[int, int, int], ...], Sequence[int]]:
+    """The next ``count`` plain (a, b, c) triples, and the values read."""
     start = r.pos
-    vals = r.elements(f, 3 * count, section)
-    return GroupElement.from_columns(*_columns(f, vals, start, section))
+    vals = r.elements(n, 3 * count, section)
+    return tuple(zip(*_columns(n, vals, start, section))), vals
 
 
 def _blocks(items, sizes) -> tuple[tuple, ...]:
@@ -205,7 +211,7 @@ def _write_type(out: bytearray, t: SignatureType) -> None:
         out += ri.to_bytes(4, "little")
 
 
-def _read_type(r: _Reader, f: FieldParams, section: str) -> SignatureType:
+def _read_type(r: _Reader, n: int, section: str) -> SignatureType:
     start = r.pos
     s = r.u8(section)
     if s == 0:
@@ -216,30 +222,27 @@ def _read_type(r: _Reader, f: FieldParams, section: str) -> SignatureType:
     except ValueError as e:  # a block size below 2, named by its u32
         at = start + 1 + 4 * next(i for i, ri in enumerate(sizes) if ri < 2)
         raise _error(section, str(e), at) from None
-    if not t.covers_bits(f.n):
+    if not t.covers_bits(n):
         raise _error(section, "signature type does not cover the field", start)
     return t
 
 
 def _read_cover(
-    r: _Reader, f: FieldParams, t: SignatureType, section: str
+    r: _Reader, n: int, t: SignatureType, section: str
 ) -> tuple[Cover, Sequence[int]]:
-    """The next cover, of plain (a, b, c) triples, and the values read."""
-    start = r.pos
-    vals = r.elements(f, 3 * sum(t.r), section)
-    return Cover(t, _blocks(zip(*_columns(f, vals, start, section)), t.r)), vals
+    """The next cover and the values read."""
+    entries, vals = _read_triples(r, n, sum(t.r), section)
+    return Cover(t, _blocks(entries, t.r)), vals
 
 
-def _read_signature(
-    r: _Reader, f: FieldParams, t: SignatureType, section: str
-) -> TameSignature:
+def _read_signature(r: _Reader, n: int, t: SignatureType, section: str) -> TameSignature:
     entries = sum(t.r)
     start = r.pos
-    vals = r.elements(f, entries + f.n + t.s, section)
+    vals = r.elements(n, entries + n + t.s, section)
     blocks = _blocks(vals[:entries], t.r)
-    cols = tuple(vals[entries : entries + f.n])
-    offsets = tuple(vals[entries + f.n :])
-    size = _element_bytes(f.n)
+    cols = tuple(vals[entries : entries + n])
+    offsets = tuple(vals[entries + n :])
+    size = _element_bytes(n)
     try:
         sig = TameSignature(t, cols, offsets)
     except ValueError as e:  # a singular map: the type and widths are checked
@@ -302,7 +305,7 @@ def serialize_public_key(pk: PublicKey) -> bytes:
     _write_type(out, pk.type1)
     _write_type(out, pk.type2)
     for cover in (pk.alpha1, pk.alpha2, pk.gamma1, pk.gamma2):
-        out += _pack(f, [x for block in cover.blocks for e in block for x in e])
+        out += _pack(f.n, [x for block in cover.blocks for e in block for x in e])
     return bytes(out)
 
 
@@ -310,17 +313,18 @@ def serialize_public_key(pk: PublicKey) -> bytes:
 def parse_public_key(data: bytes) -> PublicKey:
     r = _Reader(data)
     params = _parse_key_header(r, ROLE_PUBLIC)
-    t1 = _read_type(r, params, "type1")
-    t2 = _read_type(r, params, "type2")
+    n = params.n
+    t1 = _read_type(r, n, "type1")
+    t2 = _read_type(r, n, "type2")
     at1 = r.pos
-    alpha1, vals1 = _read_cover(r, params, t1, "alpha1")
+    alpha1, vals1 = _read_cover(r, n, t1, "alpha1")
     at2 = r.pos
-    alpha2, vals2 = _read_cover(r, params, t2, "alpha2")
+    alpha2, vals2 = _read_cover(r, n, t2, "alpha2")
     at3 = r.pos
-    gamma1, _ = _read_cover(r, params, t1, "gamma1")
-    gamma2, _ = _read_cover(r, params, t2, "gamma2")
+    gamma1, _ = _read_cover(r, n, t1, "gamma1")
+    gamma2, _ = _read_cover(r, n, t2, "gamma2")
     r.done()
-    size = _element_bytes(params.n)
+    size = _element_bytes(n)
     # every a is already nonzero, so a zero coordinate is a b or a c
     for name, start, vals in (("alpha1", at1, vals1), ("alpha2", at2, vals2)):
         if 0 in vals:
@@ -329,8 +333,7 @@ def parse_public_key(data: bytes) -> PublicKey:
     try:
         return PublicKey(SuzukiGroup(params), alpha1, alpha2, gamma1, gamma2)
     except GammaBlockError as e:
-        # the text before the colon names the cover and its block
-        raise _error(*str(e).split(": ", 1), at3 + size * e.coord) from None
+        raise _error(e.section, e.what, at3 + size * e.coord) from None
 
 
 def serialize_private_key(sk: PrivateKey) -> bytes:
@@ -339,9 +342,9 @@ def serialize_private_key(sk: PrivateKey) -> bytes:
     _write_type(out, sk.beta1.type)
     _write_type(out, sk.beta2.type)
     for sig in (sk.beta1, sk.beta2):
-        out += _pack(f, [*chain.from_iterable(sig.blocks), *sig.lin_cols, *sig.offsets])
+        out += _pack(f.n, [*chain.from_iterable(sig.blocks), *sig.lin_cols, *sig.offsets])
     for masks in (sk.chain1, sk.chain2):
-        out += _pack(f, chain.from_iterable(masks))
+        out += _pack(f.n, chain.from_iterable(masks))
     return bytes(out)
 
 
@@ -349,21 +352,22 @@ def serialize_private_key(sk: PrivateKey) -> bytes:
 def parse_private_key(data: bytes) -> PrivateKey:
     r = _Reader(data)
     params = _parse_key_header(r, ROLE_PRIVATE)
-    t1 = _read_type(r, params, "type1")
-    t2 = _read_type(r, params, "type2")
-    beta1 = _read_signature(r, params, t1, "beta1")
-    beta2 = _read_signature(r, params, t2, "beta2")
+    n = params.n
+    t1 = _read_type(r, n, "type1")
+    t2 = _read_type(r, n, "type2")
+    beta1 = _read_signature(r, n, t1, "beta1")
+    beta2 = _read_signature(r, n, t2, "beta2")
     at1 = r.pos
-    chain1 = tuple(_triples(r, params, t1.s + 1, "chain1"))
+    chain1, _ = _read_triples(r, n, t1.s + 1, "chain1")
     at2 = r.pos
-    chain2 = tuple(_triples(r, params, t2.s + 1, "chain2"))
+    chain2, _ = _read_triples(r, n, t2.s + 1, "chain2")
     r.done()
     if chain1[-1] != chain2[0]:
         raise _error("chain2", "chains do not share their joint element", at2)
     for name, start, masks in (("chain1", at1, chain1), ("chain2", at2, chain2)):
-        for i, g in enumerate(masks):
-            if g.b == 0:
-                at = start + 3 * _element_bytes(params.n) * i
+        for i, (_, b, _) in enumerate(masks):
+            if b == 0:
+                at = start + 3 * _element_bytes(n) * i
                 raise _error(name, "central masking element in chain", at)
     return PrivateKey(SuzukiGroup(params), beta1, beta2, chain1, chain2)
 
@@ -374,7 +378,7 @@ def ciphertext_size(n: int) -> int:
 
 def serialize_ciphertext(params: FieldParams, ct: Ciphertext) -> bytes:
     out = _header(CT_MAGIC, params.n)
-    out += _pack(params, (
+    out += _pack(params.n, (
         ct.y1.a, ct.y1.b, ct.y1.c,
         ct.y2.a, ct.y2.b, ct.y2.c,
         ct.y3.b, ct.y3.c,
@@ -388,10 +392,9 @@ def parse_ciphertext(data: bytes) -> tuple[int, Ciphertext]:
     """Returns (n, ciphertext); fixed coordinates are re-imposed."""
     r = _Reader(data)
     n = _read_header(r, CT_MAGIC)
-    params = make_params(n)
-    v = r.elements(params, 9, "ciphertext")
+    v = r.elements(n, 9, "ciphertext")
     r.done()
-    y1, y2 = GroupElement.from_columns(*_columns(params, v[:6], 9, "ciphertext"))
+    y1, y2 = map(GroupElement, *_columns(n, v[:6], 9, "ciphertext"))
     return n, Ciphertext(y1, y2, GroupElement(1, v[6], v[7]), GroupElement(1, 0, v[8]))
 
 

@@ -25,21 +25,21 @@ steps by each entry's terms.  The scheme walks its covers by the law on
 coordinates; ``scheme`` says how.
 
 A ``GroupElement`` is an immutable tuple (a, b, c) with named coordinates,
-so building one costs about what building a tuple does.  Every constructor
-it offers (the class call, ``from_columns`` for many at once, ``copy`` and
-``pickle``) rejects a = 0.  Equality and hashing are the tuple's:
+so building one costs about what building a tuple does.  It has one
+constructor, the class call, which ``copy`` and ``pickle`` reuse, and it
+rejects a = 0.  Equality and hashing are the tuple's:
 ``GroupElement(1, 2, 3) == (1, 2, 3)`` is true.  Group-law results,
-chains, ciphertexts and messages are ``GroupElement``s; cover entries are
-plain (a, b, c) tuples, which the methods here take like any triple.  Their
-a != 0 is checked where they are made: by the key parser's column check
-(``codec``) and by the generators (``logsig.gen_random_cover`` and
-keygen's masked covers, products of elements with a != 0).
+ciphertexts and messages are ``GroupElement``s; cover entries and the
+private key's masking chains are plain (a, b, c) tuples, which the methods
+here take like any triple.  Their a != 0 is checked where they are made:
+by the key parser's column check (``codec``) and by the generators
+(``logsig.gen_random_cover``; keygen's chains, drawn with a != 0, and its
+masked covers, products of elements with a != 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -55,13 +55,6 @@ class GroupElement(tuple):
         if a == 0:
             raise ValueError("group element needs a != 0")
         return tuple.__new__(cls, (a, b, c))
-
-    @classmethod
-    def from_columns(cls, a: list[int], b: list[int], c: list[int]) -> list[GroupElement]:
-        """The elements (a[i], b[i], c[i]), built after one check that no a is 0."""
-        if 0 in a:
-            raise ValueError("group element needs a != 0")
-        return list(map(tuple.__new__, repeat(cls), zip(a, b, c)))
 
     def __getnewargs__(self) -> tuple[int, int, int]:
         return tuple(self)

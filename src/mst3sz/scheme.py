@@ -76,10 +76,11 @@ factors.  Note y3 is a product of f1 IMAGES: f1 is not a homomorphism, so
 this differs from f1 of the product, and only the image-product form makes
 the cancellation below work.  The images lie in subgroups: ``_y3`` and
 ``_y4`` form the products there, by the subgroup's law and by XOR of the
-b-coordinates.  ``_reproduces``, the attacks' nonce check, compares y4,
-y3 and y2 by these walks without walking y1's mask; attack 3 reads y4's
-c from a table of the same XOR sums, and as its screens match y4 and y3
-whole, it checks a candidate's y2 alone (``_reproduces_y2``).
+b-coordinates; ``_y2`` steps the gamma1 walk by the gamma2 walk's terms.
+``_reproduces``, the attacks' nonce check, compares y4, y3 and y2 by
+these walks without walking y1's mask; attack 3 reads y4's c from a
+table of the same XOR sums, and as its screens match y4 and y3 whole, it
+checks a candidate's y2 alone (``_y2``).
 
 Decryption strips the chain once, X = t_0(1) * y2 * t_s(2)^-1 = U*V.  V is
 central, so X.b = U.b and X.c = U.c + V.c.  U.b is y3.b plus
@@ -122,13 +123,15 @@ class CiphertextError(ValueError):
 
 class GammaBlockError(ValueError):
     """A gamma block whose entries do not share their a (gamma1) or (a, b)
-    (gamma2).  ``coord`` indexes the first coordinate that differs from its
-    block's first entry, in the order gamma1's then gamma2's coordinates
-    are laid out, three per entry."""
+    (gamma2), with the message "{section}: {what}".  ``section`` names the
+    cover and the block, e.g. "gamma1 block 1", ``what`` the check that
+    failed, and ``coord`` indexes the first coordinate that differs from
+    its block's first entry, in the order gamma1's then gamma2's
+    coordinates are laid out, three per entry."""
 
-    def __init__(self, message: str, coord: int):
-        super().__init__(message)
-        self.coord = coord
+    def __init__(self, section: str, what: str, coord: int):
+        super().__init__(f"{section}: {what}")
+        self.section, self.what, self.coord = section, what, coord
 
 
 class SessionNonce(NamedTuple):
@@ -183,7 +186,7 @@ class PublicKey:
             for x, _, _ in block:
                 if x != a:
                     at = 3 * (before + [g[0] for g in block].index(x))
-                    raise GammaBlockError(f"gamma1 block {i}: entries differ in a", at)
+                    raise GammaBlockError(f"gamma1 block {i}", "entries differ in a", at)
             a1.append(a)
             before += len(block)
         for i, block in enumerate(self.gamma2.blocks):
@@ -191,8 +194,7 @@ class PublicKey:
             for x, y, c in block:
                 if x != a or y != b:
                     at = 3 * (before + block.index((x, y, c))) + (x == a)
-                    msg = f"gamma2 block {i}: entries differ outside c"
-                    raise GammaBlockError(msg, at)
+                    raise GammaBlockError(f"gamma2 block {i}", "entries differ outside c", at)
             a2.append(a)
             heads.append((a, b, 0))
             before += len(block)
@@ -222,8 +224,9 @@ class PrivateKey:
     group: SuzukiGroup
     beta1: TameSignature
     beta2: TameSignature
-    chain1: tuple[GroupElement, ...]
-    chain2: tuple[GroupElement, ...]
+    # the masking chains, plain (a, b, c) triples with a != 0 and b != 0
+    chain1: tuple[tuple[int, int, int], ...]
+    chain2: tuple[tuple[int, int, int], ...]
     # x -> x^(2q0) for the beta1 entries decryption steps by
     frob: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -236,14 +239,14 @@ class Ciphertext:
     y4: GroupElement
 
 
-def _random_masking_element(group: SuzukiGroup, rng) -> GroupElement:
+def _random_masking_element(group: SuzukiGroup, rng) -> tuple[int, int, int]:
     # chain elements need a != 0 and b != 0 (hence non-central); c is free
     f = group.params
-    return GroupElement(f.random_nonzero(rng), f.random_nonzero(rng), f.random_element(rng))
+    return f.random_nonzero(rng), f.random_nonzero(rng), f.random_element(rng)
 
 
 def _masked_cover(
-    group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain: tuple[GroupElement, ...]
+    group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain
 ) -> Cover:
     """gamma1: t_(i-1)^-1 * f1(alpha) * (1, beta, 0) * t_i, entry by entry."""
     f = group.params
@@ -261,7 +264,7 @@ def _masked_cover(
 
 
 def _masked_central_cover(
-    group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain: tuple[GroupElement, ...]
+    group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain
 ) -> Cover:
     """gamma2: t_(i-1)^-1 * (1, 0, alpha.b + beta) * t_i, one group multiply per block.
 
@@ -408,6 +411,12 @@ def _gamma2(pk: PublicKey, d2) -> tuple[int, int, int, int, int]:
     return a, b, c ^ h, k, p
 
 
+def _y2(pk: PublicKey, d1, d2) -> GroupElement:
+    """gamma1'(R1) * gamma2'(R2): one step of the gamma1 walk by the terms
+    of the gamma2 walk."""
+    return pk.group.step(_gamma1(pk, d1), _gamma2(pk, d2))
+
+
 def _u_walk(f: FieldParams, b: int, c: int, pairs, memo, beta_memo) -> tuple[int, int]:
     """(b, c) of (a, b, c) times the u factor f1(alpha) * (1, beta, 0) of
     each (alpha entry, beta entry) pair, for any a, which the factors keep.
@@ -474,8 +483,7 @@ def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
         raise ValueError("message out of range")
     d1, d2 = tau_inv(pk.type1, r1), tau_inv(pk.type2, r2)
     y1 = group.mul(_y1_mask(pk, d1, d2), m)
-    y2 = group.step(_gamma1(pk, d1), _gamma2(pk, d2))
-    return Ciphertext(y1, y2, _y3(pk, d1), _y4(pk, d2))
+    return Ciphertext(y1, _y2(pk, d1, d2), _y3(pk, d1), _y4(pk, d2))
 
 
 def _reproduces(pk: PublicKey, ct: Ciphertext, nonce: SessionNonce) -> bool:
@@ -487,13 +495,8 @@ def _reproduces(pk: PublicKey, ct: Ciphertext, nonce: SessionNonce) -> bool:
     return (
         _y4(pk, d2) == ct.y4
         and _y3(pk, d1) == ct.y3
-        and _reproduces_y2(pk, ct, d1, d2)
+        and _y2(pk, d1, d2) == ct.y2
     )
-
-
-def _reproduces_y2(pk: PublicKey, ct: Ciphertext, d1, d2) -> bool:
-    """Whether the gamma walks of the digits d1 and d2 give the y2 of ct."""
-    return pk.group.step(_gamma1(pk, d1), _gamma2(pk, d2)) == ct.y2
 
 
 def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce:

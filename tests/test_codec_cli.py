@@ -78,6 +78,23 @@ def test_ciphertext_blob_size_and_round_trip(n):
     assert parsed == ct  # fixed coordinates re-imposed exactly
 
 
+@pytest.mark.parametrize("n", [5, 17, 65])
+def test_ciphertext_parse_builds_no_field(n, monkeypatch):
+    # the ciphertext reader needs only the header's width: building a field
+    # for it would cost an untrusted header its log/exp tables
+    params, (pk, _) = make_key(25, n)
+    rng = random.Random(26)
+    ct = encrypt(pk, SuzukiGroup(params).random_element(rng), random_nonce(params, rng))
+    blob = codec.serialize_ciphertext(params, ct)
+
+    def no_field(*args):
+        raise AssertionError("ciphertext parse built a field")
+
+    monkeypatch.setattr(codec, "make_params", no_field)
+    monkeypatch.setattr(codec, "FieldParams", no_field)
+    assert codec.parse_ciphertext(blob) == (n, ct)
+
+
 # SHA-256 over the public key, private key and 3 ciphertexts of 3 seeded keys
 # per field, recorded before the signature layer dropped its bit-width
 # methods.  Any change to keygen, encrypt, the rng draw order or the byte
@@ -248,7 +265,7 @@ def test_reader_matches_per_element_reference(n):
         prefix, tail = rng.randbytes(5), rng.randbytes(3)
         r = codec._Reader(prefix + body + tail)
         r.pos = len(prefix)
-        assert list(r.elements(params, count, "beta1")) == oracle.le_elements(body, size) == vals
+        assert list(r.elements(n, count, "beta1")) == oracle.le_elements(body, size) == vals
         assert r.pos == len(prefix) + len(body)
         # a padding bit in the first, a middle and the last element
         for i in sorted({0, count // 2, count - 1}):
@@ -257,7 +274,7 @@ def test_reader_matches_per_element_reference(n):
             r = codec._Reader(prefix + bytes(bad) + tail)
             r.pos = len(prefix)
             with pytest.raises(codec.CodecError) as err:
-                r.elements(params, count, "beta1")
+                r.elements(n, count, "beta1")
             at = len(prefix) + i * size
             assert str(err.value) == f"beta1: element has nonzero padding bits at byte {at}"
 
@@ -345,18 +362,24 @@ def test_parse_checks_alpha_entry_constraint():
 
 @pytest.mark.parametrize("n", [3, 17])
 def test_cover_entries_are_plain_triples(n):
-    # keygen's covers and the parsed ones hold plain tuples, equal entry by
-    # entry; the generator makes the same entry type
+    # keygen's covers and chains and the parsed ones hold plain tuples,
+    # equal entry by entry; the generator makes the same entry type
     from mst3sz.logsig import covering_type, gen_random_cover
 
-    params, (pk, _) = make_key(44, n)
+    params, (pk, sk) = make_key(44, n)
     parsed = codec.parse_public_key(codec.serialize_public_key(pk))
+    parsed_sk = codec.parse_private_key(codec.serialize_private_key(sk))
     for name in ("alpha1", "alpha2", "gamma1", "gamma2"):
         made, read = getattr(pk, name), getattr(parsed, name)
         for entries in (made.blocks, read.blocks):
             assert all(type(e) is tuple for block in entries for e in block), name
         assert read.blocks == made.blocks, name
         assert type(read.blocks) is tuple and all(type(b) is tuple for b in read.blocks)
+    for name in ("chain1", "chain2"):
+        made, read = getattr(sk, name), getattr(parsed_sk, name)
+        for masks in (made, read):
+            assert type(masks) is tuple and all(type(t) is tuple for t in masks), name
+        assert read == made, name
     cover = gen_random_cover(SuzukiGroup(params), covering_type(n), random.Random(45))
     assert all(type(e) is tuple for block in cover.blocks for e in block)
 
@@ -523,7 +546,7 @@ def test_parse_rejects_central_chain_element():
     _, (pk, sk) = make_key(40, n=5)
     assert len(sk.chain1) == 3
     g = sk.chain1[1]
-    chain1 = sk.chain1[:1] + (GroupElement(g.a, 0, g.c),) + sk.chain1[2:]
+    chain1 = sk.chain1[:1] + ((g[0], 0, g[2]),) + sk.chain1[2:]
     broken = dataclasses.replace(sk, chain1=chain1)
     with pytest.raises(codec.CodecError, match="central masking element in chain"):
         codec.parse_private_key(codec.serialize_private_key(broken))
@@ -635,7 +658,7 @@ def test_central_chain_element_named_with_offset(central1, central2, named):
     for name, central in (("chain1", central1), ("chain2", central2)):
         for i in central:
             g = chains[name][i]
-            chains[name][i] = GroupElement(g.a, 0, g.c)
+            chains[name][i] = (g[0], 0, g[2])
     broken = dataclasses.replace(
         sk, chain1=tuple(chains["chain1"]), chain2=tuple(chains["chain2"])
     )
@@ -840,18 +863,24 @@ def test_cli_pipeline_matches_library(tmp_path, n):
         assert decode_message(params, decrypt(pk, sk, parsed)) == payload
 
 
-def test_cli_ciphertext_key_mismatch(tmp_path):
-    for n, tag in ((3, "a"), (5, "b")):
-        cli(["keygen", "--n", str(n), "--pub", str(tmp_path / f"p{tag}.key"),
-             "--priv", str(tmp_path / f"s{tag}.key"), "--seed", "9"])
-    msg = tmp_path / "m.bin"
+def test_cli_ciphertext_key_mismatch(tmp_path, capsys):
+    # n=3 and n=17 ciphertexts against n=5 keys, in decrypt and in attack
+    for n in (3, 5, 17):
+        assert cli(["keygen", "--n", str(n), "--pub", str(tmp_path / f"p{n}.key"),
+                    "--priv", str(tmp_path / f"s{n}.key"), "--seed", "9"]) == 0
+    msg, ct, out = tmp_path / "m.bin", tmp_path / "c.bin", tmp_path / "o.bin"
     msg.write_bytes(b"")
-    ct = tmp_path / "c.bin"
-    assert cli(["encrypt", "--pub", str(tmp_path / "pa.key"), "--in", str(msg), "--out", str(ct)]) == 0
-    assert cli([
-        "decrypt", "--pub", str(tmp_path / "pb.key"), "--priv", str(tmp_path / "sb.key"),
-        "--in", str(ct), "--out", str(tmp_path / "o.bin"),
-    ]) == 2
+    pub5 = str(tmp_path / "p5.key")
+    for n in (3, 17):
+        assert cli(["encrypt", "--pub", str(tmp_path / f"p{n}.key"), "--in", str(msg), "--out", str(ct)]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["decrypt", "--pub", pub5, "--priv", str(tmp_path / "s5.key"), "--in", str(ct), "--out", str(out)],
+            ["attack", "3", "--pub", pub5, "--ct", str(ct)],
+        ):
+            assert cli(argv) == 2, (n, argv[0])
+            assert "ciphertext was made for different parameters" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_decrypt_rejects_private_key_of_other_types(tmp_path, capsys):

@@ -53,7 +53,7 @@ def test_keygen_chain_constraint():
         pk, sk = make_key(seed)
         assert sk.chain1[-1] == sk.chain2[0]
         for t in sk.chain1 + sk.chain2:
-            assert t.a != 0 and t.b != 0
+            assert t[0] != 0 and t[1] != 0
             assert not G3.in_center(t)
 
 
