@@ -48,7 +48,7 @@ from typing import Callable
 
 from .group import GroupElement
 from .logsig import induced_table, tau_inv
-from .scheme import Ciphertext, PublicKey, SessionNonce, decode_message
+from .scheme import Ciphertext, Memo, PublicKey, SessionNonce, decode_message
 from .scheme import _check_ciphertext, _gamma1, _reproduces, _y2, _y3
 
 _MAX_N = 5
@@ -92,7 +92,7 @@ def attack1_bruteforce_ciphertext(
     q = group.params.q
     a1 = induced_table(group, pk.alpha1)
     a2 = induced_table(group, pk.alpha2)
-    inv2 = [None] * q  # each alpha2 walk is inverted on its first try
+    inv2 = Memo(lambda r2: group.inv(a2[r2]))  # inverts each alpha2 walk once
     # n <= 5 leaves a valid padding no length bits to set, so a = 1: the
     # default oracle tries only the r2 with a2[r2].a = left.a
     screen = oracle is None
@@ -104,9 +104,7 @@ def attack1_bruteforce_ciphertext(
     for r1, g in enumerate(a1):
         left = group.mul(group.inv(g), ct.y1)
         for r2 in by_a.get(left.a, ()) if screen else range(q):
-            if (i := inv2[r2]) is None:
-                i = inv2[r2] = group.inv(a2[r2])
-            cand = group.mul(i, left)
+            cand = group.mul(inv2[r2], left)
             if oracle(cand) and _reproduces(pk, ct, nonce := SessionNonce(r1, r2)):
                 return AttackResult(cand, r1 * q + r2 + 1, True, nonce)
     return AttackResult(None, q * q, False, None)

@@ -270,11 +270,12 @@ def _selftest_checks():
                 assert prod.b == u1.b ^ u2.b
         # the u-factor law against the G.mul fold, from general starts: the
         # alpha entry (u1.b, u1.c, 0) has f1 image u1, and beta is u2.b
+        memo = scheme.Memo(p.pow_2q0)
         for g in G.elements():
             for u1, u2 in zip(us[::9], us[::-7]):
                 fold = G.mul(G.mul(g, u1), GroupElement(1, u2.b, 0))
                 pairs = (((u1.b, u1.c, 0), u2.b),)
-                assert (g.a, *scheme._u_walk(p, g.b, g.c, pairs, {}, {})) == fold
+                assert (g.a, *scheme._u_walk(p, g.b, g.c, pairs, memo, memo)) == fold
 
     def tame_round_trip():
         t = SignatureType((2, 2, 2))

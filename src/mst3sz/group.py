@@ -115,9 +115,7 @@ class SuzukiGroup:
         return GroupElement(f.mul(a1, a2), t ^ b2, f.mul(k2, c1) ^ f.mul(t, p2) ^ c2)
 
     def mul(self, g1: GroupElement, g2: GroupElement) -> GroupElement:
-        f = self.params
-        a, b, c = g2
-        return self.step(g1, (a, b, c, f.pow_2q0_plus_1(a), f.pow_2q0(b)))
+        return self.step(g1, self.terms(g2))
 
     def inv(self, g: GroupElement) -> GroupElement:
         f = self.params

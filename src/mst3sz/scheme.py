@@ -38,15 +38,15 @@ encryption) and step through the entries the digits select,
 ``map(getitem, blocks, digits)``, building no group element per step.
 The group law needs x^(2q0) of a right factor's coordinates, and a cover
 entry is a right factor of every walk that selects it, so each key keeps
-one Frobenius memo, ``frob``, that maps a coordinate x of its own entries
-to x^(2q0).  A walk computes an image the first time it meets the
-coordinate and reads it on every later walk.  The memo starts empty when
-the key is built and is never serialized; the walks look up only the
-key's own cover and beta1 coordinates, so no ciphertext can grow it.  Per
-selected entry:
+one Frobenius memo, ``frob``, a ``Memo`` that maps a coordinate x of its
+own entries to x^(2q0) and fills itself: the first lookup of x computes
+the image and every later one reads it.  Threads may share the memo.  It
+starts empty when the key is built and is never serialized; the walks
+look up only the key's own cover and beta1 coordinates, so no ciphertext
+can grow it.  Per selected entry:
 
     walk                        multiplies   images it reads
-    y1's mask (_walk)               5        a^(2q0), b^(2q0)
+    y1's mask (_y1_mask)            5        a^(2q0), b^(2q0)
     gamma1 (_fixed_a_walk)          3        b^(2q0)
     y3 (_y3)                        1        a^(2q0) of the alpha1 entry
     U in decryption (_u_walk)       2        the same, and beta^(2q0)
@@ -134,6 +134,23 @@ class GammaBlockError(ValueError):
         self.section, self.what, self.coord = section, what, coord
 
 
+class Memo(dict):
+    """A dict that maps k to fill(k), calling fill on k's first lookup.
+
+    Threads may share one without a lock: k only ever maps to fill(k), so
+    lookups that miss at once store equal values.
+    """
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, k):
+        v = self[k] = self.fill(k)
+        return v
+
+
 class SessionNonce(NamedTuple):
     r1: int
     r2: int
@@ -163,7 +180,7 @@ class PublicKey:
     gamma2_base: tuple[int, ...] = field(init=False, repr=False, compare=False)
     gamma2_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # x -> x^(2q0) for the alpha and gamma1 coordinates the walks step by
-    frob: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    frob: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.group.params.n
@@ -201,8 +218,9 @@ class PublicKey:
         f = self.group.params
         k2 = tuple(map(f.pow_2q0_plus_1, a2[1:]))
         # each head is stepped by once, here, so its b^(2q0) is not kept
-        b, c = _fixed_a_walk(f, heads, k2, {})
+        b, c = _fixed_a_walk(f, heads, k2, Memo(f.pow_2q0))
         for name, value in (
+            ("frob", Memo(f.pow_2q0)),
             ("gamma1_a", reduce(f.mul, a1)),
             ("gamma1_k", tuple(map(f.pow_2q0_plus_1, a1[1:]))),
             ("gamma2_base", self.group.terms(GroupElement(reduce(f.mul, a2), b, c))),
@@ -228,7 +246,10 @@ class PrivateKey:
     chain1: tuple[tuple[int, int, int], ...]
     chain2: tuple[tuple[int, int, int], ...]
     # x -> x^(2q0) for the beta1 entries decryption steps by
-    frob: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    frob: Memo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "frob", Memo(self.group.params.pow_2q0))
 
 
 @dataclass(frozen=True)
@@ -250,13 +271,14 @@ def _masked_cover(
 ) -> Cover:
     """gamma1: t_(i-1)^-1 * f1(alpha) * (1, beta, 0) * t_i, entry by entry."""
     f = group.params
+    p, beta_p = Memo(f.pow_2q0), Memo(f.pow_2q0)
     blocks = []
     for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
         a, b, c = group.inv(chain[i])
         right = group.terms(chain[i + 1])
         blocks.append(
             tuple(
-                tuple(group.step((a, *_u_walk(f, b, c, (pair,), {}, {})), right))
+                tuple(group.step((a, *_u_walk(f, b, c, (pair,), p, beta_p)), right))
                 for pair in zip(ablock, bblock)
             )
         )
@@ -325,14 +347,15 @@ def random_nonce(params: FieldParams, rng) -> SessionNonce:
     return SessionNonce(rng.getrandbits(params.n), rng.getrandbits(params.n))
 
 
-def _walk(f: FieldParams, blocks, digits, memo) -> tuple[int, int, int]:
-    """(a, b, c) of the product of the alpha entries the digits select.
+# The walks below take a nonce's digits (``tau_inv``), d1 those of R1 and d2
+# those of R2, which encryption computes once for all of them.
 
-    ``memo`` maps a coordinate x to x^(2q0); a walk that meets a coordinate
-    it lacks computes the image and adds it.  Threads may share a key
-    without a lock: x only ever maps to x^(2q0), so walks that add it at
-    once write equal values.  A step by (a2, b2, c2) is the group law,
-    t = a2*b:
+
+def _y1_mask(pk: PublicKey, d1, d2) -> GroupElement:
+    """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message: one
+    walk over alpha1's blocks and then alpha2's.
+
+    A step by (a2, b2, c2) is the group law, t = a2*b:
 
         a <- a*a2;  b <- t + b2;  c <- a2^(2q0+1)*c + t*b2^(2q0) + c2
 
@@ -340,46 +363,29 @@ def _walk(f: FieldParams, blocks, digits, memo) -> tuple[int, int, int]:
     once both images are kept, no Frobenius map.  Entries whose a the key
     fixes take ``_fixed_a_walk`` instead.
     """
-    get = memo.get
-    entries = map(getitem, blocks, digits)
+    f = pk.group.params
+    p = pk.frob
+    entries = map(getitem, pk.alpha1.blocks + pk.alpha2.blocks, d1 + d2)
     a, b, c = next(entries)
     for a2, b2, c2 in entries:
-        if (pa := get(a2)) is None:
-            pa = memo[a2] = f.pow_2q0(a2)
-        if (pb := get(b2)) is None:
-            pb = memo[b2] = f.pow_2q0(b2)
         t = f.mul(a2, b)
-        c = f.mul(f.mul(pa, a2), c) ^ f.mul(t, pb) ^ c2
+        c = f.mul(f.mul(p[a2], a2), c) ^ f.mul(t, p[b2]) ^ c2
         a = f.mul(a, a2)
         b = t ^ b2
-    return a, b, c
+    return GroupElement(a, b, c)
 
 
-# The walks below take a nonce's digits (``tau_inv``), d1 those of R1 and d2
-# those of R2, which encryption computes once for all of them.
-
-
-def _y1_mask(pk: PublicKey, d1, d2) -> GroupElement:
-    """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message: one
-    walk over alpha1's blocks and then alpha2's."""
-    blocks = pk.alpha1.blocks + pk.alpha2.blocks
-    return GroupElement(*_walk(pk.group.params, blocks, d1 + d2, pk.frob))
-
-
-def _fixed_a_walk(f: FieldParams, entries, ks, memo) -> tuple[int, int]:
+def _fixed_a_walk(f: FieldParams, entries, ks, p) -> tuple[int, int]:
     """(b, c) of the product of ``entries``, whose a-coordinates the caller
     knows, and so the product's a.  A step by (a2, b2, c2) is that of
-    ``_walk`` without the a-chain, with k = a2^(2q0+1) taken from ``ks``,
-    one per entry after the first, and b2^(2q0) from ``memo`` as there:
+    ``_y1_mask`` without the a-chain, with k = a2^(2q0+1) taken from ``ks``,
+    one per entry after the first, and b2^(2q0) from the ``Memo`` ``p``:
     3 multiplies."""
-    get = memo.get
     entries = iter(entries)
     _, b, c = next(entries)
     for (a2, b2, c2), k in zip(entries, ks):
-        if (p := get(b2)) is None:
-            p = memo[b2] = f.pow_2q0(b2)
         t = f.mul(a2, b)
-        c = f.mul(k, c) ^ f.mul(t, p) ^ c2
+        c = f.mul(k, c) ^ f.mul(t, p[b2]) ^ c2
         b = t ^ b2
     return b, c
 
@@ -417,22 +423,16 @@ def _y2(pk: PublicKey, d1, d2) -> GroupElement:
     return pk.group.step(_gamma1(pk, d1), _gamma2(pk, d2))
 
 
-def _u_walk(f: FieldParams, b: int, c: int, pairs, memo, beta_memo) -> tuple[int, int]:
+def _u_walk(f: FieldParams, b: int, c: int, pairs, p, beta_p) -> tuple[int, int]:
     """(b, c) of (a, b, c) times the u factor f1(alpha) * (1, beta, 0) of
     each (alpha entry, beta entry) pair, for any a, which the factors keep.
     A factor (1, b2, c2) adds b2 to b and b2^(2q0)*b + c2 to c, so a u
-    factor is 2 multiplies, with alpha.a^(2q0) read from ``memo`` and
-    beta^(2q0) from ``beta_memo`` as in ``_walk``."""
-    get = memo.get
-    beta_get = beta_memo.get
+    factor is 2 multiplies, with alpha.a^(2q0) read from the ``Memo`` ``p``
+    and beta^(2q0) from the ``Memo`` ``beta_p``."""
     for (a2, b2, _), x in pairs:
-        if (p := get(a2)) is None:
-            p = memo[a2] = f.pow_2q0(a2)
-        c ^= f.mul(p, b) ^ b2
+        c ^= f.mul(p[a2], b) ^ b2
         b ^= a2
-        if (p := beta_get(x)) is None:
-            p = beta_memo[x] = f.pow_2q0(x)
-        c ^= f.mul(p, b)
+        c ^= f.mul(beta_p[x], b)
         b ^= x
     return b, c
 
@@ -442,14 +442,11 @@ def _y3(pk: PublicKey, d1) -> GroupElement:
     selects.  It starts at the first image; each later one adds a2 to b and
     a2^(2q0)*b + b2 to c, one multiply, a2^(2q0) read from the key's memo."""
     f = pk.group.params
-    memo = pk.frob
-    get = memo.get
+    p = pk.frob
     entries = map(getitem, pk.alpha1.blocks, d1)
     b, c, _ = next(entries)
     for a2, b2, _ in entries:
-        if (p := get(a2)) is None:
-            p = memo[a2] = f.pow_2q0(a2)
-        c ^= f.mul(p, b) ^ b2
+        c ^= f.mul(p[a2], b) ^ b2
         b ^= a2
     return GroupElement(1, b, c)
 
@@ -475,13 +472,11 @@ def _check_ciphertext(group: SuzukiGroup, ct: Ciphertext) -> None:
 
 def encrypt(pk: PublicKey, m: GroupElement, nonce: SessionNonce) -> Ciphertext:
     group = pk.group
-    q = group.params.q
     r1, r2 = nonce
-    if not (0 <= r1 < q and 0 <= r2 < q):
-        raise ValueError("nonce out of range")
+    # the key's types cover 2^n, so tau_inv rejects a nonce outside GF(q)
+    d1, d2 = tau_inv(pk.type1, r1), tau_inv(pk.type2, r2)
     if (m.a | m.b | m.c) >> group.params.n:
         raise ValueError("message out of range")
-    d1, d2 = tau_inv(pk.type1, r1), tau_inv(pk.type2, r2)
     y1 = group.mul(_y1_mask(pk, d1, d2), m)
     return Ciphertext(y1, _y2(pk, d1, d2), _y3(pk, d1), _y4(pk, d2))
 

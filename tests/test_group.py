@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mst3sz.field import BinaryField, FieldParams, is_irreducible, make_params
 from mst3sz.group import IDENTITY, CurvePoint, GroupElement, SuzukiGroup
 from mst3sz.logsig import covering_type, gen_random_cover, induced_map
-from mst3sz.scheme import _u_walk
+from mst3sz.scheme import Memo, _u_walk
 
 import oracle
 from test_field import DIFFERENTIAL_FIELDS
@@ -165,7 +165,7 @@ def test_right_factor_laws_match_oracle(n, modulus):
     rng = random.Random(n)
     starts = list(g.elements()) if n == 3 else [rand_el(rng, g) for _ in range(20)]
     # one pair of memos for every walk, so later walks read kept images
-    memo, beta_memo = {}, {}
+    memo, beta_memo = Memo(p.pow_2q0), Memo(p.pow_2q0)
     for start in starts:
         # (alpha entry, beta entry) pairs, about half of the betas 0
         pairs = [

@@ -12,6 +12,7 @@ from mst3sz.logsig import Cover, SignatureType, covering_type, evaluate_tame, in
 from mst3sz.scheme import (
     Ciphertext,
     CiphertextError,
+    Memo,
     PublicKey,
     SessionNonce,
     _gamma1,
@@ -273,6 +274,7 @@ def test_image_products_match_oracle():
     pk, _ = make_key(12)
     # y3, the product of the f1 images of the alpha1 entries R1 selects; and
     # each cover's f1 image product as u factors with beta = 0, from (0, 0)
+    memo = Memo(P3.pow_2q0)
     for cover in (pk.alpha1, pk.alpha2):
         f1_blocks = [[(1, g[0], g[1]) for g in blk] for blk in cover.blocks]
         for r in range(P3.q):
@@ -280,7 +282,7 @@ def test_image_products_match_oracle():
             if cover is pk.alpha1:
                 assert oracle.as_tuple(_y3(pk, tau_inv(pk.type1, r))) == want
             pairs = [(g, 0) for g in cover.select(r)]
-            assert (1, *_u_walk(P3, 0, 0, pairs, {}, {})) == want
+            assert (1, *_u_walk(P3, 0, 0, pairs, memo, memo)) == want
     # y4, the product of the f2 images of the alpha2 entries
     f2_blocks = [[(1, 0, g[1]) for g in blk] for blk in pk.alpha2.blocks]
     for r in range(P3.q):
