@@ -140,7 +140,7 @@ MULS = {5: (28, 35), 17: (118, 107), 65: (479, 402)}
 BUILD_PUBLIC_KEY = {5: (5, 2), 17: (35, 8), 65: (218, 95)}
 
 # Field multiplies, Frobenius maps and inverses per keygen; the gamma1
-# cover's walks share one memo, so a coordinate that recurs in alpha1 or
+# cover's walks share one memo pair, so a coordinate that recurs in alpha1 or
 # beta1 (at n=5 a few do) is mapped once
 KEYGEN = {5: (105, 26, 4), 17: (351, 96, 16), 65: (1590, 615, 64)}
 
