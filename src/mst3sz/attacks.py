@@ -23,7 +23,7 @@ The screens read what the key fixes.  Every gamma2 walk has the a and b of
 ``gamma2_base``, so attack 2 checks y2's a once per attack; y2's b then
 fixes the b of the gamma1 walk, tabulated by the fixed-a law b <- a*b + b2,
 and only an R1 with that b (about 1.5 per attack-5 ciphertext) is walked
-whole (``_gamma1``) to look up the R2 whose ``_gamma2`` sum h gives y2's c.
+(``_fixed_a_walk``) to look up the R2 whose ``_y2`` sum h gives y2's c.
 Attack 3 runs ``_y3`` only where y3's b, the sum of the selected alpha1
 a-coordinates, matches (about 2.0 walks per ciphertext), then sweeps R2
 through a ``_coord_table`` of y4's c, the sum of the selected alpha2
@@ -44,12 +44,13 @@ parallel split must still report the lowest-index verified match.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable
 
 from .group import GroupElement
 from .logsig import induced_table, tau_inv
 from .scheme import Ciphertext, Memo, PublicKey, SessionNonce, decode_message
-from .scheme import _check_ciphertext, _gamma1, _reproduces, _y2, _y3
+from .scheme import _check_ciphertext, _fixed_a_walk, _reproduces, _y2, _y3
 
 _MAX_N = 5
 
@@ -127,7 +128,7 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     f = pk.group.params
     q = f.q
     # a gamma1 walk is (gamma1_a, b, c) and a gamma2 walk has the terms of
-    # gamma2_base with h added to c (``_gamma2``), so their product is
+    # gamma2_base with h added to c (``_y2``), so their product is
     # (gamma1_a*ga, t + gb, k*c + t*p + gc + h), t = ga*b
     ga, gb, gc, k, p = pk.gamma2_base
     y2a, y2b, y2c = ct.y2
@@ -141,7 +142,8 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
     bs = _coord_table(f, g1, 1, [block[0][0] for block in g1[1:]])
     want, rest = f.mul(f.inv(ga), t), y2c ^ f.mul(t, p) ^ gc
     for r1 in (r for r, b in enumerate(bs) if b == want):
-        c = _gamma1(pk, tau_inv(pk.type1, r1)).c
+        entries = map(getitem, g1, tau_inv(pk.type1, r1))
+        _, c = _fixed_a_walk(f, entries, pk.gamma1_k, pk.frob)
         for r2 in by_h.get(rest ^ f.mul(k, c), ()):
             if _reproduces(pk, ct, nonce := SessionNonce(r1, r2)):
                 return AttackResult(nonce, r1 * q + r2 + 1, True, nonce)

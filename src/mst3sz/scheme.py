@@ -25,13 +25,13 @@ The middle factors have a = 1, which gives the gamma covers a block
 structure that every key has and ``PublicKey`` checks: every gamma1 entry
 of block i has the same a-coordinate, and every gamma2 entry of block i
 the same a and b, differing only in c.  The key derives its walk terms
-from that once, and encryption walks the covers by them (``_gamma1``,
-``_gamma2``).  Entries that share their a are walked by one law that
-skips the a-chain, ``_fixed_a_walk``: a gamma1 walk is one, and so is
-the key's product of the gamma2 blocks' (a, b, 0), the base of every
-gamma2 walk.  A gamma2 walk is that base times (1, 0, h), h a Horner sum
-with one multiply per block.  The key keeps the base's step terms, and y2
-is one step of the gamma1 walk by them with h added to c.
+from that once, and ``_y2`` walks both covers by them.  Entries that
+share their a are walked by one law that skips the a-chain,
+``_fixed_a_walk``: a gamma1 walk is one, and so is the key's product of
+the gamma2 blocks' (a, b, 0), the base of every gamma2 walk.  A gamma2
+walk is that base times (1, 0, h), h a Horner sum with one multiply per
+block.  The key keeps the base's step terms, and y2 is one step of the
+gamma1 walk by them with h added to c.
 
 The walks read the digits of the nonce (``tau_inv``, taken once per
 encryption) and step through the entries the digits select,
@@ -47,10 +47,10 @@ can grow it.  Per selected entry:
 
     walk                        multiplies   images it reads
     y1's mask (_y1_mask)            5        a^(2q0), b^(2q0)
-    gamma1 (_fixed_a_walk)          3        b^(2q0)
+    gamma1 in y2 (_fixed_a_walk)    3        b^(2q0)
     y3 (_y3)                        1        a^(2q0) of the alpha1 entry
     U in decryption (_u_walk)       2        the same, and beta^(2q0)
-    gamma2 (_gamma2)                1        none; the key's base terms
+    gamma2 in y2 (_y2)              1        none; the key's base terms
 
 Each image costs one Frobenius map, once per key.
 
@@ -390,37 +390,27 @@ def _fixed_a_walk(f: FieldParams, entries, ks, p) -> tuple[int, int]:
     return b, c
 
 
-def _gamma1(pk: PublicKey, d1) -> GroupElement:
-    """gamma1'(R1): every block has one a, so every walk has a = ``gamma1_a``
-    and is a fixed-a walk by ``gamma1_k``."""
-    entries = map(getitem, pk.gamma1.blocks, d1)
-    b, c = _fixed_a_walk(pk.group.params, entries, pk.gamma1_k, pk.frob)
-    return GroupElement(pk.gamma1_a, b, c)
+def _y2(pk: PublicKey, d1, d2) -> GroupElement:
+    """gamma1'(R1) * gamma2'(R2).
 
-
-def _gamma2(pk: PublicKey, d2) -> tuple[int, int, int, int, int]:
-    """The step terms (``SuzukiGroup.terms``) of gamma2'(R2) =
-    ``gamma2_base`` * (1, 0, h), one multiply per block.
-
-    Block i shares (a_i, b_i), so an entry is (a_i, b_i, 0) * (1, 0, c);
-    as (1, 0, h) * (a_i, b_i, 0) = (a_i, b_i, 0) * (1, 0, a_i^(2q0+1)*h),
-    the walk is the product of the (a_i, b_i, 0), the base, times (1, 0, h)
-    for the Horner sum h <- a_i^(2q0+1)*h + c of the selected c-coordinates.
-    The walk has the base's a and b, so its terms are the base's with c + h.
+    Every gamma1 block has one a, so the gamma1 walk has a = ``gamma1_a``
+    and is a fixed-a walk by ``gamma1_k``.  Every gamma2 block shares
+    (a_i, b_i), so an entry is (a_i, b_i, 0) * (1, 0, c); as
+    (1, 0, h) * (a_i, b_i, 0) = (a_i, b_i, 0) * (1, 0, a_i^(2q0+1)*h),
+    the gamma2 walk is the base, the product of the (a_i, b_i, 0), times
+    (1, 0, h) for the Horner sum h <- a_i^(2q0+1)*h + c of the selected
+    c-coordinates.  Its step terms are ``gamma2_base``'s with h added to
+    c, and y2 is one step of the gamma1 walk by them.
     """
     f = pk.group.params
+    entries = map(getitem, pk.gamma1.blocks, d1)
+    b, c = _fixed_a_walk(f, entries, pk.gamma1_k, pk.frob)
     entries = map(getitem, pk.gamma2.blocks, d2)
     _, _, h = next(entries)
     for (_, _, c2), k in zip(entries, pk.gamma2_k):
         h = f.mul(k, h) ^ c2
-    a, b, c, k, p = pk.gamma2_base
-    return a, b, c ^ h, k, p
-
-
-def _y2(pk: PublicKey, d1, d2) -> GroupElement:
-    """gamma1'(R1) * gamma2'(R2): one step of the gamma1 walk by the terms
-    of the gamma2 walk."""
-    return pk.group.step(_gamma1(pk, d1), _gamma2(pk, d2))
+    a2, b2, c2, k2, p2 = pk.gamma2_base
+    return pk.group.step((pk.gamma1_a, b, c), (a2, b2, c2 ^ h, k2, p2))
 
 
 def _u_walk(f: FieldParams, b: int, c: int, pairs, p, beta_p) -> tuple[int, int]:

@@ -17,12 +17,11 @@ from mst3sz.attacks import (
 )
 from mst3sz.field import FieldParams, make_params
 from mst3sz.group import GroupElement, SuzukiGroup
-from mst3sz.logsig import induced_map, tau_inv
+from mst3sz.logsig import covering_type, gen_random_cover, induced_map, tau_inv
 from mst3sz.scheme import (
     CiphertextError,
+    PublicKey,
     SessionNonce,
-    _gamma1,
-    _gamma2,
     _reproduces,
     _y3,
     _y4,
@@ -34,6 +33,7 @@ from mst3sz.scheme import (
 )
 
 import oracle
+from test_scheme import structured_gammas
 
 P3 = make_params(3)
 G3 = SuzukiGroup(P3)
@@ -101,8 +101,8 @@ def test_attack1_failure_exhausts_space():
 
 # -- per-trial reference loops -----------------------------------------------
 #
-# Attacks 1-3 as plain loops: every walk by its own index (``induced_map``,
-# the scheme's ``_gamma1``, ``_gamma2`` and ``_y3``), attack 1's padding
+# Attacks 1-3 as plain loops: every walk by its own index (``induced_map``
+# and the scheme's ``_y3``), attack 1's padding
 # screen per trial and the trial counter bumped per trial.  The attacks
 # must return exactly what these return.
 
@@ -138,8 +138,8 @@ def _ref_attack1(pk, ct, oracle=None):
 def _ref_attack2(pk, ct):
     group = pk.group
     q = group.params.q
-    g1 = [_gamma1(pk, tau_inv(pk.type1, r)) for r in range(q)]
-    g2 = [_gamma2(pk, tau_inv(pk.type2, r)) for r in range(q)]
+    g1 = [induced_map(group, pk.gamma1, r) for r in range(q)]
+    g2 = [group.terms(induced_map(group, pk.gamma2, r)) for r in range(q)]
     trials = 0
     for r1, h in enumerate(g1):
         for r2, g in enumerate(g2):
@@ -187,21 +187,40 @@ def test_reproduces_matches_full_encryption(n):
             _reproduces(pk, ct, bad)
 
 
+def _structured_key(params, rng):
+    """A public key keygen could not make: random alpha covers with nonzero
+    coordinates and ``structured_gammas``."""
+    group = SuzukiGroup(params)
+    t = covering_type(params.n)
+    alpha1, alpha2 = gen_random_cover(group, t, rng), gen_random_cover(group, t, rng)
+    return PublicKey(group, alpha1, alpha2, *structured_gammas(params, t, rng))
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_attacks_match_per_trial_reference(n):
     # 3 keys x 11 ciphertexts per width: padded messages (the default
     # oracle's screen), random messages under a matching oracle, and the
     # tampers, among them a y2 that no nonce gives and a y3 that passes
-    # attack 3's b-screen but not the whole comparison
+    # attack 3's b-screen but not the whole comparison; then 6 structured
+    # keys x 7 ciphertexts, whose gamma covers only attack 2's screen
+    # assumption (one a per gamma1 block, one (a, b) per gamma2 block) holds
     params = make_params(n)
     rng = random.Random(30 + n)
     q = params.q
     tampered_y2 = 0
-    for _ in range(3):
-        pk, _ = keygen(params, rng=rng)
-        for kind in (
-            "valid", "valid", "valid", "valid", "swap", "y2", "y2", "y3", "y3c", "y4", "pad"
-        ):
+
+    def keys():  # drawn in turn from rng, each before its ciphertexts
+        for _ in range(3):
+            yield keygen(params, rng=rng)[0], (
+                "valid", "valid", "valid", "valid", "swap", "y2", "y2", "y3", "y3c", "y4", "pad"
+            )
+        for _ in range(6):
+            yield _structured_key(params, rng), (
+                "valid", "valid", "valid", "pad", "y2", "y3", "y4"
+            )
+
+    for pk, kinds in keys():
+        for kind in kinds:
             if kind == "pad":
                 m = encode_message(params, b"")
             else:

@@ -15,9 +15,8 @@ from mst3sz.scheme import (
     Memo,
     PublicKey,
     SessionNonce,
-    _gamma1,
-    _gamma2,
     _u_walk,
+    _y2,
     _y3,
     _y4,
     decode_message,
@@ -116,25 +115,27 @@ def test_gamma_recomputes_from_parts(n, modulus):
                 assert oracle.as_tuple(g) == expect, (k, i)
 
 
-def _gamma2_element(pk, d2):
-    """gamma2'(R2) from ``_gamma2``'s step terms, checked against the
-    element's own terms."""
-    terms = _gamma2(pk, d2)
-    g = GroupElement(*terms[:3])
-    assert terms == pk.group.terms(g)
-    return g
-
-
 def _check_gamma_walks(pk, nonces):
-    # every nonce against the generic fold, the last also against the
-    # reference law (slow at large n)
-    params = pk.group.params
-    for cover, walk in ((pk.gamma1, _gamma1), (pk.gamma2, _gamma2_element)):
-        for r in nonces:
-            assert walk(pk, tau_inv(cover.type, r)) == induced_map(pk.group, cover, r)
-        blocks = [[oracle.as_tuple(g) for g in blk] for blk in cover.blocks]
-        want = oracle.cover_product(params, blocks, nonces[-1])
-        assert oracle.as_tuple(walk(pk, tau_inv(cover.type, nonces[-1]))) == want
+    # y2 for every pair of nonces against the generic folds of the two
+    # covers, the last pair also against the reference law (slow at large n)
+    group, params = pk.group, pk.group.params
+    d1 = [tau_inv(pk.type1, r) for r in nonces]
+    d2 = [tau_inv(pk.type2, r) for r in nonces]
+    g1 = [induced_map(group, pk.gamma1, r) for r in nonces]
+    g2 = [induced_map(group, pk.gamma2, r) for r in nonces]
+    for x1, w1 in zip(d1, g1):
+        for x2, w2 in zip(d2, g2):
+            assert _y2(pk, x1, x2) == group.mul(w1, w2)
+    want = oracle.gprod(
+        params,
+        [
+            oracle.cover_product(
+                params, [[oracle.as_tuple(g) for g in blk] for blk in cover.blocks], nonces[-1]
+            )
+            for cover in (pk.gamma1, pk.gamma2)
+        ],
+    )
+    assert oracle.as_tuple(_y2(pk, d1[-1], d2[-1])) == want
 
 
 # every odd width: log/exp tables up to n = 17, byte tables above
@@ -150,15 +151,10 @@ def test_gamma_walks_match_induced_map_and_oracle(params):
     _check_gamma_walks(pk, [0, params.q - 1, rng.getrandbits(n), rng.getrandbits(n)])
 
 
-@pytest.mark.parametrize("n", [3, 5, 9, 19, 65])
-def test_gamma_walks_follow_the_law_on_any_structured_cover(n):
-    # covers keygen could not make: random entries that share only a per
-    # gamma1 block and (a, b) per gamma2 block, with a fresh type
-    params = make_params(n)
-    group = SuzukiGroup(params)
-    rng = random.Random(n)
-    t = SignatureType((2,) * n) if n < 9 else covering_type(n)
-    alpha = Cover(t, tuple(tuple(group.random_element(rng) for _ in range(r)) for r in t.r))
+def structured_gammas(params, t, rng):
+    """Gamma covers of type t that keygen could not make: random entries
+    that share only one a per gamma1 block and one (a, b) per gamma2
+    block."""
 
     def block(r, k):
         a, b = params.random_nonzero(rng), params.random_element(rng)
@@ -167,9 +163,18 @@ def test_gamma_walks_follow_the_law_on_any_structured_cover(n):
             for _ in range(r)
         )
 
-    gamma1 = Cover(t, tuple(block(r, 1) for r in t.r))
-    gamma2 = Cover(t, tuple(block(r, 2) for r in t.r))
-    pk = PublicKey(group, alpha, alpha, gamma1, gamma2)
+    return Cover(t, tuple(block(r, 1) for r in t.r)), Cover(t, tuple(block(r, 2) for r in t.r))
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 19, 65])
+def test_gamma_walks_follow_the_law_on_any_structured_cover(n):
+    # structured gamma covers with a fresh type
+    params = make_params(n)
+    group = SuzukiGroup(params)
+    rng = random.Random(n)
+    t = SignatureType((2,) * n) if n < 9 else covering_type(n)
+    alpha = Cover(t, tuple(tuple(group.random_element(rng) for _ in range(r)) for r in t.r))
+    pk = PublicKey(group, alpha, alpha, *structured_gammas(params, t, rng))
     _check_gamma_walks(pk, [0, params.q - 1] + [rng.getrandbits(n) for _ in range(6)])
 
 
