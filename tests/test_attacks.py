@@ -102,9 +102,9 @@ def test_attack1_failure_exhausts_space():
 # -- per-trial reference loops -----------------------------------------------
 #
 # Attacks 1-3 as plain loops: every walk by its own index (``induced_map``
-# and the scheme's ``_y3``), attack 1's padding
-# screen per trial and the trial counter bumped per trial.  The attacks
-# must return exactly what these return.
+# and the scheme's ``_y3``), attack 1's padding screen per trial and the
+# trial counter bumped per trial.  The attacks must return exactly what
+# these return.
 
 
 def _ref_reproduces(pk, ct, nonce):
@@ -201,9 +201,9 @@ def test_attacks_match_per_trial_reference(n):
     # 3 keys x 11 ciphertexts per width: padded messages (the default
     # oracle's screen), random messages under a matching oracle, and the
     # tampers, among them a y2 that no nonce gives and a y3 that passes
-    # attack 3's b-screen but not the whole comparison; then 6 structured
-    # keys x 7 ciphertexts, whose gamma covers only attack 2's screen
-    # assumption (one a per gamma1 block, one (a, b) per gamma2 block) holds
+    # attack 3's b-screen but not the whole comparison; then 6 keys x 7
+    # ciphertexts whose gamma covers have only the block structure attack
+    # 2's screen relies on (one a per gamma1 block, one (a, b) per gamma2)
     params = make_params(n)
     rng = random.Random(30 + n)
     q = params.q

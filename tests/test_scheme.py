@@ -126,16 +126,11 @@ def _check_gamma_walks(pk, nonces):
     for x1, w1 in zip(d1, g1):
         for x2, w2 in zip(d2, g2):
             assert _y2(pk, x1, x2) == group.mul(w1, w2)
-    want = oracle.gprod(
-        params,
-        [
-            oracle.cover_product(
-                params, [[oracle.as_tuple(g) for g in blk] for blk in cover.blocks], nonces[-1]
-            )
-            for cover in (pk.gamma1, pk.gamma2)
-        ],
-    )
-    assert oracle.as_tuple(_y2(pk, d1[-1], d2[-1])) == want
+    walks = [
+        oracle.cover_product(params, [list(map(oracle.as_tuple, b)) for b in c.blocks], nonces[-1])
+        for c in (pk.gamma1, pk.gamma2)
+    ]
+    assert oracle.as_tuple(_y2(pk, d1[-1], d2[-1])) == oracle.gprod(params, walks)
 
 
 # every odd width: log/exp tables up to n = 17, byte tables above
