@@ -17,6 +17,7 @@ import statistics
 import sys
 import time
 import traceback
+from itertools import product
 from pathlib import Path
 
 from . import attacks, codec, scheme
@@ -59,7 +60,7 @@ def _decode_armor(data: bytes, args) -> bytes:
             return base64.b64decode(data.strip(), validate=True)
         if args.hex:
             return binascii.unhexlify(data.strip())
-    except (binascii.Error, ValueError) as e:
+    except ValueError as e:  # binascii.Error is one
         raise codec.CodecError(f"bad armor: {e}") from None
     return data
 
@@ -81,9 +82,7 @@ def _cmd_params(args) -> int:
 
 def _cmd_keygen(args) -> int:
     p = make_params(args.n)
-    t1 = _parse_type(args.type1) if args.type1 else None
-    t2 = _parse_type(args.type2) if args.type2 else None
-    pk, sk = scheme.keygen(p, t1, t2, rng=_rng(args.seed))
+    pk, sk = scheme.keygen(p, args.type1, args.type2, rng=_rng(args.seed))
     pub = codec.serialize_public_key(pk)
     priv = codec.serialize_private_key(sk)
     Path(args.pub).write_bytes(pub)
@@ -233,23 +232,20 @@ def _selftest_checks():
     rng = random.Random(0x5E1F)
 
     def field_routes():
-        for a in range(8):
-            for b in range(8):
-                assert p.mul(a, b) == _mul_mod(a, b, p.modulus, p.q)
-        for a in range(1, 8):
-            assert p.inv(a) == p._inv_euclid(a)
-            assert p.mul(a, p.inv(a)) == 1
-        # n=19 is the smallest width without log/exp tables
-        p19 = make_params(19)
-        m, q = p19.modulus, p19.q
-        r19 = random.Random(19)
-        for _ in range(20):
-            a, b = p19.random_element(r19), p19.random_element(r19)
-            assert p19.mul(a, b) == _mul_mod(a, b, m, q)
-            v = a
-            for _ in range(p19.s + 1):
-                v = _mul_mod(v, v, m, q)
-            assert p19.frob_pow(a, p19.s + 1) == v
+        # both routes against shift-and-add: the log/exp tables on every
+        # n=3 pair, and n=19, the smallest width without them, on 20 pairs
+        p19, r19 = make_params(19), random.Random(19)
+        pairs19 = ((p19.random_element(r19), p19.random_element(r19)) for _ in range(20))
+        for f, pairs in ((p, product(range(8), repeat=2)), (p19, pairs19)):
+            m, q = f.modulus, f.q
+            for a, b in pairs:
+                assert f.mul(a, b) == _mul_mod(a, b, m, q)
+                v = a
+                for _ in range(f.s + 1):
+                    v = _mul_mod(v, v, m, q)
+                assert f.pow_2q0(a) == v
+                assert f.pow_2q0_plus_1(a) == _mul_mod(v, a, m, q)
+                assert a == 0 or f.mul(a, f.inv(a)) == 1
 
     def enumeration():
         els = list(G.elements())
@@ -344,8 +340,10 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("keygen", help="generate a keypair")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--type1", help="comma-separated block sizes, e.g. 4,4,8")
-    sp.add_argument("--type2")
+    sp.add_argument(
+        "--type1", type=_parse_type, help="comma-separated block sizes, e.g. 4,4,8"
+    )
+    sp.add_argument("--type2", type=_parse_type)
     sp.add_argument("--pub", required=True, help="output path for the public key")
     sp.add_argument("--priv", required=True, help="output path for the private key")
     sp.add_argument("--seed", type=int, help="deterministic keygen (testing only)")
@@ -411,7 +409,7 @@ def cli(argv=None) -> int:
         return 1
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-    except (codec.CodecError, scheme.CiphertextError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # CodecError and CiphertextError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -2,13 +2,14 @@
 
 A signature type (r_1, ..., r_s) splits indexes 0 <= x < m = prod(r_i) into
 mixed-radix digits (j_1, ..., j_s), j_1 least significant (``tau`` /
-``tau_inv``), and each digit selects one entry of its block (``select``,
-shared by covers and tame signatures).  A ``Cover`` holds s blocks of group
-elements as plain (a, b, c) tuples, checked for a != 0 where they are made
+``tau_inv``), and each digit selects one entry of its block: the entries
+of x are ``map(getitem, blocks, tau_inv(type, x))``, for covers and tame
+signatures alike.  A ``Cover`` holds s blocks of group elements as plain
+(a, b, c) tuples, checked for a != 0 where they are made
 (the key parser and the generators, such as ``gen_random_cover``), and
 maps x to the left-to-right product of the selected entries
 (``induced_map``, the reference walk that tests and the benchmark time: a
-fold of ``SuzukiGroup.mul`` over ``Cover.select``; like ``induced_table``,
+fold of ``SuzukiGroup.mul`` over those entries; like ``induced_table``,
 it returns ``GroupElement``s even for a one-block cover).  ``induced_table``
 lists that map for every x at once by prefix products, for attack 1: each
 block steps the whole table so far by its entries, whose step terms it
@@ -24,7 +25,7 @@ the offsets are the trapdoor; a signature is built from them alone, checks
 that the type covers the map's width and that the map inverts, and derives
 its entries and a row-echelon basis of the map (``echelon_rows``) once, on
 construction; no inverse map is formed.  Evaluation (XOR of the entries
-``select`` picks, one per block) is then a bijection Z_q -> GF(q).  The
+the digits select, one per block) is then a bijection Z_q -> GF(q).  The
 digits of x are the bit chunks of x itself, so the trapdoor inverts it by
 undoing the offsets and reducing the result against the echelon rows
 (``solve_echelon``), in O(n).  Only the
@@ -41,13 +42,14 @@ from itertools import accumulate, starmap
 from math import prod
 from operator import getitem, mul, xor
 
+from .field import check_width
 from .group import GroupElement, SuzukiGroup
 
 
 @dataclass(frozen=True)
 class SignatureType:
     r: tuple[int, ...]
-    m: int = field(init=False, repr=False, compare=False)  # prod(r), read on every select
+    m: int = field(init=False, repr=False, compare=False)  # prod(r), read on every tau_inv
 
     def __post_init__(self):
         if not self.r or any(ri < 2 for ri in self.r):
@@ -70,8 +72,7 @@ class SignatureType:
 
 def covering_type(n: int) -> SignatureType:
     """Default type tiling n bits: (n-3)/2 two-bit chunks plus one 3-bit chunk."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
+    check_width(n)
     return SignatureType((4,) * ((n - 3) // 2) + (8,))
 
 
@@ -98,11 +99,6 @@ def tau_inv(sig_type: SignatureType, x: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _select(self, x: int) -> list:
-    """The entry of each block that the digits of x select."""
-    return list(map(getitem, self.blocks, tau_inv(self.type, x)))
-
-
 # -- covers of group elements ---------------------------------------------
 
 
@@ -116,12 +112,10 @@ class Cover:
         if tuple(map(len, self.blocks)) != self.type.r:
             raise ValueError("block shapes do not match type")
 
-    select = _select
-
 
 def induced_map(group: SuzukiGroup, cover: Cover, x: int) -> GroupElement:
     """Product of one entry per block, selected by the digits of x."""
-    first, *rest = cover.select(x)
+    first, *rest = map(getitem, cover.blocks, tau_inv(cover.type, x))
     return reduce(group.mul, rest, GroupElement(*first))
 
 
@@ -229,8 +223,6 @@ class TameSignature:
             blocks.append(tuple(entries))
         object.__setattr__(self, "blocks", tuple(blocks))
 
-    select = _select
-
 
 def gen_tame(n: int, sig_type: SignatureType, rng) -> TameSignature:
     while echelon_rows(cols := tuple(rng.getrandbits(n) for _ in range(n)), n) is None:
@@ -241,7 +233,7 @@ def gen_tame(n: int, sig_type: SignatureType, rng) -> TameSignature:
 
 def evaluate_tame(sig: TameSignature, x: int) -> int:
     """XOR of one entry per block, selected by the digits of x."""
-    return reduce(xor, sig.select(x))
+    return reduce(xor, map(getitem, sig.blocks, tau_inv(sig.type, x)))
 
 
 def factor_tame(sig: TameSignature, v: int) -> int:

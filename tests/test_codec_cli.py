@@ -7,7 +7,7 @@ import pytest
 
 from mst3sz import codec
 from mst3sz.cli import cli
-from mst3sz.field import FieldParams, make_params
+from mst3sz.field import BinaryField, FieldParams, make_params
 from mst3sz.group import IDENTITY, GroupElement, SuzukiGroup
 from mst3sz.logsig import SignatureType
 from mst3sz.scheme import (
@@ -962,11 +962,59 @@ def test_cli_report(capsys):
     assert out["storage"]["signatures"]["beta1"]["entries"] == 8
 
 
+SELFTEST_CHECKS = (
+    "field arithmetic routes agree",
+    "element and center counts",
+    "identity and inverse laws",
+    "f2 homomorphism on (1,b,c) pairs",
+    "tame signature round trip",
+    "encrypt/decrypt all nonces",
+    "file formats round trip",
+)
+
+
 def test_cli_selftest(capsys):
     assert cli(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("ok") >= 7
+    assert out.splitlines() == [f"ok   {name}" for name in SELFTEST_CHECKS]
+
+
+def _wrong_windowed_inverse(monkeypatch):
+    # n = 19 has no log/exp tables, so its inv is the Euclidean one
+    right = BinaryField._inv_euclid
+    monkeypatch.setattr(
+        BinaryField, "_inv_euclid", lambda self, a: right(self, a) ^ (self.n == 19)
+    )
+
+
+def _wrong_u_walk(monkeypatch):
+    import mst3sz.scheme as scheme_module
+
+    right = scheme_module._u_walk
+
+    def wrong(*args):
+        b, c = right(*args)
+        return b, c ^ 1
+
+    monkeypatch.setattr(scheme_module, "_u_walk", wrong)
+
+
+@pytest.mark.parametrize(
+    "fault, failing",
+    [
+        (_wrong_windowed_inverse, "field arithmetic routes agree"),
+        # keygen and decrypt share the wrong law, so the round trips pass
+        (_wrong_u_walk, "f2 homomorphism on (1,b,c) pairs"),
+    ],
+    ids=["windowed-inverse", "u-walk"],
+)
+def test_cli_selftest_catches_fault(monkeypatch, capsys, fault, failing):
+    fault(monkeypatch)
+    assert cli(["selftest"]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        f"{'FAIL' if name == failing else 'ok  '} {name}" for name in SELFTEST_CHECKS
+    ]
 
 
 @pytest.mark.parametrize("exc", [AssertionError, IndexError])

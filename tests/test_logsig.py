@@ -93,8 +93,14 @@ def test_covering_type():
     assert t65.r == (4,) * 31 + (8,)
     assert t65.covers_bits(65)
     assert sum(t65.r) == 132  # entries per signature at this layout
-    with pytest.raises(ValueError):
-        covering_type(4)
+
+
+@pytest.mark.parametrize("n", [1, 4, 129])
+def test_covering_type_takes_the_field_widths(n):
+    # the widths check_width accepts, with its messages; GF(2^129) is not one
+    with pytest.raises(ValueError) as err:
+        covering_type(n)
+    assert str(err.value) == ("n must be odd" if n % 2 == 0 else "n must be in 3..127")
 
 
 def test_cover_shape_validation():

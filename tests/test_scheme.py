@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from operator import getitem
 
 import pytest
 from hypothesis import given
@@ -281,7 +282,7 @@ def test_image_products_match_oracle():
             want = oracle.cover_product(P3, f1_blocks, r)
             if cover is pk.alpha1:
                 assert oracle.as_tuple(_y3(pk, tau_inv(pk.type1, r))) == want
-            pairs = [(g, 0) for g in cover.select(r)]
+            pairs = [(g, 0) for g in map(getitem, cover.blocks, tau_inv(cover.type, r))]
             assert (1, *_u_walk(P3, 0, 0, pairs, memo, memo)) == want
     # y4, the product of the f2 images of the alpha2 entries
     f2_blocks = [[(1, 0, g[1]) for g in blk] for blk in pk.alpha2.blocks]
