@@ -239,12 +239,17 @@ def _selftest_checks():
         for f, pairs in ((p, product(range(8), repeat=2)), (p19, pairs19)):
             m, q = f.modulus, f.q
             for a, b in pairs:
-                assert f.mul(a, b) == _mul_mod(a, b, m, q)
+                ab = _mul_mod(a, b, m, q)
+                assert f.mul(a, b) == ab
                 v = a
                 for _ in range(f.s + 1):
                     v = _mul_mod(v, v, m, q)
                 assert f.pow_2q0(a) == v
-                assert f.pow_2q0_plus_1(a) == _mul_mod(v, a, m, q)
+                av = _mul_mod(v, a, m, q)
+                assert f.pow_2q0_plus_1(a) == av
+                assert f.dot2(a, b, v, a) == ab ^ av
+                # q - 1, all ones, fills mul3's top lane to its last bit
+                assert f.mul3(a, b, v, q - 1) == (ab, av, _mul_mod(a, q - 1, m, q))
                 assert a == 0 or f.mul(a, f.inv(a)) == 1
 
     def enumeration():

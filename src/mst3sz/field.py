@@ -19,12 +19,17 @@ v -> v*g.  log takes its ints from exp, so the two tables hold one int
 object per value (about 7 MB at n=17, against 10.5 MB for two sets).
 Larger fields:
 
-* mul forms the carry-less product with a 4-bit window of a (16 multiples
-  of a per call, one XOR and shift per nibble of b), then reduces it as a
-  linear map: r mod m = (r mod x^n) + L(r div x^n), L: h -> h*x^n mod m,
-  whose column i is x^(n+i) mod m.  L is applied through 8-bit window
-  tables (``_byte_tables``), so the cost is the same for every modulus,
-  sparse or dense, including one read from an untrusted key header.
+* One product routine and one reduction.  ``_product`` forms the
+  carry-less product with a 4-bit window of a (16 multiples of a per call,
+  one XOR and shift per nibble of b); ``_fold`` reduces it as a linear
+  map: r mod m = (r mod x^n) + L(r div x^n), L: h -> h*x^n mod m, whose
+  column i is x^(n+i) mod m.  L is applied through 8-bit window tables
+  (``_byte_tables``), so the cost is the same for every modulus, sparse or
+  dense, including one read from an untrusted key header.  mul is the
+  fold of one product.  As the fold is linear, ``dot2`` = a*b + c*d folds
+  the sum of two products once, and ``mul3`` = (a*x, a*y, a*z) takes one
+  product of a by x, y and z packed in 2n-bit lanes of one int, then
+  folds each lane; on the log/exp tables both are plain table reads.
 * Frobenius powers x -> x^(2^k) are GF(2)-linear maps too, whose column i
   is (x^(2^k))^i; each k used gets its own byte tables on first use.
 * inv is the extended Euclidean algorithm.
@@ -248,8 +253,12 @@ class BinaryField:
             if a == 0 or b == 0:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
+        return self._fold(self._product(a, b))
+
+    def _product(self, a: int, b: int) -> int:
+        """The carry-less product of any a >= 0 and b < 2^n, unreduced."""
         # t[j] = a*j for every nibble j; b is read a byte (two nibbles) at a
-        # time, top byte first.  The product r has degree <= 2n-2.
+        # time, top byte first
         a2 = a << 1
         a3 = a2 ^ a
         a4 = a << 2
@@ -262,6 +271,10 @@ class BinaryField:
         r = 0
         for y in b.to_bytes(self._nbytes, "big"):
             r = r << 8 ^ t[y >> 4] << 4 ^ t[y & 15]
+        return r
+
+    def _fold(self, r: int) -> int:
+        """r mod m for r of degree <= 2n-2, such as a product or a sum of them."""
         n = self.n
         h = r >> n  # r mod m = (r mod x^n) + (h * x^n mod m)
         r ^= h << n
@@ -388,6 +401,34 @@ class FieldParams(BinaryField):
         if self._log is None:
             return self.mul(self.frob_pow(a, self.s + 1), a)
         return self._exp[self._log[a] * self._e % (self.q - 1)] if a else 0
+
+    def dot2(self, a: int, b: int, c: int, d: int) -> int:
+        """a*b + c*d; above the tables the sum is reduced once."""
+        log = self._log
+        if log is None:
+            return self._fold(self._product(a, b) ^ self._product(c, d))
+        exp = self._exp
+        r = exp[log[a] + log[b]] if a and b else 0
+        return r ^ exp[log[c] + log[d]] if c and d else r
+
+    def mul3(self, a: int, x: int, y: int, z: int) -> tuple[int, int, int]:
+        """(a*x, a*y, a*z).  Above the tables x, y and z ride in 2n-bit lanes
+        of one int through one pass over a; a lane's product has degree
+        <= 2n-2, so the lanes never overlap."""
+        log = self._log
+        if log is None:
+            w = 2 * self.n
+            r = self._product(x | y << w | z << 2 * w, a)
+            m = (1 << w) - 1
+            return self._fold(r & m), self._fold(r >> w & m), self._fold(r >> 2 * w)
+        if a == 0:
+            return 0, 0, 0
+        exp, la = self._exp, log[a]
+        return (
+            exp[la + log[x]] if x else 0,
+            exp[la + log[y]] if y else 0,
+            exp[la + log[z]] if z else 0,
+        )
 
 
 @lru_cache(maxsize=None)

@@ -12,10 +12,10 @@ which matches composition of the affine maps
 in the order "apply g1's map first, then g2's".  The law lives in ``step``,
 which takes the right factor as its ``terms`` (a2, b2, c2, a2^(2q0+1),
 b2^(2q0)) and forms t = a2*b1 once for both the b and the c coordinate:
-4 field multiplies and no Frobenius map.  ``mul`` is ``step`` with g2's
-terms, so it costs 5 multiplies (one inside a2^(2q0+1)) and 2 Frobenius
-maps; a caller that multiplies many elements by one right factor takes its
-terms once.  The group has order q^2*(q-1) and identity ``IDENTITY`` =
+4 field multiplies, c's two summed by one ``dot2``, and no Frobenius map.
+``mul`` is ``step`` with g2's terms, so it costs 5 multiplies (one inside
+a2^(2q0+1)) and 2 Frobenius maps; a caller that multiplies many elements
+by one right factor takes its terms once.  The group has order q^2*(q-1) and identity ``IDENTITY`` =
 (1, 0, 0), the same element in every field.  The elements (1, 0, c) form
 the designated q-element center (``in_center``) and (1, b, c) the
 q^2-element subgroup whose products add b-coordinates -- both facts carry
@@ -112,7 +112,7 @@ class SuzukiGroup:
         a1, b1, c1 = g1
         a2, b2, c2, k2, p2 = terms
         t = f.mul(a2, b1)
-        return GroupElement(f.mul(a1, a2), t ^ b2, f.mul(k2, c1) ^ f.mul(t, p2) ^ c2)
+        return GroupElement(f.mul(a1, a2), t ^ b2, f.dot2(k2, c1, t, p2) ^ c2)
 
     def mul(self, g1: GroupElement, g2: GroupElement) -> GroupElement:
         return self.step(g1, self.terms(g2))

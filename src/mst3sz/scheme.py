@@ -56,13 +56,16 @@ Each image costs one Frobenius map, once per key.
 
 The first entry of a walk is its start, not a step: y1's mask walks
 alpha1's blocks and then alpha2's, so alpha2's first entry is a step; U
-starts at (0, 0), so its first u factor is a step.  An alpha step forms
-a^(2q0+1) from the kept a^(2q0) with one multiply, on every field, so an
-op makes the same multiplies whether its entries' images were kept or
-not.  A warm op at n = 65, whose entries were all selected before, makes
-only the Frobenius maps of its whole-element group multiplies and
-inverses: one multiply per encrypt; three multiplies and two inverses per
-decrypt.
+starts at (0, 0), so its first u factor is a step.  An alpha step takes
+the law's c with a2 factored out, a2*(a2^(2q0)*c + b*b2^(2q0)) + c2, so it
+reads a2^(2q0), never a2^(2q0+1), and makes 5 multiplies on every field,
+whether its entries' images were kept or not: one ``dot2`` for the
+bracket and one ``mul3`` for a*a2, a2*b and a2 times the bracket, 4
+reductions above the log/exp tables.  The other walks' and the group
+law's sums of two products are ``dot2``s.  A warm op at n = 65, whose
+entries were all selected before, makes only the Frobenius maps of its
+whole-element group multiplies and inverses: one multiply per encrypt;
+three multiplies and two inverses per decrypt.
 
 Encryption of m under nonce (R1, R2) emits
 
@@ -355,37 +358,40 @@ def _y1_mask(pk: PublicKey, d1, d2) -> GroupElement:
     """alpha1'(R1) * alpha2'(R2), the mask y1 carries on the message: one
     walk over alpha1's blocks and then alpha2's.
 
-    A step by (a2, b2, c2) is the group law, t = a2*b:
+    A step by (a2, b2, c2) is the group law with a2 factored out of c:
 
-        a <- a*a2;  b <- t + b2;  c <- a2^(2q0+1)*c + t*b2^(2q0) + c2
+        a <- a*a2;  b <- a2*b + b2;  c <- a2*(a2^(2q0)*c + b*b2^(2q0)) + c2
 
-    with a2^(2q0+1) one multiply from the kept a2^(2q0): 5 multiplies and,
-    once both images are kept, no Frobenius map.  Entries whose a the key
-    fixes take ``_fixed_a_walk`` instead.
+    the bracket one ``dot2`` and the three products by a2 one ``mul3``: 5
+    multiplies, 4 reductions and, once both images are kept, no Frobenius
+    map.  Entries whose a the key fixes take ``_fixed_a_walk`` instead.
     """
     f = pk.group.params
     p = pk.frob
     entries = map(getitem, pk.alpha1.blocks + pk.alpha2.blocks, d1 + d2)
     a, b, c = next(entries)
     for a2, b2, c2 in entries:
-        t = f.mul(a2, b)
-        c = f.mul(f.mul(p[a2], a2), c) ^ f.mul(t, p[b2]) ^ c2
-        a = f.mul(a, a2)
+        a, t, c = f.mul3(a2, a, b, f.dot2(p[a2], c, b, p[b2]))
+        c ^= c2
         b = t ^ b2
     return GroupElement(a, b, c)
 
 
 def _fixed_a_walk(f: FieldParams, entries, ks, p) -> tuple[int, int]:
     """(b, c) of the product of ``entries``, whose a-coordinates the caller
-    knows, and so the product's a.  A step by (a2, b2, c2) is that of
-    ``_y1_mask`` without the a-chain, with k = a2^(2q0+1) taken from ``ks``,
-    one per entry after the first, and b2^(2q0) from the ``Memo`` ``p``:
-    3 multiplies."""
+    knows, and so the product's a.  A step by (a2, b2, c2) is the group law
+    without the a-chain, t = a2*b:
+
+        b <- t + b2;  c <- k*c + t*b2^(2q0) + c2
+
+    with k = a2^(2q0+1) taken from ``ks``, one per entry after the first,
+    and b2^(2q0) from the ``Memo`` ``p``: 3 multiplies, c's two by one
+    ``dot2``."""
     entries = iter(entries)
     _, b, c = next(entries)
     for (a2, b2, c2), k in zip(entries, ks):
         t = f.mul(a2, b)
-        c = f.mul(k, c) ^ f.mul(t, p[b2]) ^ c2
+        c = f.dot2(k, c, t, p[b2]) ^ c2
         b = t ^ b2
     return b, c
 
@@ -417,13 +423,11 @@ def _u_walk(f: FieldParams, b: int, c: int, pairs, p, beta_p) -> tuple[int, int]
     """(b, c) of (a, b, c) times the u factor f1(alpha) * (1, beta, 0) of
     each (alpha entry, beta entry) pair, for any a, which the factors keep.
     A factor (1, b2, c2) adds b2 to b and b2^(2q0)*b + c2 to c, so a u
-    factor is 2 multiplies, with alpha.a^(2q0) read from the ``Memo`` ``p``
-    and beta^(2q0) from the ``Memo`` ``beta_p``."""
+    factor is 2 multiplies, one ``dot2``, with alpha.a^(2q0) read from the
+    ``Memo`` ``p`` and beta^(2q0) from the ``Memo`` ``beta_p``."""
     for (a2, b2, _), x in pairs:
-        c ^= f.mul(p[a2], b) ^ b2
-        b ^= a2
-        c ^= f.mul(beta_p[x], b)
-        b ^= x
+        c ^= f.dot2(p[a2], b, beta_p[x], b ^ a2) ^ b2
+        b ^= a2 ^ x
     return b, c
 
 

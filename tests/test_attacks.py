@@ -520,7 +520,8 @@ def test_attack_scaling_exits_naming_a_missed_attack(monkeypatch, capsys):
 
 
 class _CountingField(FieldParams):
-    """FieldParams that counts its multiplies."""
+    """FieldParams that counts its multiplies (a ``dot2`` makes 2 and a
+    ``mul3`` 3)."""
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -529,6 +530,14 @@ class _CountingField(FieldParams):
     def mul(self, a: int, b: int) -> int:
         self.muls += 1
         return FieldParams.mul(self, a, b)
+
+    def dot2(self, a: int, b: int, c: int, d: int) -> int:
+        self.muls += 2
+        return FieldParams.dot2(self, a, b, c, d)
+
+    def mul3(self, a: int, x: int, y: int, z: int) -> tuple[int, int, int]:
+        self.muls += 3
+        return FieldParams.mul3(self, a, x, y, z)
 
 
 # Field multiplies of attacks 1-3 over 8 padded n=5 ciphertexts: the

@@ -987,6 +987,17 @@ def _wrong_windowed_inverse(monkeypatch):
     )
 
 
+def _wrong_mul3_lane(monkeypatch):
+    # n = 19 has no log/exp tables, so its mul3 packs three lanes
+    right = FieldParams.mul3
+
+    def wrong(self, a, x, y, z):
+        ax, ay, az = right(self, a, x, y, z)
+        return ax, ay ^ (self.n == 19), az
+
+    monkeypatch.setattr(FieldParams, "mul3", wrong)
+
+
 def _wrong_u_walk(monkeypatch):
     import mst3sz.scheme as scheme_module
 
@@ -1003,10 +1014,11 @@ def _wrong_u_walk(monkeypatch):
     "fault, failing",
     [
         (_wrong_windowed_inverse, "field arithmetic routes agree"),
+        (_wrong_mul3_lane, "field arithmetic routes agree"),
         # keygen and decrypt share the wrong law, so the round trips pass
         (_wrong_u_walk, "f2 homomorphism on (1,b,c) pairs"),
     ],
-    ids=["windowed-inverse", "u-walk"],
+    ids=["windowed-inverse", "mul3-lane", "u-walk"],
 )
 def test_cli_selftest_catches_fault(monkeypatch, capsys, fault, failing):
     fault(monkeypatch)

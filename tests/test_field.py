@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,14 @@ def test_primitives_match_oracle(n, modulus):
     if p._exp is not None:
         # the generator walk reaches every nonzero element
         assert sorted(p._exp[: p.q - 1]) == list(range(1, p.q))
+    # dot2 and mul3 on zero, one and all-ones operands beside random ones,
+    # in every position: an all-ones lane's product fills its 2n-1 bits, so
+    # a lane too narrow for it would bleed into the next
+    values = [0, 1, p.q - 1, *(p.random_nonzero(rng) for _ in range(3))]
+    want = {(a, b): oracle.mul(a, b, mod) for a, b in product(values, repeat=2)}
+    for a, b, c, d in product(values, repeat=4):
+        assert p.dot2(a, b, c, d) == want[a, b] ^ want[c, d]
+        assert p.mul3(a, b, c, d) == (want[a, b], want[a, c], want[a, d])
 
 
 # Every width with log/exp tables, and the foreign n=17 moduli.

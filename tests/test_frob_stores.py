@@ -88,7 +88,9 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
 
 
 class CountingField(FieldParams):
-    """FieldParams that counts its multiplies, Frobenius maps and inverses."""
+    """FieldParams that counts its multiplies (a ``dot2`` makes 2 and a
+    ``mul3`` 3), reductions (above the log/exp tables), Frobenius maps and
+    inverses."""
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -97,6 +99,18 @@ class CountingField(FieldParams):
     def mul(self, a: int, b: int) -> int:
         self.calls["mul"] += 1
         return FieldParams.mul(self, a, b)
+
+    def dot2(self, a: int, b: int, c: int, d: int) -> int:
+        self.calls["mul"] += 2
+        return FieldParams.dot2(self, a, b, c, d)
+
+    def mul3(self, a: int, x: int, y: int, z: int) -> tuple[int, int, int]:
+        self.calls["mul"] += 3
+        return FieldParams.mul3(self, a, x, y, z)
+
+    def _fold(self, r: int) -> int:
+        self.calls["fold"] += 1
+        return FieldParams._fold(self, r)
 
     def frob_pow(self, a: int, k: int) -> int:
         self.calls["frob"] += 1
@@ -212,6 +226,35 @@ def test_keygen_cost(n):
     f = CountingField(n)
     keygen(f, rng=random.Random(n))
     assert (f.calls["mul"], f.calls["frob"], f.calls["inv"]) == KEYGEN[n]
+
+
+# Reductions per keygen, encrypt and decrypt at n=65 (32 blocks a cover, 132
+# entries in each alpha): the multiplies of KEYGEN and MULS less one for each
+# dot2, which reduces its sum once; a mul3 folds each of its three lanes.
+#   keygen 1,590 - 327: gamma1's 132 entries, each a u-factor pair (132) and a
+#     group step (132); gamma2's 32 block steps; the public key's 31
+#     fixed-a steps over the gamma2 heads
+#   encrypt 479 - 96: the mask's 63 steps, gamma1's 31 fixed-a steps in y2,
+#     y2's one group step, and the mask times m
+#   decrypt 402 - 98: X's 2 group multiplies, U's 32 u-factor pairs, the
+#     mask's 63 steps, and the mask's inverse times y1
+FOLDS_65 = {"keygen": 1263, "encrypt": 383, "decrypt": 304}
+
+
+def test_sums_of_two_products_reduce_once():
+    f = CountingField(65)
+    pk, sk = keygen(f, rng=random.Random(65))
+    folds = {"keygen": {f.calls["fold"]}, "encrypt": set(), "decrypt": set()}
+    rng = random.Random(66)
+    for _ in range(4):
+        m, nonce = SuzukiGroup(f).random_element(rng), random_nonce(f, rng)
+        f.calls.clear()
+        ct = encrypt(pk, m, nonce)
+        folds["encrypt"].add(f.calls["fold"])
+        f.calls.clear()
+        assert decrypt(pk, sk, ct) == m
+        folds["decrypt"].add(f.calls["fold"])
+    assert folds == {kind: {v} for kind, v in FOLDS_65.items()}
 
 
 def test_moved_keys_fill_their_memos_on_the_new_field():
