@@ -15,8 +15,9 @@ b2^(2q0)) and forms t = a2*b1 once for both the b and the c coordinate:
 4 field multiplies, c's two summed by one ``dot2``, and no Frobenius map.
 ``mul`` is ``step`` with g2's terms, so it costs 5 multiplies (one inside
 a2^(2q0+1)) and 2 Frobenius maps; a caller that multiplies many elements
-by one right factor takes its terms once.  The group has order q^2*(q-1) and identity ``IDENTITY`` =
-(1, 0, 0), the same element in every field.  The elements (1, 0, c) form
+by one right factor takes its terms once.  The group has order
+q^2*(q-1) and identity ``IDENTITY`` = (1, 0, 0), the same element in
+every field.  The elements (1, 0, c) form
 the designated q-element center (``in_center``) and (1, b, c) the
 q^2-element subgroup whose products add b-coordinates -- both facts carry
 the cryptosystem.  ``logsig.induced_map`` walks a cover as a fold of
