@@ -31,8 +31,6 @@ from .logsig import (
     gen_tame,
 )
 
-BENCH_WIDTHS = (33, 63, 65)
-
 
 class _UsageError(Exception):
     pass
@@ -52,6 +50,37 @@ def _parse_type(text: str) -> SignatureType:
         return SignatureType(tuple(int(x) for x in text.split(",")))
     except ValueError as e:
         raise _UsageError(f"bad type {text!r}: {e}") from None
+
+
+def _parse_sizes(text: str) -> list:
+    """bench's fields: every width is checked before anything is timed."""
+    try:
+        widths = tuple(map(int, text.split(",")))
+    except ValueError as e:
+        raise _UsageError(f"bad --sizes {text!r}: {e}") from None
+    fields = []
+    for n in widths:
+        try:
+            fields.append(make_params(n))
+        except ValueError as e:
+            raise _UsageError(f"bad --sizes width {n}: {e}") from None
+    return fields
+
+
+def _parse_iters(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise _UsageError(f"bad --iters {text!r}: must be an integer >= 1")
+
+
+def _add_armor(sp) -> None:
+    """--hex / --base64: the armor of the command's ciphertext file."""
+    fmt = sp.add_mutually_exclusive_group()
+    for armor in ("hex", "base64"):
+        fmt.add_argument(f"--{armor}", action="store_true", help=f"{armor} ciphertext file")
 
 
 def _decode_armor(data: bytes, args) -> bytes:
@@ -141,53 +170,23 @@ def _cmd_attack(args) -> int:
     start = time.perf_counter()
     result = run(pk, ct)
     elapsed = (time.perf_counter() - start) * 1000.0
-    print(
-        json.dumps(
-            {
-                "attack": args.number,
-                "n": pk.group.params.n,
-                "trials": result.trials,
-                "success": result.success,
-                "elapsed_ms": round(elapsed, 3),
-            }
-        )
-    )
+    info = {"attack": args.number, "n": pk.group.params.n, "trials": result.trials}
+    print(json.dumps(info | {"success": result.success, "elapsed_ms": round(elapsed, 3)}))
     return 0
 
 
 def _cmd_report(args) -> int:
     p = make_params(args.n)
     t = covering_type(p.n)
-    print(
-        json.dumps(
-            {
-                "n": p.n,
-                "q": p.q,
-                "complexity": attacks.complexity_report(p),
-                "storage": codec.storage_report(p, t, t),
-            },
-            indent=2,
-        )
-    )
+    info = {"n": p.n, "q": p.q, "complexity": attacks.complexity_report(p)}
+    print(json.dumps(info | {"storage": codec.storage_report(p, t, t)}, indent=2))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    if args.iters < 1:
-        raise _UsageError("--iters must be >= 1")
-    try:
-        widths = tuple(map(int, args.sizes.split(","))) if args.sizes else BENCH_WIDTHS
-    except ValueError as e:
-        raise _UsageError(f"bad --sizes {args.sizes!r}: {e}") from None
-    fields = []
-    for n in widths:  # every width is checked before anything is timed
-        try:
-            fields.append(make_params(n))
-        except ValueError as e:
-            raise _UsageError(f"bad --sizes width {n}: {e}") from None
     rng = random.Random(0xBE)
     rows = []
-    for p in fields:
+    for p in args.sizes:
         n = p.n
         times_kg = []
         for _ in range(args.iters):
@@ -366,11 +365,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--priv", required=True)
         sp.add_argument("--in", dest="infile", required=True)
         sp.add_argument("--out", required=True)
-        fmt = sp.add_mutually_exclusive_group()
-        fmt.add_argument("--hex", action="store_true", help="hex ciphertext file")
-        fmt.add_argument(
-            "--base64", action="store_true", help="base64 ciphertext file"
-        )
+        _add_armor(sp)
         if name == "encrypt":
             sp.add_argument("--seed", type=int, help="deterministic nonce (testing only)")
         sp.set_defaults(func=fn)
@@ -379,9 +374,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("number", type=int, choices=(1, 2, 3))
     sp.add_argument("--pub", required=True)
     sp.add_argument("--ct", required=True)
-    fmt = sp.add_mutually_exclusive_group()
-    fmt.add_argument("--hex", action="store_true")
-    fmt.add_argument("--base64", action="store_true")
+    _add_armor(sp)
     sp.set_defaults(func=_cmd_attack)
 
     sp = sub.add_parser("report", help="attack complexities and storage sizes")
@@ -392,11 +385,13 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_selftest)
 
     sp = sub.add_parser("bench", help="time keygen/encrypt/decrypt")
-    sp.add_argument("--sizes", help=f"widths to bench (default {BENCH_WIDTHS})")
+    sp.add_argument(
+        "--sizes", type=_parse_sizes, default="33,63,65", help="widths (default %(default)s)"
+    )
     sp.add_argument(
         "--iters",
-        type=int,
-        default=100,
+        type=_parse_iters,
+        default="100",
         help="iterations per median; below 100 is a smoke run",
     )
     sp.set_defaults(func=_cmd_bench)

@@ -65,7 +65,8 @@ reductions above the log/exp tables.  The other walks' and the group
 law's sums of two products are ``dot2``s.  A warm op at n = 65, whose
 entries were all selected before, makes only the Frobenius maps of its
 whole-element group multiplies and inverses: one multiply per encrypt;
-three multiplies and two inverses per decrypt.
+three multiplies and two inverses per decrypt.  The tests' cost model
+(``tests/test_frob_stores.py``) checks these counts at every width.
 
 Encryption of m under nonce (R1, R2) emits
 

@@ -35,8 +35,8 @@ from mst3sz.scheme import (
     recover_nonce,
 )
 
-P3 = make_params(3)
-G3 = SuzukiGroup(P3)
+from helpers import G3, P3
+
 KEY_TYPES = (SignatureType((2, 2, 2)), SignatureType((8,)))
 
 

@@ -22,14 +22,7 @@ from mst3sz.scheme import (
 )
 
 import oracle
-
-P3 = make_params(3)
-G3 = SuzukiGroup(P3)
-
-
-def make_key(seed, n=3):
-    params = make_params(n)
-    return params, keygen(params, rng=random.Random(seed))
+from helpers import G3, P3, WIDTHS, make_key
 
 
 # -- file formats -----------------------------------------------------------
@@ -252,7 +245,7 @@ def test_padding_bits_rejected_with_section_and_offset():
         assert str(err.value) == expected
 
 
-@pytest.mark.parametrize("n", range(3, 128, 2))
+@pytest.mark.parametrize("n", WIDTHS)
 def test_reader_matches_per_element_reference(n):
     # random sections after a 5-byte prefix, followed by trailing bytes
     params = make_params(n)

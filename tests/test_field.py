@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mst3sz.field import BinaryField, FieldParams, IRREDUCIBLE, is_irreducible, make_params
 
 import oracle
+from helpers import DIFFERENTIAL_FIELDS, EXTRA_MODULI
 
 GF8 = make_params(3)
 X = 0b010
@@ -158,19 +159,6 @@ def test_frob_pow_matches_generic_pow():
             a = p.random_element(rng)
             k = rng.randrange(0, n)
             assert p.frob_pow(a, k) == oracle.pow_(a, 1 << k, p.modulus)
-
-
-# Non-published moduli on each route: sparse x^17+x^5+1 (log/exp tables) and
-# x^65+x^18+1 (byte tables), and dense random irreducible ones with bit n-1
-# set, as an untrusted key header may carry.
-EXTRA_MODULI = [
-    (17, 0x20021),
-    (65, 1 << 65 | 1 << 18 | 1),
-    (17, 0x36A07),
-    (65, 0x322A2D550DBD0CE07),
-    (127, 0xEB2F3AEF4C97F28B3A0A5295687ADEF7),
-]
-DIFFERENTIAL_FIELDS = [(n, None) for n in range(3, 128, 2)] + EXTRA_MODULI
 
 
 @pytest.mark.parametrize("n,modulus", DIFFERENTIAL_FIELDS)

@@ -3,9 +3,11 @@
 A key maps each coordinate x a walk steps by to x^(2q0) the first time a
 walk meets it and reads the image on every later walk.  These tests hold
 the memoized walks to the independent reference at every width, cold and
-warm, pin the per-op field work, fill a key's memo on the field it was
-moved to, share one cold key between threads, and check that decrypting
-any ciphertext adds only the key's own coordinates.
+warm, hold each op's field work at every width to one cost model whose
+terms name the walks, pin what a cold op adds to the memos, fill a key's
+memo on the field it was moved to, share one cold key between threads,
+and check that decrypting any ciphertext adds only the key's own
+coordinates.
 """
 
 import dataclasses
@@ -14,19 +16,19 @@ import os
 import random
 import sys
 import threading
-from collections import Counter
 from itertools import chain, count, product
+from operator import getitem
 
 import pytest
 
 from mst3sz import codec
-from mst3sz.field import FieldParams, make_params
+from mst3sz.field import _TABLE_LIMIT, FieldParams, make_params
 from mst3sz.group import GroupElement, SuzukiGroup
-from mst3sz.logsig import tau, tau_inv
+from mst3sz.logsig import covering_type, tau, tau_inv
 from mst3sz.scheme import Ciphertext, decrypt, encrypt, keygen, random_nonce
 
 import oracle
-from test_field import DIFFERENTIAL_FIELDS
+from helpers import DIFFERENTIAL_FIELDS, WIDTHS, CountingField, CountingGroup
 
 
 def _reselecting_nonces(pk, rng, n):
@@ -87,174 +89,153 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
     assert pub == codec.serialize_public_key(fresh_pk)
 
 
-class CountingField(FieldParams):
-    """FieldParams that counts its multiplies (a ``dot2`` makes 2 and a
-    ``mul3`` 3), reductions (above the log/exp tables), Frobenius maps and
-    inverses."""
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.calls = Counter()
-
-    def mul(self, a: int, b: int) -> int:
-        self.calls["mul"] += 1
-        return FieldParams.mul(self, a, b)
-
-    def dot2(self, a: int, b: int, c: int, d: int) -> int:
-        self.calls["mul"] += 2
-        return FieldParams.dot2(self, a, b, c, d)
-
-    def mul3(self, a: int, x: int, y: int, z: int) -> tuple[int, int, int]:
-        self.calls["mul"] += 3
-        return FieldParams.mul3(self, a, x, y, z)
-
-    def _fold(self, r: int) -> int:
-        self.calls["fold"] += 1
-        return FieldParams._fold(self, r)
-
-    def frob_pow(self, a: int, k: int) -> int:
-        self.calls["frob"] += 1
-        return FieldParams.frob_pow(self, a, k)
-
-    def inv(self, a: int) -> int:
-        self.calls["inv"] += 1
-        return FieldParams.inv(self, a)
-
-
-class CountingGroup(SuzukiGroup):
-    """SuzukiGroup that counts its whole-element multiplies and inverses in
-    its CountingField's calls."""
-
-    def mul(self, g1, g2):
-        self.params.calls["group.mul"] += 1
-        return SuzukiGroup.mul(self, g1, g2)
-
-    def inv(self, g):
-        self.params.calls["group.inv"] += 1
-        return SuzukiGroup.inv(self, g)
-
-
-# Whole-element group multiplies and inverses per encrypt and decrypt: y1's
-# mask times m; the chain's two ends stripped from y2 (2 multiplies, 1
-# inverse) and y1 unmasked (1 of each)
+# Whole-element group multiplies and inverses: encrypt's mask times m;
+# decrypt's X, the chain's ends stripped from y2 (2, 1), and unmasking (1, 1)
 GROUP_OPS = {"encrypt": (1, 0), "decrypt": (3, 2)}
 
-# A warm op makes only the Frobenius maps of its whole-element group
-# multiplies and inverses: at n=65 2 each, so 2 for encrypt's multiply and
-# 10 for decrypt's 3 multiplies and 2 inverses; on the log/exp tables
-# (n <= 17) a^(2q0+1) is one table read, so 1 per multiply and none per
-# inverse.
-WARM_FROB = {5: (1, 3), 17: (1, 3), 65: (2, 10)}
 
-# Field multiplies per encrypt and decrypt, the same on every op, cold or warm
-MULS = {5: (28, 35), 17: (118, 107), 65: (479, 402)}
+def cost_model(n: int) -> dict[str, dict[str, tuple[int, int, int, int]]]:
+    """Each op's field work on a key of ``covering_type(n)``, walk by walk:
+    (multiplies, dot2s, Frobenius maps, inverses).
 
-# Field multiplies and Frobenius maps to build a public key from its covers
-# (the gamma walk terms), which a parse of the key's bytes pays
-BUILD_PUBLIC_KEY = {5: (5, 2), 17: (35, 8), 65: (218, 95)}
+    Above the log/exp tables the reductions are the multiplies less one
+    per ``dot2``, which reduces its sum once.  The Frobenius maps are
+    those of whole-element group work and of a^(2q0+1); an op also makes
+    one for each coordinate it adds to a memo.
+    """
+    t = covering_type(n)
+    s, E = t.s, sum(t.r)  # blocks and entries of each cover
+    # a^(2q0+1) is a table read on the log/exp tables and a^(2q0) * a above
+    T = int(1 << n > _TABLE_LIMIT)
+    # multiplies and Frobenius maps per group.mul (terms and a step) and group.inv
+    M, FM, I, FI = 4 + T, 1 + T, 2 + 2 * T, 2 * T
+    mask = (5 * (2 * s - 1), 2 * s - 1, 0, 0)
+    build = {
+        "gamma1_a": (s - 1, 0, 0, 0),
+        "gamma1_k and gamma2_k": (2 * T * (s - 1), 0, 2 * T * (s - 1), 0),
+        "gamma2 base walk": (3 * (s - 1), s - 1, 0, 0),
+        "gamma2 base a and terms": (s - 1 + T, 0, FM, 0),
+    }
+    return {
+        "encrypt": {
+            "y1's mask": mask,
+            "gamma1 walk": (3 * (s - 1), s - 1, 0, 0),
+            "gamma2 Horner sum": (s - 1, 0, 0, 0),
+            "y2's step": (4, 1, 0, 0),
+            "y3": (s - 1, 0, 0, 0),
+            "mask times m": (M, 1, FM, 0),
+        },
+        "decrypt": {
+            "X": (2 * M + I, 2, 2 * FM + FI, 1),
+            "U": (2 * s, s, 0, 0),
+            "y1's mask": mask,
+            "unmask": (I + M, 1, FI + FM, 1),
+        },
+        "build": build,
+        # a gamma block inverts a chain element and takes the next one's
+        # terms; a gamma1 entry is a u factor and a step, a gamma2 entry
+        # one multiply after its block's step
+        "keygen": {
+            "gamma1 cover": (6 * E + s * (I + T), 2 * E, s * (FI + FM), s),
+            "gamma2 cover": (E + s * (I + T + 4), s, s * (FI + FM), s),
+            **build,
+        },
+    }
 
-# Field multiplies, Frobenius maps and inverses per keygen; the gamma1
-# cover's walks share one memo pair, so a coordinate that recurs in alpha1 or
-# beta1 (at n=5 a few do) is mapped once
-KEYGEN = {5: (105, 26, 4), 17: (351, 96, 16), 65: (1590, 615, 64)}
 
-# Frobenius maps per encrypt and decrypt on fresh key pairs at n=17: each
-# image a walk reads, once.  y1's mask and y3 start at alpha1's first
-# entry, so encrypt never reads that entry's b^(2q0) or a^(2q0) and computes
-# neither; decryption's U starts at (0, 0) and reads the a^(2q0).
-COLD_FROB_17 = (38, 42)
+def assert_cost(f, op, fills):
+    """f's counts since they were cleared are the model's for one op that
+    added ``fills`` coordinates to the memos."""
+    walks = cost_model(f.n)[op]
+    muls, dot2s, frob, inv = map(sum, zip(*walks.values()))
+    want = (muls, dot2s, (muls - dot2s) * (1 << f.n > _TABLE_LIMIT), frob + fills, inv)
+    got = tuple(f.calls[k] for k in ("mul", "dot2", "fold", "frob", "inv"))
+    what = "multiplies, dot2s, reductions, Frobenius maps and inverses"
+    assert got == want, f"{op} at n={f.n}: {what} {got}, model {want} with walks {walks}"
 
 
-@pytest.mark.parametrize("n", [5, 17, 65])
+def first_use_fills(pk, sk, nonce):
+    """What a cold encrypt and a cold decrypt under nonce add to the memos:
+    ([pk's], [pk's, sk's]).  A walk maps the coordinates of the entries it
+    steps by, not of its start; U starts at (0, 0), so it steps by every
+    selected alpha1 and beta1 entry."""
+    d1, d2 = tau_inv(pk.type1, nonce.r1), tau_inv(pk.type2, nonce.r2)
+    alpha1 = list(map(getitem, pk.alpha1.blocks, d1))
+    mask = alpha1 + list(map(getitem, pk.alpha2.blocks, d2))
+    steps = {x for a, b, _ in mask[1:] for x in (a, b)}  # y3's are among them
+    gamma1 = {b for _, b, _ in list(map(getitem, pk.gamma1.blocks, d1))[1:]}
+    alpha1_a = {a for a, _, _ in alpha1}
+    return [steps | gamma1], [steps | alpha1_a, set(map(getitem, sk.beta1.blocks, d1))]
+
+
+@pytest.mark.parametrize("n", WIDTHS)
 def test_ops_make_the_same_multiplies_cold_and_warm(n):
     f = CountingField(n)
     pk, sk = keygen(f, rng=random.Random(n))
-    pk = dataclasses.replace(pk, group=CountingGroup(f))
+    group = CountingGroup(f)
+    pk = dataclasses.replace(pk, group=group)
     rng = random.Random(n + 1)
     jobs = [(SuzukiGroup(f).random_element(rng), random_nonce(f, rng)) for _ in range(6)]
-    seen = {"encrypt": Counter(), "decrypt": Counter()}
 
-    def counted(kind, fn, *args):
+    def counted(op, keys, *args, fills=None):
+        before = sum(len(key.frob) for key in keys)
         f.calls.clear()
-        out = fn(*args)
-        seen[kind][f.calls["mul"]] += 1
-        assert (f.calls["group.mul"], f.calls["group.inv"]) == GROUP_OPS[kind]
-        return out, f.calls["frob"]
+        group.calls.clear()
+        group.inverted.clear()
+        out = (encrypt if op == "encrypt" else decrypt)(*keys, *args)
+        assert (group.calls["mul"], len(group.inverted)) == GROUP_OPS[op], f"{op} at n={n}"
+        assert_cost(f, op, sum(len(key.frob) for key in keys) - before)
+        if fills is not None:
+            assert [set(key.frob) for key in keys] == fills, f"{op} at n={n}"
+        return out
 
-    # cold: every op on key pairs no walk has touched
+    # cold: an op on key pairs no walk has touched fills the memos with just
+    # the coordinates its walks step by
     for m, nonce in jobs:
-        cold_pk, cold_sk = dataclasses.replace(pk), dataclasses.replace(sk)
-        ct, frob = counted("encrypt", encrypt, cold_pk, m, nonce)
-        _, frob_d = counted(
-            "decrypt", decrypt, dataclasses.replace(pk), dataclasses.replace(sk), ct
-        )
-        if n == 17:
-            assert (frob, frob_d) == COLD_FROB_17
-    # one key pair, twice over the same nonces: the second pass is warm
-    for warm in (False, True):
+        enc, dec = first_use_fills(pk, sk, nonce)
+        ct = counted("encrypt", [dataclasses.replace(pk)], m, nonce, fills=enc)
+        cold = [dataclasses.replace(pk), dataclasses.replace(sk)]
+        assert counted("decrypt", cold, ct, fills=dec) == m
+    # one key pair, twice over the same nonces: the second pass is warm and
+    # fills nothing
+    for _ in range(2):
+        sizes = (len(pk.frob), len(sk.frob))
         for m, nonce in jobs:
-            ct, frob = counted("encrypt", encrypt, pk, m, nonce)
-            out, frob_d = counted("decrypt", decrypt, pk, sk, ct)
-            assert out == m
-            if warm:
-                assert (frob, frob_d) == WARM_FROB[n]
+            ct = counted("encrypt", (pk,), m, nonce)
+            assert counted("decrypt", (pk, sk), ct) == m
+    assert sizes == (len(pk.frob), len(sk.frob)), f"warm ops at n={n} filled the memos"
     if n == 5:
         # a zero beta1 entry is legal, and U's walk steps by it as by any
         # other: every nonce under a key that has one
         keys = (keygen(f, rng=random.Random(s)) for s in count())
         zero_pk, zero_sk = next(k for k in keys if 0 in chain(*k[1].beta1.blocks))
-        zero_pk = dataclasses.replace(zero_pk, group=CountingGroup(f))
+        zero_pk = dataclasses.replace(zero_pk, group=group)
         m = SuzukiGroup(f).random_element(rng)
         for nonce in product(range(f.q), repeat=2):
-            ct, _ = counted("encrypt", encrypt, zero_pk, m, nonce)
-            assert counted("decrypt", decrypt, zero_pk, zero_sk, ct)[0] == m
-    muls = MULS[n]
-    assert (set(seen["encrypt"]), set(seen["decrypt"])) == ({muls[0]}, {muls[1]})
+            ct = counted("encrypt", (zero_pk,), m, nonce)
+            assert counted("decrypt", (zero_pk, zero_sk), ct) == m
 
 
-@pytest.mark.parametrize("n", [5, 17, 65])
+@pytest.mark.parametrize("n", WIDTHS)
 def test_public_key_build_cost(n):
     f = CountingField(n)
     pk, _ = keygen(f, rng=random.Random(n))
     f.calls.clear()
     dataclasses.replace(pk)
-    assert (f.calls["mul"], f.calls["frob"]) == BUILD_PUBLIC_KEY[n]
+    # the gamma2 base's walk maps the b of each block head it steps by, once
+    assert_cost(f, "build", len({block[0][1] for block in pk.gamma2.blocks[1:]}))
 
 
-@pytest.mark.parametrize("n", [5, 17, 65])
+@pytest.mark.parametrize("n", WIDTHS)
 def test_keygen_cost(n):
+    # the gamma1 cover's u factors map each alpha1 a and beta1 entry once,
+    # and the build each gamma2 head's b after the first, in memos of their
+    # own: fewer maps where a draw repeats
     f = CountingField(n)
-    keygen(f, rng=random.Random(n))
-    assert (f.calls["mul"], f.calls["frob"], f.calls["inv"]) == KEYGEN[n]
-
-
-# Reductions per keygen, encrypt and decrypt at n=65 (32 blocks a cover, 132
-# entries in each alpha): the multiplies of KEYGEN and MULS less one for each
-# dot2, which reduces its sum once; a mul3 folds each of its three lanes.
-#   keygen 1,590 - 327: gamma1's 132 entries, each a u-factor pair (132) and a
-#     group step (132); gamma2's 32 block steps; the public key's 31
-#     fixed-a steps over the gamma2 heads
-#   encrypt 479 - 96: the mask's 63 steps, gamma1's 31 fixed-a steps in y2,
-#     y2's one group step, and the mask times m
-#   decrypt 402 - 98: X's 2 group multiplies, U's 32 u-factor pairs, the
-#     mask's 63 steps, and the mask's inverse times y1
-FOLDS_65 = {"keygen": 1263, "encrypt": 383, "decrypt": 304}
-
-
-def test_sums_of_two_products_reduce_once():
-    f = CountingField(65)
-    pk, sk = keygen(f, rng=random.Random(65))
-    folds = {"keygen": {f.calls["fold"]}, "encrypt": set(), "decrypt": set()}
-    rng = random.Random(66)
-    for _ in range(4):
-        m, nonce = SuzukiGroup(f).random_element(rng), random_nonce(f, rng)
-        f.calls.clear()
-        ct = encrypt(pk, m, nonce)
-        folds["encrypt"].add(f.calls["fold"])
-        f.calls.clear()
-        assert decrypt(pk, sk, ct) == m
-        folds["decrypt"].add(f.calls["fold"])
-    assert folds == {kind: {v} for kind, v in FOLDS_65.items()}
+    pk, sk = keygen(f, rng=random.Random(n))
+    fills = {a for block in pk.alpha1.blocks for a, _, _ in block}, set(chain(*sk.beta1.blocks))
+    heads = {block[0][1] for block in pk.gamma2.blocks[1:]}
+    assert_cost(f, "keygen", sum(map(len, fills)) + len(heads))
 
 
 def test_moved_keys_fill_their_memos_on_the_new_field():
@@ -268,13 +249,17 @@ def test_moved_keys_fill_their_memos_on_the_new_field():
     f = CountingField(17)
     group = SuzukiGroup(f)
     moved = [dataclasses.replace(key, group=group) for key in (pk, sk, pk, sk)]
-    f.calls.clear()
     for new, old in zip(moved, (pk, sk, pk, sk)):
         assert new.frob is not old.frob and new.frob == {}
+    enc, dec = first_use_fills(pk, sk, nonce)
+    f.calls.clear()
     ct = encrypt(moved[0], m, nonce)
-    frob = f.calls["frob"]
+    assert [set(moved[0].frob)] == enc
+    assert_cost(f, "encrypt", len(enc[0]))
+    f.calls.clear()
     assert decrypt(moved[2], moved[3], ct) == m
-    assert (frob, f.calls["frob"] - frob) == COLD_FROB_17
+    assert [set(moved[2].frob), set(moved[3].frob)] == dec
+    assert_cost(f, "decrypt", sum(map(len, dec)))
 
 
 def test_threads_share_cold_keys():
@@ -283,7 +268,8 @@ def test_threads_share_cold_keys():
     pk, sk = keygen(params, rng=random.Random(33))
     rng = random.Random(34)
     group = SuzukiGroup(params)
-    workers = 2 * (os.cpu_count() or 1) + 1
+    # more threads than cores, and few enough for a shared host
+    workers = min(2 * (os.cpu_count() or 1) + 1, 5)
     rounds = max(2, 120 // workers)  # about 120 encrypt-decrypt pairs in all
     jobs = [(group.random_element(rng), random_nonce(params, rng)) for _ in range(workers * rounds)]
     ref_pk, ref_sk = dataclasses.replace(pk), dataclasses.replace(sk)

@@ -12,10 +12,8 @@ from mst3sz.logsig import covering_type, gen_random_cover, induced_map
 from mst3sz.scheme import Memo, _u_walk
 
 import oracle
-from test_field import DIFFERENTIAL_FIELDS
+from helpers import DIFFERENTIAL_FIELDS, G3, P3
 
-P3 = make_params(3)
-G3 = SuzukiGroup(P3)
 E = IDENTITY
 
 

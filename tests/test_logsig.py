@@ -26,10 +26,7 @@ from mst3sz.logsig import (
 )
 
 import oracle
-
-P3 = make_params(3)
-G3 = SuzukiGroup(P3)
-T222 = SignatureType((2, 2, 2))
+from helpers import G3, P3, T222
 
 
 def test_type_validation():

@@ -31,10 +31,7 @@ from mst3sz.scheme import (
 )
 
 import oracle
-
-P3 = make_params(3)
-G3 = SuzukiGroup(P3)
-T222 = SignatureType((2, 2, 2))
+from helpers import G3, P3, T222, WIDTHS, structured_gammas
 
 
 def make_key(seed, t1=T222, t2=T222, params=P3):
@@ -137,7 +134,7 @@ def _check_gamma_walks(pk, nonces):
 # every odd width: log/exp tables up to n = 17, byte tables above
 @pytest.mark.parametrize(
     "params",
-    [*(make_params(n) for n in range(3, 128, 2)), FieldParams(65, 0x322A2D550DBD0CE07)],
+    [*map(make_params, WIDTHS), FieldParams(65, 0x322A2D550DBD0CE07)],
     ids=lambda p: f"{p.n}-{p.modulus:x}",
 )
 def test_gamma_walks_match_induced_map_and_oracle(params):
@@ -145,21 +142,6 @@ def test_gamma_walks_match_induced_map_and_oracle(params):
     rng = random.Random(n)
     pk, _ = keygen(params, rng=rng)
     _check_gamma_walks(pk, [0, params.q - 1, rng.getrandbits(n), rng.getrandbits(n)])
-
-
-def structured_gammas(params, t, rng):
-    """Gamma covers of type t that keygen could not make: random entries
-    that share only one a per gamma1 block and one (a, b) per gamma2
-    block."""
-
-    def block(r, k):
-        a, b = params.random_nonzero(rng), params.random_element(rng)
-        return tuple(
-            GroupElement(a, b if k == 2 else params.random_element(rng), params.random_element(rng))
-            for _ in range(r)
-        )
-
-    return Cover(t, tuple(block(r, 1) for r in t.r)), Cover(t, tuple(block(r, 2) for r in t.r))
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 19, 65])
