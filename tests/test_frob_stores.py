@@ -238,6 +238,36 @@ def test_keygen_cost(n):
     assert_cost(f, "keygen", sum(map(len, fills)) + len(heads))
 
 
+# Reductions per keygen, encrypt and decrypt at n=65 (32 blocks a cover, 132
+# entries in each alpha), written out apart from cost_model: the multiplies
+# less one for each dot2, which reduces its sum once; a mul3 folds each of
+# its three lanes.
+#   keygen 1,590 - 327: gamma1's 132 entries, each a u-factor pair (132) and a
+#     group step (132); gamma2's 32 block steps; the public key's 31
+#     fixed-a steps over the gamma2 heads
+#   encrypt 479 - 96: the mask's 63 steps, gamma1's 31 fixed-a steps in y2,
+#     y2's one group step, and the mask times m
+#   decrypt 402 - 98: X's 2 group multiplies, U's 32 u-factor pairs, the
+#     mask's 63 steps, and the mask's inverse times y1
+FOLDS_65 = {"keygen": 1263, "encrypt": 383, "decrypt": 304}
+
+
+def test_sums_of_two_products_reduce_once():
+    f = CountingField(65)
+    pk, sk = keygen(f, rng=random.Random(65))
+    folds = {"keygen": {f.calls["fold"]}, "encrypt": set(), "decrypt": set()}
+    rng = random.Random(66)
+    for _ in range(4):
+        m, nonce = SuzukiGroup(f).random_element(rng), random_nonce(f, rng)
+        f.calls.clear()
+        ct = encrypt(pk, m, nonce)
+        folds["encrypt"].add(f.calls["fold"])
+        f.calls.clear()
+        assert decrypt(pk, sk, ct) == m
+        folds["decrypt"].add(f.calls["fold"])
+    assert folds == {kind: {v} for kind, v in FOLDS_65.items()}
+
+
 def test_moved_keys_fill_their_memos_on_the_new_field():
     # dataclasses.replace(key, group=...) moves a key onto another field
     # object, as the benchmark's tracer does; the moved key's memo must
