@@ -21,9 +21,11 @@ step terms taken once per table); attacks 2 and 3 one coordinate of each
 walk (``_coord_table``), walking a whole element only where it matches.
 The screens read what the key fixes.  Every gamma2 walk has the a and b of
 ``gamma2_base``, so attack 2 checks y2's a once per attack; y2's b then
-fixes the b of the gamma1 walk, tabulated by the fixed-a law b <- a*b + b2,
-and only an R1 with that b (about 1.5 per attack-5 ciphertext) is walked
-(``_fixed_a_walk``) to look up the R2 whose ``_y2`` sum h gives y2's c.
+fixes the b of the gamma1 walk, tabulated by the fixed-a law b <- a*b + b2
+as a sum of the selected b's, each weighed by the a's of the blocks after
+it, and only an R1 with that b (about 1.5 per attack-5 ciphertext) is
+walked (``_fixed_a_walk``) to look up the R2 whose ``_y2`` sum h, tabulated
+by the key's ``gamma2_weights``, gives y2's c.
 Attack 3 runs ``_y3`` only where y3's b, the sum of the selected alpha1
 a-coordinates, matches (about 2.0 walks per ciphertext), then sweeps R2
 through a ``_coord_table`` of y4's c, the sum of the selected alpha2
@@ -50,7 +52,7 @@ from typing import Callable
 from .group import GroupElement
 from .logsig import induced_table, tau_inv
 from .scheme import Ciphertext, Memo, PublicKey, SessionNonce, decode_message
-from .scheme import _check_ciphertext, _fixed_a_walk, _reproduces, _y2, _y3
+from .scheme import _check_ciphertext, _fixed_a_walk, _reproduces, _suffix_products, _y2, _y3
 
 _MAX_N = 5
 
@@ -111,14 +113,17 @@ def attack1_bruteforce_ciphertext(
     return AttackResult(None, q * q, False, None)
 
 
-def _coord_table(f, blocks, coord: int, ks=()) -> list[int]:
-    """For every index in ``tau``'s order, the Horner sum x <- k_i*x + e[coord]
-    over the entries e it selects, k_i = ks[i-1] multiplied once into each
-    sum of the blocks before block i (a plain sum without ks)."""
-    table = [e[coord] for e in blocks[0]]
-    for i, block in enumerate(blocks[1:]):
-        xs = [f.mul(ks[i], x) for x in table] if ks else table
-        table = [x ^ e[coord] for e in block for x in xs]
+def _coord_table(f, blocks, coord: int, ws=()) -> list[int]:
+    """For every index in ``tau``'s order, the sum of w_i*e[coord] over the
+    entries e it selects, w_i = ws[i] for the blocks ws reaches and 1 after
+    them (a plain sum without ws): one multiply per weighted entry."""
+    table = [0]
+    for i, block in enumerate(blocks):
+        if i < len(ws):
+            vs = [f.mul(ws[i], e[coord]) for e in block]
+            table = [x ^ v for v in vs for x in table]
+        else:
+            table = [x ^ e[coord] for e in block for x in table]
     return table
 
 
@@ -136,10 +141,10 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
         return AttackResult(None, q * q, False, None)
     t = y2b ^ gb
     by_h = {}
-    for r2, h in enumerate(_coord_table(f, pk.gamma2.blocks, 2, pk.gamma2_k)):
+    for r2, h in enumerate(_coord_table(f, pk.gamma2.blocks, 2, pk.gamma2_weights)):
         by_h.setdefault(h, []).append(r2)
     g1 = pk.gamma1.blocks
-    bs = _coord_table(f, g1, 1, [block[0][0] for block in g1[1:]])
+    bs = _coord_table(f, g1, 1, _suffix_products(f, [block[0][0] for block in g1[1:]]))
     want, rest = f.mul(f.inv(ga), t), y2c ^ f.mul(t, p) ^ gc
     for r1 in (r for r, b in enumerate(bs) if b == want):
         entries = map(getitem, g1, tau_inv(pk.type1, r1))

@@ -247,6 +247,8 @@ def _selftest_checks():
                 av = _mul_mod(v, a, m, q)
                 assert f.pow_2q0_plus_1(a) == av
                 assert f.dot2(a, b, v, a) == ab ^ av
+                # a sum of products and a reduced addend, folded once
+                assert f.fold(f.product(a, b) ^ f.product(v, a) ^ b) == ab ^ av ^ b
                 # q - 1, all ones, fills mul3's top lane to its last bit
                 assert f.mul3(a, b, v, q - 1) == (ab, av, _mul_mod(a, q - 1, m, q))
                 assert a == 0 or f.mul(a, f.inv(a)) == 1

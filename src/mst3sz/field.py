@@ -30,6 +30,9 @@ Larger fields:
   the sum of two products once, and ``mul3`` = (a*x, a*y, a*z) takes one
   product of a by x, y and z packed in 2n-bit lanes of one int, then
   folds each lane; on the log/exp tables both are plain table reads.
+  A longer sum of products is ``product`` by ``product``, then one
+  ``fold``: above the tables the carry-less product and ``_fold``, on
+  them a table read and nothing.
 * Frobenius powers x -> x^(2^k) are GF(2)-linear maps too, whose column i
   is (x^(2^k))^i; each k used gets its own byte tables on first use.
 * inv is the extended Euclidean algorithm.
@@ -292,18 +295,20 @@ class BinaryField:
         return self._inv_euclid(a)
 
     def _inv_euclid(self, a: int) -> int:
-        """Inverse of a != 0 via the extended Euclidean algorithm on polynomials."""
-        r0, r1 = self.modulus, a
-        s0, s1 = 0, 1
-        while r1:
-            shift = r0.bit_length() - r1.bit_length()
-            if shift < 0:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            r0 ^= r1 << shift
-            s0 ^= s1 << shift
-        # r0 is now the gcd (a constant 1 since the modulus is irreducible)
-        return _polymod(s0, self.modulus)
+        """Inverse of a != 0 via the extended Euclidean algorithm on polynomials:
+        u = g1*a and v = g2*a mod m, each step cancelling u's top bit by v
+        (the pairs swapped first where v is longer) until u = 1.  As
+        deg g1 + deg v <= n and v != 1, g1 comes out reduced."""
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        du, dv = a.bit_length(), self.n + 1
+        while du > 1:
+            j = du - dv
+            if j < 0:
+                u, v, g1, g2, dv, j = v, u, g2, g1, du, -j
+            u ^= v << j
+            g1 ^= g2 << j
+            du = u.bit_length()
+        return g1
 
     def frob_pow(self, a: int, k: int) -> int:
         """a^(2^k).  Frobenius powers; a^(2^n) = a so k is taken mod n."""
@@ -401,6 +406,19 @@ class FieldParams(BinaryField):
         if self._log is None:
             return self.mul(self.frob_pow(a, self.s + 1), a)
         return self._exp[self._log[a] * self._e % (self.q - 1)] if a else 0
+
+    def product(self, a: int, b: int) -> int:
+        """a*b for a sum of products: above the tables unreduced (``_product``),
+        so that the sum takes one ``fold``; on the tables one read."""
+        log = self._log
+        if log is None:
+            return self._product(a, b)
+        return self._exp[log[a] + log[b]] if a and b else 0
+
+    def fold(self, r: int) -> int:
+        """The field element of r, a ``product`` or a sum of them: ``_fold``
+        above the tables; on the tables r, which they keep reduced."""
+        return r if self._log is not None else self._fold(r)
 
     def dot2(self, a: int, b: int, c: int, d: int) -> int:
         """a*b + c*d; above the tables the sum is reduced once."""

@@ -14,12 +14,13 @@ factor, once, by its own law.  For k = 1 it is the u factor
 (1, a, b) * (1, beta, 0), and one law, ``_u_walk``, applies u factors to
 any left element: keygen applies an entry's u to t_(i-1)^-1 and the group
 law adds t_i, whose step terms (``SuzukiGroup.terms``) are taken once per
-block, so each entry pays 4 field multiplies for it and no Frobenius map;
-decryption's U is the product of the u factors R1 selects.  For k = 2
-the factor is (1, 0, v), v = b + beta, and (1, 0, v) * t =
-t * (1, 0, t.a^(2q0+1) * v), so an entry is E_i = t_(i-1)^-1 * t_i with
-t_i.a^(2q0+1) * v added to c: one step per block, by t_i's terms, which
-also hold t_i.a^(2q0+1), and one field multiply per entry.
+block, as is the a every entry of the block shares, so each entry pays 3
+field multiplies for t_i and no Frobenius map; decryption's U is the
+product of the u factors R1 selects.  For k = 2 the factor is (1, 0, v),
+v = b + beta, and (1, 0, v) * t = t * (1, 0, t.a^(2q0+1) * v), so an
+entry is E_i = t_(i-1)^-1 * t_i with t_i.a^(2q0+1) * v added to c: one
+step per block, by t_i's terms, which also hold t_i.a^(2q0+1), and one
+field multiply per entry.
 
 The middle factors have a = 1, which gives the gamma covers a block
 structure that every key has and ``PublicKey`` checks: every gamma1 entry
@@ -29,9 +30,10 @@ from that once, and ``_y2`` walks both covers by them.  Entries that
 share their a are walked by one law that skips the a-chain,
 ``_fixed_a_walk``: a gamma1 walk is one, and so is the key's product of
 the gamma2 blocks' (a, b, 0), the base of every gamma2 walk.  A gamma2
-walk is that base times (1, 0, h), h a Horner sum with one multiply per
-block.  The key keeps the base's step terms, and y2 is one step of the
-gamma1 walk by them with h added to c.
+walk is that base times (1, 0, h), h a sum of the selected c's weighed by
+key-fixed products, one multiply per block but the last.  The key keeps
+the base's step terms and the weights, and y2 is one step of the gamma1
+walk by those terms with h added to c.
 
 The walks read the digits of the nonce (``tau_inv``, taken once per
 encryption) and step through the entries the digits select,
@@ -41,18 +43,22 @@ entry is a right factor of every walk that selects it, so each key keeps
 one Frobenius memo, ``frob``, a ``Memo`` that maps a coordinate x of its
 own entries to x^(2q0) and fills itself: the first lookup of x computes
 the image and every later one reads it.  Threads may share the memo.  It
-starts empty when the key is built and is never serialized; the walks
-look up only the key's own cover and beta1 coordinates, so no ciphertext
-can grow it.  Per selected entry:
+starts empty when the key is built and is never serialized; keygen then
+hands its keys the images its gamma1 u factors mapped, of every alpha1 a
+and beta1 entry.  The walks look up only the key's own cover and beta1
+coordinates, so no ciphertext can grow it.  Per selected entry, with the
+reductions a field above the log/exp tables makes:
 
-    walk                        multiplies   images it reads
-    y1's mask (_y1_mask)            5        a^(2q0), b^(2q0)
-    gamma1 in y2 (_fixed_a_walk)    3        b^(2q0)
-    y3 (_y3)                        1        a^(2q0) of the alpha1 entry
-    U in decryption (_u_walk)       2        the same, and beta^(2q0)
-    gamma2 in y2 (_y2)              1        none; the key's base terms
+    walk                        multiplies  reductions  images it reads
+    y1's mask (_y1_mask)            5           4       a^(2q0), b^(2q0)
+    gamma1 in y2 (_fixed_a_walk)    3           2       b^(2q0)
+    y3 (_y3)                        1           -       a^(2q0) of the alpha1 entry
+    U in decryption (_u_walk)       2           -       the same, and beta^(2q0)
+    gamma2 in y2 (_y2)              1           -       none; the key's weights
 
-Each image costs one Frobenius map, once per key.
+A walk marked - adds its products unreduced (``FieldParams.product``) and
+reduces the sum once (``fold``), as reduction is GF(2)-linear.  Each image
+costs one Frobenius map, once per key.
 
 The first entry of a walk is its start, not a step: y1's mask walks
 alpha1's blocks and then alpha2's, so alpha2's first entry is a step; U
@@ -61,11 +67,11 @@ the law's c with a2 factored out, a2*(a2^(2q0)*c + b*b2^(2q0)) + c2, so it
 reads a2^(2q0), never a2^(2q0+1), and makes 5 multiplies on every field,
 whether its entries' images were kept or not: one ``dot2`` for the
 bracket and one ``mul3`` for a*a2, a2*b and a2 times the bracket, 4
-reductions above the log/exp tables.  The other walks' and the group
+reductions above the log/exp tables.  ``_fixed_a_walk``'s and the group
 law's sums of two products are ``dot2``s.  A warm op at n = 65, whose
 entries were all selected before, makes only the Frobenius maps of its
 whole-element group multiplies and inverses: one multiply per encrypt;
-three multiplies and two inverses per decrypt.  The tests' cost model
+two multiplies and one inverse per decrypt.  The tests' cost model
 (``tests/test_frob_stores.py``) checks these counts at every width.
 
 Encryption of m under nonce (R1, R2) emits
@@ -91,10 +97,12 @@ central, so X.b = U.b and X.c = U.c + V.c.  U.b is y3.b plus
 evaluate(beta1, R1), so X.b + y3.b is what the trapdoor factors into R1.
 The private key then rebuilds U from the R1-selected factors, and
 X.c + U.c + y4.c is evaluate(beta2, R2).  No public cover is walked and
-only t_s(2) is inverted to find the nonce.  y1 is unmasked with one inverse
-of alpha1'(R1) * alpha2'(R2).  With a private key from another key pair the
-recovered nonce is wrong, and the unmasked element almost always fails the
-padding check of ``decode_message``.
+nothing is inverted to find the nonce: the private key keeps the step
+terms of t_s(2)^-1 (``chain2_inv``), derived once when it is built.  y1
+is unmasked with one inverse of alpha1'(R1) * alpha2'(R2).  With a
+private key from another key pair the recovered nonce is wrong, and the
+unmasked element almost always fails the padding check of
+``decode_message``.
 
 Encryption is deterministic given the nonce; drawing the nonce is the
 caller's job (``random_nonce``).
@@ -104,6 +112,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import accumulate
 from operator import getitem
 from typing import NamedTuple
 
@@ -171,7 +180,8 @@ class PublicKey:
     walk); ``gamma1_k``, A_i^(2q0+1) for the blocks after the first;
     ``gamma2_base``, the step terms (``SuzukiGroup.terms``) of the product
     of the gamma2 blocks' (a, b, 0), walked by ``_fixed_a_walk``; and
-    ``gamma2_k``, a^(2q0+1) of the gamma2 blocks after the first.
+    ``gamma2_weights``, K_i = k_(i+1)*...*k_(s-1) for every gamma2 block
+    but the last, whose K is 1, with k_j = a^(2q0+1) of gamma2 block j.
     """
 
     group: SuzukiGroup
@@ -182,7 +192,7 @@ class PublicKey:
     gamma1_a: int = field(init=False, repr=False, compare=False)
     gamma1_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
     gamma2_base: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    gamma2_k: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    gamma2_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # x -> x^(2q0) for the alpha and gamma1 coordinates the walks step by
     frob: Memo = field(init=False, repr=False, compare=False)
 
@@ -228,7 +238,7 @@ class PublicKey:
             ("gamma1_a", reduce(f.mul, a1)),
             ("gamma1_k", tuple(map(f.pow_2q0_plus_1, a1[1:]))),
             ("gamma2_base", self.group.terms(GroupElement(reduce(f.mul, a2), b, c))),
-            ("gamma2_k", k2),
+            ("gamma2_weights", _suffix_products(f, k2)),
         ):
             object.__setattr__(self, name, value)
 
@@ -243,17 +253,24 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
+    """The trapdoors and masking chains, and ``chain2_inv``, derived from
+    them when the key is built: the step terms (``SuzukiGroup.terms``) of
+    t_s(2)^-1, by which decryption strips y2's right end."""
+
     group: SuzukiGroup
     beta1: TameSignature
     beta2: TameSignature
     # the masking chains, plain (a, b, c) triples with a != 0 and b != 0
     chain1: tuple[tuple[int, int, int], ...]
     chain2: tuple[tuple[int, int, int], ...]
+    chain2_inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # x -> x^(2q0) for the beta1 entries decryption steps by
     frob: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "frob", Memo(self.group.params.pow_2q0))
+        group = self.group
+        object.__setattr__(self, "chain2_inv", group.terms(group.inv(self.chain2[-1])))
+        object.__setattr__(self, "frob", Memo(group.params.pow_2q0))
 
 
 @dataclass(frozen=True)
@@ -264,6 +281,13 @@ class Ciphertext:
     y4: GroupElement
 
 
+def _suffix_products(f: FieldParams, ks) -> tuple[int, ...]:
+    """(k_1*...*k_t, k_2*...*k_t, ..., k_t) for ks = (k_1, ..., k_t): the
+    weight of each block but the last in a sum that a Horner walk
+    x <- k_i*x + e_i forms, k_i taken at block i.  t - 1 multiplies."""
+    return tuple(accumulate(reversed(ks), f.mul))[::-1]
+
+
 def _random_masking_element(group: SuzukiGroup, rng) -> tuple[int, int, int]:
     # chain elements need a != 0 and b != 0 (hence non-central); c is free
     f = group.params
@@ -271,21 +295,24 @@ def _random_masking_element(group: SuzukiGroup, rng) -> tuple[int, int, int]:
 
 
 def _masked_cover(
-    group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain
+    group: SuzukiGroup, alpha: Cover, beta: TameSignature, chain, p, beta_p
 ) -> Cover:
-    """gamma1: t_(i-1)^-1 * f1(alpha) * (1, beta, 0) * t_i, entry by entry."""
+    """gamma1: t_(i-1)^-1 * f1(alpha) * (1, beta, 0) * t_i, entry by entry.
+    A u factor keeps a, so block i's entries share the a of
+    t_(i-1)^-1 * t_i, formed once.  The u factors read alpha.a^(2q0) from
+    the ``Memo`` ``p`` and beta^(2q0) from ``beta_p``."""
     f = group.params
-    p, beta_p = Memo(f.pow_2q0), Memo(f.pow_2q0)
     blocks = []
     for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
         a, b, c = group.inv(chain[i])
-        right = group.terms(chain[i + 1])
-        blocks.append(
-            tuple(
-                tuple(group.step((a, *_u_walk(f, b, c, (pair,), p, beta_p)), right))
-                for pair in zip(ablock, bblock)
-            )
-        )
+        a2, b2, c2, k2, p2 = group.terms(chain[i + 1])
+        a = f.mul(a, a2)
+        block = []
+        for pair in zip(ablock, bblock):
+            ub, uc = _u_walk(f, b, c, (pair,), p, beta_p)
+            t = f.mul(a2, ub)
+            block.append((a, t ^ b2, f.dot2(k2, uc, t, p2) ^ c2))
+        blocks.append(tuple(block))
     return Cover(alpha.type, tuple(blocks))
 
 
@@ -339,11 +366,16 @@ def keygen(
         _random_masking_element(group, rng) for _ in range(type2.s)
     )
 
-    gamma1 = _masked_cover(group, alpha1, beta1, chain1)
+    p, beta_p = Memo(params.pow_2q0), Memo(params.pow_2q0)
+    gamma1 = _masked_cover(group, alpha1, beta1, chain1, p, beta_p)
     gamma2 = _masked_central_cover(group, alpha2, beta2, chain2)
 
     pk = PublicKey(group, alpha1, alpha2, gamma1, gamma2)
     sk = PrivateKey(group, beta1, beta2, chain1, chain2)
+    # gamma1's u factors mapped every alpha1 a and beta1 entry: the keys'
+    # walks read the same images
+    pk.frob.update(p)
+    sk.frob.update(beta_p)
     return pk, sk
 
 
@@ -405,17 +437,20 @@ def _y2(pk: PublicKey, d1, d2) -> GroupElement:
     (a_i, b_i), so an entry is (a_i, b_i, 0) * (1, 0, c); as
     (1, 0, h) * (a_i, b_i, 0) = (a_i, b_i, 0) * (1, 0, a_i^(2q0+1)*h),
     the gamma2 walk is the base, the product of the (a_i, b_i, 0), times
-    (1, 0, h) for the Horner sum h <- a_i^(2q0+1)*h + c of the selected
-    c-coordinates.  Its step terms are ``gamma2_base``'s with h added to
+    (1, 0, h) for h = sum of K_i*c_i over the selected c-coordinates, K_i
+    the key's ``gamma2_weights``: one product per block but the last, and
+    one ``fold``.  Its step terms are ``gamma2_base``'s with h added to
     c, and y2 is one step of the gamma1 walk by them.
     """
     f = pk.group.params
     entries = map(getitem, pk.gamma1.blocks, d1)
     b, c = _fixed_a_walk(f, entries, pk.gamma1_k, pk.frob)
     entries = map(getitem, pk.gamma2.blocks, d2)
-    _, _, h = next(entries)
-    for (_, _, c2), k in zip(entries, pk.gamma2_k):
-        h = f.mul(k, h) ^ c2
+    product, h = f.product, 0
+    # the weights run out first, so zip leaves the last block's entry
+    for k, (_, _, c2) in zip(pk.gamma2_weights, entries):
+        h ^= product(k, c2)
+    h = f.fold(h ^ next(entries)[2])
     a2, b2, c2, k2, p2 = pk.gamma2_base
     return pk.group.step((pk.gamma1_a, b, c), (a2, b2, c2 ^ h, k2, p2))
 
@@ -424,26 +459,28 @@ def _u_walk(f: FieldParams, b: int, c: int, pairs, p, beta_p) -> tuple[int, int]
     """(b, c) of (a, b, c) times the u factor f1(alpha) * (1, beta, 0) of
     each (alpha entry, beta entry) pair, for any a, which the factors keep.
     A factor (1, b2, c2) adds b2 to b and b2^(2q0)*b + c2 to c, so a u
-    factor is 2 multiplies, one ``dot2``, with alpha.a^(2q0) read from the
-    ``Memo`` ``p`` and beta^(2q0) from the ``Memo`` ``beta_p``."""
+    factor is 2 products, with alpha.a^(2q0) read from the ``Memo`` ``p``
+    and beta^(2q0) from the ``Memo`` ``beta_p``; c is folded once."""
+    product = f.product
     for (a2, b2, _), x in pairs:
-        c ^= f.dot2(p[a2], b, beta_p[x], b ^ a2) ^ b2
+        c ^= product(p[a2], b) ^ product(beta_p[x], b ^ a2) ^ b2
         b ^= a2 ^ x
-    return b, c
+    return b, f.fold(c)
 
 
 def _y3(pk: PublicKey, d1) -> GroupElement:
     """The product of the f1 images (1, a, b) of the alpha1 entries R1
     selects.  It starts at the first image; each later one adds a2 to b and
-    a2^(2q0)*b + b2 to c, one multiply, a2^(2q0) read from the key's memo."""
+    a2^(2q0)*b + b2 to c, one product, a2^(2q0) read from the key's memo;
+    c is folded once."""
     f = pk.group.params
-    p = pk.frob
+    product, p = f.product, pk.frob
     entries = map(getitem, pk.alpha1.blocks, d1)
     b, c, _ = next(entries)
     for a2, b2, _ in entries:
-        c ^= f.mul(p[a2], b) ^ b2
+        c ^= product(p[a2], b) ^ b2
         b ^= a2
-    return GroupElement(1, b, c)
+    return GroupElement(1, b, f.fold(c))
 
 
 def _y4(pk: PublicKey, d2) -> GroupElement:
@@ -504,7 +541,7 @@ def recover_nonce(pk: PublicKey, sk: PrivateKey, ct: Ciphertext) -> SessionNonce
             f" from public key types {pk.type1.r}, {pk.type2.r}"
         )
     _check_ciphertext(group, ct)
-    x = group.mul(group.mul(sk.chain1[0], ct.y2), group.inv(sk.chain2[-1]))
+    x = group.step(group.mul(sk.chain1[0], ct.y2), sk.chain2_inv)
     r1 = factor_tame(sk.beta1, x.b ^ ct.y3.b)
     d1 = tau_inv(pk.type1, r1)
     pairs = zip(map(getitem, pk.alpha1.blocks, d1), map(getitem, sk.beta1.blocks, d1))

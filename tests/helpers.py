@@ -61,8 +61,10 @@ def _counting(cls, name, **counts):
 
 class CountingField(FieldParams):
     """FieldParams that counts in ``calls`` its multiplies ("mul": a
-    ``dot2`` makes 2 and a ``mul3`` 3), its ``dot2``s, its reductions
-    ("fold", above the log/exp tables), Frobenius maps and inverses."""
+    ``dot2`` makes 2, a ``mul3`` 3 and a ``product`` 1), its ``dot2``s,
+    its reductions ("fold": ``fold`` and each of mul's, dot2's and mul3's
+    above the log/exp tables, where they all reduce by ``_fold``; on the
+    tables ``fold`` reduces nothing), Frobenius maps and inverses."""
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -71,6 +73,7 @@ class CountingField(FieldParams):
     mul = _counting(FieldParams, "mul", mul=1)
     dot2 = _counting(FieldParams, "dot2", mul=2, dot2=1)
     mul3 = _counting(FieldParams, "mul3", mul=3)
+    product = _counting(FieldParams, "product", mul=1)
     _fold = _counting(FieldParams, "_fold", fold=1)
     frob_pow = _counting(FieldParams, "frob_pow", frob=1)
     inv = _counting(FieldParams, "inv", inv=1)

@@ -991,6 +991,14 @@ def _wrong_mul3_lane(monkeypatch):
     monkeypatch.setattr(FieldParams, "mul3", wrong)
 
 
+def _wrong_fold(monkeypatch):
+    # n = 19 has no log/exp tables, so its fold reduces
+    right = FieldParams.fold
+    monkeypatch.setattr(
+        FieldParams, "fold", lambda self, r: right(self, r) ^ (self.n == 19)
+    )
+
+
 def _wrong_u_walk(monkeypatch):
     import mst3sz.scheme as scheme_module
 
@@ -1008,10 +1016,11 @@ def _wrong_u_walk(monkeypatch):
     [
         (_wrong_windowed_inverse, "field arithmetic routes agree"),
         (_wrong_mul3_lane, "field arithmetic routes agree"),
+        (_wrong_fold, "field arithmetic routes agree"),
         # keygen and decrypt share the wrong law, so the round trips pass
         (_wrong_u_walk, "f2 homomorphism on (1,b,c) pairs"),
     ],
-    ids=["windowed-inverse", "mul3-lane", "u-walk"],
+    ids=["windowed-inverse", "mul3-lane", "fold", "u-walk"],
 )
 def test_cli_selftest_catches_fault(monkeypatch, capsys, fault, failing):
     fault(monkeypatch)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mst3sz.field import BinaryField, FieldParams, IRREDUCIBLE, is_irreducible, make_params
+from mst3sz.logsig import covering_type
 
 import oracle
 from helpers import DIFFERENTIAL_FIELDS, EXTRA_MODULI
@@ -175,6 +176,9 @@ def test_primitives_match_oracle(n, modulus):
         assert p.frob_pow(a, k) == oracle.pow_(a, 1 << k, mod)
     for a in (0, 1, p.q - 1, rng.getrandbits(n), rng.getrandbits(n)):
         assert p.pow_2q0_plus_1(a) == oracle.pow_(a, 2 * p.q0 + 1, mod)
+    # the Euclidean inverse on every field, the tables' included
+    for a in (1, 2, p.q - 1, 1 << (n - 1), p.random_nonzero(rng)):
+        assert p._inv_euclid(a) == oracle.inv(a, mod)
     if p._exp is not None:
         # the generator walk reaches every nonzero element
         assert sorted(p._exp[: p.q - 1]) == list(range(1, p.q))
@@ -186,6 +190,30 @@ def test_primitives_match_oracle(n, modulus):
     for a, b, c, d in product(values, repeat=4):
         assert p.dot2(a, b, c, d) == want[a, b] ^ want[c, d]
         assert p.mul3(a, b, c, d) == (want[a, b], want[a, c], want[a, d])
+
+
+@pytest.mark.parametrize("n,modulus", DIFFERENTIAL_FIELDS)
+def test_sums_of_products_fold_once(n, modulus):
+    # product and fold: one product, and sums as long as decryption's U, the
+    # longest a walk folds (2 products per block of covering_type(n), 126 at
+    # n=127), with a reduced addend as y3's and U's c; all-ones operands
+    # give products of the full degree 2n-2
+    p = FieldParams(n, modulus)
+    mod, top = p.modulus, p.q - 1
+    rng = random.Random(f"fold/{mod}")
+    values = [0, 1, top, *(p.random_nonzero(rng) for _ in range(3))]
+    for a, b in product(values, repeat=2):
+        assert p.fold(p.product(a, b)) == oracle.mul(a, b, mod)
+    k = 2 * covering_type(n).s
+    for pairs in (
+        [(top, top)] + [(p.random_nonzero(rng), top) for _ in range(k - 1)],
+        [(p.random_element(rng), p.random_element(rng)) for _ in range(k)],
+    ):
+        r = want = p.random_element(rng)
+        for a, b in pairs:
+            r ^= p.product(a, b)
+            want ^= oracle.mul(a, b, mod)
+        assert p.fold(r) == want
 
 
 # Every width with log/exp tables, and the foreign n=17 moduli.

@@ -90,55 +90,64 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
 
 
 # Whole-element group multiplies and inverses: encrypt's mask times m;
-# decrypt's X, the chain's ends stripped from y2 (2, 1), and unmasking (1, 1)
-GROUP_OPS = {"encrypt": (1, 0), "decrypt": (3, 2)}
+# decrypt's X, t_0(1) times y2 (1, 0), and unmasking (1, 1)
+GROUP_OPS = {"encrypt": (1, 0), "decrypt": (2, 1)}
 
 
-def cost_model(n: int) -> dict[str, dict[str, tuple[int, int, int, int]]]:
+def cost_model(n: int) -> dict[str, dict[str, tuple[int, int, int, int, int]]]:
     """Each op's field work on a key of ``covering_type(n)``, walk by walk:
-    (multiplies, dot2s, Frobenius maps, inverses).
+    (multiplies, dot2s, reductions, Frobenius maps, inverses).
 
-    Above the log/exp tables the reductions are the multiplies less one
-    per ``dot2``, which reduces its sum once.  The Frobenius maps are
-    those of whole-element group work and of a^(2q0+1); an op also makes
-    one for each coordinate it adds to a memo.
+    The reductions are those above the log/exp tables, which make none: a
+    mul reduces its product, a ``dot2`` its sum of two once, a ``mul3``
+    each lane, and a walk's longer sum of ``product``s takes one ``fold``.
+    The Frobenius maps are those of whole-element group work and of
+    a^(2q0+1); an op also makes one for each coordinate it adds to a memo.
     """
     t = covering_type(n)
     s, E = t.s, sum(t.r)  # blocks and entries of each cover
     # a^(2q0+1) is a table read on the log/exp tables and a^(2q0) * a above
     T = int(1 << n > _TABLE_LIMIT)
-    # multiplies and Frobenius maps per group.mul (terms and a step) and group.inv
-    M, FM, I, FI = 4 + T, 1 + T, 2 + 2 * T, 2 * T
-    mask = (5 * (2 * s - 1), 2 * s - 1, 0, 0)
+    # multiplies, reductions and Frobenius maps per group.mul (terms, then a
+    # step: 4 multiplies, one dot2, 3 reductions) and per group.inv, whose
+    # reductions are its multiplies
+    M, RM, FM, I, FI = 4 + T, 3 + T, 1 + T, 2 + 2 * T, 2 * T
+    mask = (5 * (2 * s - 1), 2 * s - 1, 4 * (2 * s - 1), 0, 0)
+    K = max(s - 2, 0)  # multiplies of the suffix products K_i
     build = {
-        "gamma1_a": (s - 1, 0, 0, 0),
-        "gamma1_k and gamma2_k": (2 * T * (s - 1), 0, 2 * T * (s - 1), 0),
-        "gamma2 base walk": (3 * (s - 1), s - 1, 0, 0),
-        "gamma2 base a and terms": (s - 1 + T, 0, FM, 0),
+        "gamma1_a": (s - 1, 0, s - 1, 0, 0),
+        "gamma1_k and the gamma2 k_i": (2 * T * (s - 1), 0, 2 * T * (s - 1), 2 * T * (s - 1), 0),
+        "gamma2 weights K_i": (K, 0, K, 0, 0),
+        "gamma2 base walk": (3 * (s - 1), s - 1, 2 * (s - 1), 0, 0),
+        "gamma2 base a and terms": (s - 1 + T, 0, s - 1 + T, FM, 0),
     }
+    private_build = {"t_s(2)^-1 and its terms": (I + T, 0, I + T, FI + FM, 1)}
     return {
         "encrypt": {
             "y1's mask": mask,
-            "gamma1 walk": (3 * (s - 1), s - 1, 0, 0),
-            "gamma2 Horner sum": (s - 1, 0, 0, 0),
-            "y2's step": (4, 1, 0, 0),
-            "y3": (s - 1, 0, 0, 0),
-            "mask times m": (M, 1, FM, 0),
+            "gamma1 walk": (3 * (s - 1), s - 1, 2 * (s - 1), 0, 0),
+            "gamma2 sum": (s - 1, 0, 1, 0, 0),
+            "y2's step": (4, 1, 3, 0, 0),
+            "y3": (s - 1, 0, 1, 0, 0),
+            "mask times m": (M, 1, RM, FM, 0),
         },
         "decrypt": {
-            "X": (2 * M + I, 2, 2 * FM + FI, 1),
-            "U": (2 * s, s, 0, 0),
+            "X": (M + 4, 2, RM + 3, FM, 0),
+            "U": (2 * s, 0, 1, 0, 0),
             "y1's mask": mask,
-            "unmask": (I + M, 1, FI + FM, 1),
+            "unmask": (I + M, 1, I + RM, FI + FM, 1),
         },
         "build": build,
+        "private build": private_build,
         # a gamma block inverts a chain element and takes the next one's
-        # terms; a gamma1 entry is a u factor and a step, a gamma2 entry
-        # one multiply after its block's step
+        # terms; a gamma1 block forms its entries' a once, and an entry is a
+        # u factor and the step's b and c; a gamma2 entry is one multiply
+        # after its block's step
         "keygen": {
-            "gamma1 cover": (6 * E + s * (I + T), 2 * E, s * (FI + FM), s),
-            "gamma2 cover": (E + s * (I + T + 4), s, s * (FI + FM), s),
+            "gamma1 cover": (5 * E + s * (I + T + 1), E, 3 * E + s * (I + T + 1), s * (FI + FM), s),
+            "gamma2 cover": (E + s * (I + T + 4), s, E + s * (I + T + 3), s * (FI + FM), s),
             **build,
+            **private_build,
         },
     }
 
@@ -147,15 +156,16 @@ def assert_cost(f, op, fills):
     """f's counts since they were cleared are the model's for one op that
     added ``fills`` coordinates to the memos."""
     walks = cost_model(f.n)[op]
-    muls, dot2s, frob, inv = map(sum, zip(*walks.values()))
-    want = (muls, dot2s, (muls - dot2s) * (1 << f.n > _TABLE_LIMIT), frob + fills, inv)
+    muls, dot2s, folds, frob, inv = map(sum, zip(*walks.values()))
+    want = (muls, dot2s, folds * (1 << f.n > _TABLE_LIMIT), frob + fills, inv)
     got = tuple(f.calls[k] for k in ("mul", "dot2", "fold", "frob", "inv"))
     what = "multiplies, dot2s, reductions, Frobenius maps and inverses"
     assert got == want, f"{op} at n={f.n}: {what} {got}, model {want} with walks {walks}"
 
 
-def first_use_fills(pk, sk, nonce):
-    """What a cold encrypt and a cold decrypt under nonce add to the memos:
+def first_use_fills(pk, sk, nonce, kept=(set(), set())):
+    """What a cold encrypt and a cold decrypt under nonce add to the memos
+    of keys that hold the images of ``kept`` (pk's, sk's) and no other:
     ([pk's], [pk's, sk's]).  A walk maps the coordinates of the entries it
     steps by, not of its start; U starts at (0, 0), so it steps by every
     selected alpha1 and beta1 entry."""
@@ -165,7 +175,8 @@ def first_use_fills(pk, sk, nonce):
     steps = {x for a, b, _ in mask[1:] for x in (a, b)}  # y3's are among them
     gamma1 = {b for _, b, _ in list(map(getitem, pk.gamma1.blocks, d1))[1:]}
     alpha1_a = {a for a, _, _ in alpha1}
-    return [steps | gamma1], [steps | alpha1_a, set(map(getitem, sk.beta1.blocks, d1))]
+    beta1 = set(map(getitem, sk.beta1.blocks, d1))
+    return [(steps | gamma1) - kept[0]], [(steps | alpha1_a) - kept[0], beta1 - kept[1]]
 
 
 @pytest.mark.parametrize("n", WIDTHS)
@@ -227,9 +238,19 @@ def test_public_key_build_cost(n):
 
 
 @pytest.mark.parametrize("n", WIDTHS)
+def test_private_key_build_cost(n):
+    f = CountingField(n)
+    _, sk = keygen(f, rng=random.Random(n))
+    f.calls.clear()
+    moved = dataclasses.replace(sk)
+    assert_cost(f, "private build", 0)
+    assert moved.chain2_inv == sk.chain2_inv
+
+
+@pytest.mark.parametrize("n", WIDTHS)
 def test_keygen_cost(n):
     # the gamma1 cover's u factors map each alpha1 a and beta1 entry once,
-    # and the build each gamma2 head's b after the first, in memos of their
+    # and the build each gamma2 head's b after the first, in a memo of its
     # own: fewer maps where a draw repeats
     f = CountingField(n)
     pk, sk = keygen(f, rng=random.Random(n))
@@ -238,18 +259,51 @@ def test_keygen_cost(n):
     assert_cost(f, "keygen", sum(map(len, fills)) + len(heads))
 
 
+@pytest.mark.parametrize("n", WIDTHS)
+def test_keys_from_keygen_keep_its_images(n):
+    # the keys keep the images keygen's u factors mapped, so a first op on
+    # them maps only the rest; keys from the parser or dataclasses.replace
+    # start with empty memos
+    f = CountingField(n)
+    pk, sk = keygen(f, rng=random.Random(n))
+    kept = {a for block in pk.alpha1.blocks for a, _, _ in block}, set(chain(*sk.beta1.blocks))
+    for key, images in zip((pk, sk), kept):
+        assert set(key.frob) == images
+        assert all(p == f.pow_2q0(x) for x, p in key.frob.items())
+    blobs = codec.serialize_public_key(pk), codec.serialize_private_key(sk)
+    for key in (*map(dataclasses.replace, (pk, sk)), codec.parse_public_key(blobs[0]),
+                codec.parse_private_key(blobs[1])):
+        assert key.frob == {}
+    rng = random.Random(n + 2)
+    m, nonce = SuzukiGroup(f).random_element(rng), random_nonce(f, rng)
+    enc, dec = first_use_fills(pk, sk, nonce, kept)
+    f.calls.clear()
+    ct = encrypt(pk, m, nonce)
+    assert [set(pk.frob) - kept[0]] == enc, f"n={n}"
+    assert_cost(f, "encrypt", len(enc[0]))
+    # a second key pair from the same draws, which no op has touched yet
+    pk, sk = keygen(f, rng=random.Random(n))
+    f.calls.clear()
+    assert decrypt(pk, sk, ct) == m
+    assert [set(pk.frob) - kept[0], set(sk.frob) - kept[1]] == dec, f"n={n}"
+    assert_cost(f, "decrypt", sum(map(len, dec)))
+
+
 # Reductions per keygen, encrypt and decrypt at n=65 (32 blocks a cover, 132
-# entries in each alpha), written out apart from cost_model: the multiplies
-# less one for each dot2, which reduces its sum once; a mul3 folds each of
-# its three lanes.
-#   keygen 1,590 - 327: gamma1's 132 entries, each a u-factor pair (132) and a
-#     group step (132); gamma2's 32 block steps; the public key's 31
-#     fixed-a steps over the gamma2 heads
-#   encrypt 479 - 96: the mask's 63 steps, gamma1's 31 fixed-a steps in y2,
-#     y2's one group step, and the mask times m
-#   decrypt 402 - 98: X's 2 group multiplies, U's 32 u-factor pairs, the
-#     mask's 63 steps, and the mask's inverse times y1
-FOLDS_65 = {"keygen": 1263, "encrypt": 383, "decrypt": 304}
+# entries in each alpha), written out apart from cost_model: a mul reduces
+# its product, a dot2 its sum of two once, a mul3 each of its three lanes,
+# and a walk's longer sum of products once.
+#   keygen 1,198: gamma1's 132 entries, 3 each (u factor, and the step's b
+#     and c), and 32 blocks, 6 each (inverse 4, t_i's terms, the block's a);
+#     gamma2's 132 entries, 1 each, and 32 blocks, 8 each (inverse, terms,
+#     step); the public key's build 217 (gamma1_a 31, 62 a^(2q0+1), the
+#     K_i 30, the base walk's 31 fixed-a steps 62, the base's a 31 and
+#     terms 1); the private key's t_s(2)^-1 and its terms 5
+#   encrypt 323: the mask's 63 steps 252, gamma1's 31 fixed-a steps in y2
+#     62, the gamma2 sum 1, y2's one group step 3, y3 1, the mask times m 4
+#   decrypt 268: X 7 (t_0(1) times y2 4, the step by t_s(2)^-1's terms 3),
+#     U 1, the mask's 63 steps 252, the mask's inverse times y1 8
+FOLDS_65 = {"keygen": 1198, "encrypt": 323, "decrypt": 268}
 
 
 def test_sums_of_two_products_reduce_once():

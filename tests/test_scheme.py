@@ -31,7 +31,7 @@ from mst3sz.scheme import (
 )
 
 import oracle
-from helpers import G3, P3, T222, WIDTHS, structured_gammas
+from helpers import EXTRA_MODULI, G3, P3, T222, WIDTHS, structured_gammas
 
 
 def make_key(seed, t1=T222, t2=T222, params=P3):
@@ -343,6 +343,19 @@ def test_intermediate_strips_to_beta_sum():
         dstar = G3.mul(G3.inv(ct.y3), d1)
         assert dstar.a == 1
         assert dstar.b == evaluate_tame(sk.beta1, nonce.r1)
+
+
+@pytest.mark.parametrize("n,modulus", EXTRA_MODULI[:2])
+def test_private_key_keeps_the_terms_of_the_chain_end_inverse(n, modulus):
+    # the step terms of t_s(2)^-1, derived when the key is built: by keygen,
+    # by the parser, and by dataclasses.replace onto a field on another
+    # modulus, where they are that field's
+    _, sk = keygen(make_params(n), rng=random.Random(n))
+    moved = dataclasses.replace(sk, group=SuzukiGroup(FieldParams(n, modulus)))
+    for key in (sk, codec.parse_private_key(codec.serialize_private_key(sk)), moved):
+        g = key.group
+        assert key.chain2_inv == g.terms(g.inv(key.chain2[-1]))
+    assert moved.chain2_inv != sk.chain2_inv
 
 
 def test_telescoped_mask_factors():
