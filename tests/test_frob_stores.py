@@ -4,7 +4,8 @@ A key maps each coordinate x a walk steps by to x^(2q0) the first time a
 walk meets it and reads the image on every later walk.  These tests hold
 the memoized walks to the independent reference at every width, cold and
 warm, hold each op's field work at every width to one cost model whose
-terms name the walks, pin what a cold op adds to the memos, fill a key's
+terms name the walks, pin what a cold op adds to the memos, on keys with
+empty memos and on keys that keep the images keygen mapped, fill a key's
 memo on the field it was moved to, share one cold key between threads,
 and check that decrypting any ciphertext adds only the key's own
 coordinates.
@@ -163,7 +164,7 @@ def assert_cost(f, op, fills):
     assert got == want, f"{op} at n={f.n}: {what} {got}, model {want} with walks {walks}"
 
 
-def first_use_fills(pk, sk, nonce, kept=(set(), set())):
+def first_use_fills(pk, sk, nonce, kept=(frozenset(), frozenset())):
     """What a cold encrypt and a cold decrypt under nonce add to the memos
     of keys that hold the images of ``kept`` (pk's, sk's) and no other:
     ([pk's], [pk's, sk's]).  A walk maps the coordinates of the entries it
