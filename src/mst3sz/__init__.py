@@ -6,7 +6,7 @@ Research artifact: nothing is constant-time and no integrity protection is
 applied to ciphertexts.  Do not use for real data.
 """
 
-from .field import BinaryField, FieldParams, IRREDUCIBLE, make_params
+from .field import FieldParams, IRREDUCIBLE, make_params
 from .group import CurvePoint, GroupElement, GroupStats, SuzukiGroup
 from .logsig import (
     Cover,

@@ -3,7 +3,8 @@
 All integers are little-endian.  Field elements occupy ceil(n/8) bytes
 with zero padding bits.  Files are self-describing: key headers carry the
 field width and the modulus, so parsed fixtures survive changes to the
-published modulus table.
+published modulus table.  A key header on any other irreducible modulus
+gets a field of its own on byte tables, so it never costs a log/exp table.
 
 Key file::
 

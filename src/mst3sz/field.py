@@ -1,23 +1,25 @@
 """Arithmetic in the binary fields GF(2^n) used by the cryptosystem.
 
 Elements are plain Python ints whose binary digits are the coefficients of
-a polynomial over GF(2), reduced modulo a published irreducible polynomial
-of degree n.  One canonical modulus is fixed per degree (the
+a polynomial over GF(2), reduced modulo an irreducible polynomial of
+degree n.  One canonical modulus is published per degree (the
 lexicographically least irreducible polynomial, table below) so that
 serialized keys and ciphertexts are interoperable.
 
-The cryptosystem itself only uses odd widths n = 2s + 1 with 3 <= n <= 127
-(``FieldParams``; ``make_params(n)`` is the one cached field per width, on
-the published modulus), for which q = 2^n, q0 = 2^s and the Suzuki exponents
-2*q0 = 2^(s+1) and 2*q0 + 1 are provided.  The plain ``BinaryField`` class
-accepts any degree and is used by tests that need extension fields.
+The cryptosystem only uses odd widths n = 2s + 1 with 3 <= n <= 127.
+``FieldParams`` is the one field class, with q = 2^n, q0 = 2^s and the
+Suzuki exponents 2*q0 = 2^(s+1) and 2*q0 + 1; ``make_params(n)`` is the
+one cached field per width.  One build rule: the published modulus is
+the package's own (the tests check the table), so it is not tested
+again, and it gets log/exp tables while q <= 2^18.  Any other modulus,
+such as one from an untrusted key header, is checked for its degree and
+irreducibility and takes the byte tables at every width.
 
-Each primitive has one route per field size.  Fields with q <= 2^18 use
-log/exp tables for mul, inv, Frobenius and a^(2q0+1), filled by walking the
-powers of the first generator g, each step one read of the byte tables of
-v -> v*g.  log takes its ints from exp, so the two tables hold one int
-object per value (about 7 MB at n=17, against 10.5 MB for two sets).
-Larger fields:
+The log/exp tables serve mul, inv, Frobenius and a^(2q0+1), filled by
+walking the powers of the first generator g, each step one read of the
+byte tables of v -> v*g.  log takes its ints from exp, so the two tables
+hold one int object per value (about 7 MB at n=17, against 10.5 MB for
+two sets).  Every other field:
 
 * One product routine and one reduction.  ``_product`` forms the
   carry-less product with a 4-bit window of a (16 multiples of a per call,
@@ -25,14 +27,13 @@ Larger fields:
   map: r mod m = (r mod x^n) + L(r div x^n), L: h -> h*x^n mod m, whose
   column i is x^(n+i) mod m.  L is applied through 8-bit window tables
   (``_byte_tables``), so the cost is the same for every modulus, sparse or
-  dense, including one read from an untrusted key header.  mul is the
-  fold of one product.  As the fold is linear, ``dot2`` = a*b + c*d folds
-  the sum of two products once, and ``mul3`` = (a*x, a*y, a*z) takes one
-  product of a by x, y and z packed in 2n-bit lanes of one int, then
-  folds each lane; on the log/exp tables both are plain table reads.
-  A longer sum of products is ``product`` by ``product``, then one
-  ``fold``: above the tables the carry-less product and ``_fold``, on
-  them a table read and nothing.
+  dense.  mul is the fold of one product.  As the fold is linear,
+  ``dot2`` = a*b + c*d folds the sum of two products once, and ``mul3`` =
+  (a*x, a*y, a*z) takes one product of a by x, y and z packed in 2n-bit
+  lanes of one int, then folds each lane; on the log/exp tables both are
+  plain table reads.  A longer sum of products is ``product`` by
+  ``product``, then one ``fold``: on the byte tables the carry-less
+  product and ``_fold``, on the log/exp tables a table read and nothing.
 * Frobenius powers x -> x^(2^k) are GF(2)-linear maps too, whose column i
   is (x^(2^k))^i; each k used gets its own byte tables on first use.
 * inv is the extended Euclidean algorithm.
@@ -124,7 +125,8 @@ IRREDUCIBLE: dict[int, int] = {
     127: 0x80000000000000000000000000000003,
 }
 
-# Fields up to this order get log/exp tables; larger ones use byte tables.
+# Fields on the published modulus up to this order get log/exp tables;
+# larger ones, and every field on another modulus, use byte tables.
 _TABLE_LIMIT = 1 << 18
 
 
@@ -202,31 +204,43 @@ def is_irreducible(f: int) -> bool:
     return True
 
 
-class BinaryField:
-    """GF(2^n) with a given irreducible modulus.
+def check_width(n: int) -> None:
+    """Raise ``ValueError`` unless n is a width the cryptosystem uses."""
+    if n % 2 == 0:
+        raise ValueError("n must be odd")
+    if not 3 <= n <= 127:
+        raise ValueError("n must be in 3..127")
 
-    All operations take and return plain ints < 2^n.  Instances are
-    immutable after construction and safe to share across threads.
+
+class FieldParams:
+    """GF(2^n) for odd n = 2s + 1, with the exponents the group law needs.
+
+    The modulus defaults to the published one; any other is checked for
+    its degree and irreducibility.  All operations take and return plain
+    ints < 2^n.  Instances are immutable after construction and safe to
+    share across threads.
     """
 
     def __init__(self, n: int, modulus: int | None = None):
-        if n < 2:
-            raise ValueError("field degree must be at least 2")
+        check_width(n)
+        published = IRREDUCIBLE[n]
         if modulus is None:
-            modulus = IRREDUCIBLE.get(n)
-            if modulus is None:
-                raise ValueError(f"no published modulus for n={n}")
-        if modulus.bit_length() - 1 != n:
-            raise ValueError("modulus degree does not match n")
-        if not is_irreducible(modulus):
-            raise ValueError(f"modulus 0x{modulus:X} is reducible")
+            modulus = published
+        elif modulus != published:
+            if modulus.bit_length() - 1 != n:
+                raise ValueError("modulus degree does not match n")
+            if not is_irreducible(modulus):
+                raise ValueError(f"modulus 0x{modulus:X} is reducible")
         self.n = n
         self.q = 1 << n
         self.modulus = modulus
+        self.s = (n - 1) // 2
+        self.q0 = 1 << self.s
+        self._e = 2 * self.q0 + 1  # the exponent of pow_2q0_plus_1
         self._log: list[int] | None = None
         self._exp: list[int] | None = None
         self._frob: dict[int, list[list[int]]] = {}
-        if self.q <= _TABLE_LIMIT:
+        if modulus == published and self.q <= _TABLE_LIMIT:
             self._build_tables()
         else:
             self._nbytes = (n + 7) // 8
@@ -237,7 +251,7 @@ class BinaryField:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, BinaryField)
+            isinstance(other, FieldParams)
             and self.n == other.n
             and self.modulus == other.modulus
         )
@@ -246,10 +260,6 @@ class BinaryField:
         return hash((self.n, self.modulus))
 
     # -- core arithmetic ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        """Characteristic-2 sum; identical to subtraction."""
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if self._log is not None:
@@ -340,9 +350,6 @@ class BinaryField:
 
     # -- helpers ---------------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def random_element(self, rng) -> int:
         return rng.getrandbits(self.n)
 
@@ -377,25 +384,6 @@ class BinaryField:
         self._exp = exp + exp
         self._log = log
 
-
-def check_width(n: int) -> None:
-    """Raise ``ValueError`` unless n is a width the cryptosystem uses."""
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
-    if not 3 <= n <= 127:
-        raise ValueError("n must be in 3..127")
-
-
-class FieldParams(BinaryField):
-    """GF(2^n) for odd n = 2s + 1, with the exponents the group law needs."""
-
-    def __init__(self, n: int, modulus: int | None = None):
-        check_width(n)
-        super().__init__(n, modulus)
-        self.s = (n - 1) // 2
-        self.q0 = 1 << self.s
-        self._e = 2 * self.q0 + 1  # the exponent of pow_2q0_plus_1
-
     def pow_2q0(self, a: int) -> int:
         """a^(2*q0) = a^(2^(s+1))."""
         return self.frob_pow(a, self.s + 1)
@@ -408,8 +396,8 @@ class FieldParams(BinaryField):
         return self._exp[self._log[a] * self._e % (self.q - 1)] if a else 0
 
     def product(self, a: int, b: int) -> int:
-        """a*b for a sum of products: above the tables unreduced (``_product``),
-        so that the sum takes one ``fold``; on the tables one read."""
+        """a*b for a sum of products: off the log/exp tables unreduced
+        (``_product``), so that the sum takes one ``fold``; on them one read."""
         log = self._log
         if log is None:
             return self._product(a, b)
@@ -417,11 +405,11 @@ class FieldParams(BinaryField):
 
     def fold(self, r: int) -> int:
         """The field element of r, a ``product`` or a sum of them: ``_fold``
-        above the tables; on the tables r, which they keep reduced."""
+        off the log/exp tables; on them r, which they keep reduced."""
         return r if self._log is not None else self._fold(r)
 
     def dot2(self, a: int, b: int, c: int, d: int) -> int:
-        """a*b + c*d; above the tables the sum is reduced once."""
+        """a*b + c*d; off the log/exp tables the sum is reduced once."""
         log = self._log
         if log is None:
             return self._fold(self._product(a, b) ^ self._product(c, d))
@@ -430,7 +418,7 @@ class FieldParams(BinaryField):
         return r ^ exp[log[c] + log[d]] if c and d else r
 
     def mul3(self, a: int, x: int, y: int, z: int) -> tuple[int, int, int]:
-        """(a*x, a*y, a*z).  Above the tables x, y and z ride in 2n-bit lanes
+        """(a*x, a*y, a*z).  Off the tables x, y and z ride in 2n-bit lanes
         of one int through one pass over a; a lane's product has degree
         <= 2n-2, so the lanes never overlap."""
         log = self._log
@@ -454,6 +442,6 @@ def make_params(n: int) -> FieldParams:
     """The one cached field of width n (odd, 3..127), on the published modulus.
 
     Repeated calls share one instance and its tables.  A field on any other
-    modulus is an uncached ``FieldParams(n, modulus)``.
+    modulus is an uncached ``FieldParams(n, modulus)``, on the byte tables.
     """
     return FieldParams(n)

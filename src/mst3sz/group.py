@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .field import BinaryField, FieldParams
+from .field import FieldParams
 
 
 class GroupElement(tuple):
@@ -134,7 +134,7 @@ class SuzukiGroup:
         image = self.mul(GroupElement(1, p.x, p.y), g)
         return CurvePoint(image.b, image.c)
 
-    def on_curve(self, p: CurvePoint, field: BinaryField | None = None) -> bool:
+    def on_curve(self, p: CurvePoint, field: FieldParams | None = None) -> bool:
         """Check y^q + y = x^(2q0) * (x^q + x).
 
         Over GF(q) itself every point passes (x^q = x); pass an extension

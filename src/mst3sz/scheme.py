@@ -47,7 +47,7 @@ starts empty when the key is built and is never serialized; keygen then
 hands its keys the images its gamma1 u factors mapped, of every alpha1 a
 and beta1 entry.  The walks look up only the key's own cover and beta1
 coordinates, so no ciphertext can grow it.  Per selected entry, with the
-reductions a field above the log/exp tables makes:
+reductions a field off the log/exp tables makes:
 
     walk                        multiplies  reductions  images it reads
     y1's mask (_y1_mask)            5           4       a^(2q0), b^(2q0)
@@ -67,7 +67,7 @@ the law's c with a2 factored out, a2*(a2^(2q0)*c + b*b2^(2q0)) + c2, so it
 reads a2^(2q0), never a2^(2q0+1), and makes 5 multiplies on every field,
 whether its entries' images were kept or not: one ``dot2`` for the
 bracket and one ``mul3`` for a*a2, a2*b and a2 times the bracket, 4
-reductions above the log/exp tables.  ``_fixed_a_walk``'s and the group
+reductions off the log/exp tables.  ``_fixed_a_walk``'s and the group
 law's sums of two products are ``dot2``s.  A warm op at n = 65, whose
 entries were all selected before, makes only the Frobenius maps of its
 whole-element group multiplies and inverses: one multiply per encrypt;
@@ -366,16 +366,15 @@ def keygen(
         _random_masking_element(group, rng) for _ in range(type2.s)
     )
 
-    p, beta_p = Memo(params.pow_2q0), Memo(params.pow_2q0)
-    gamma1 = _masked_cover(group, alpha1, beta1, chain1, p, beta_p)
+    # gamma1's u factors map every alpha1 a and beta1 entry, the images
+    # the keys' walks read: beta1's straight into sk.frob
+    sk = PrivateKey(group, beta1, beta2, chain1, chain2)
+    p = Memo(params.pow_2q0)
+    gamma1 = _masked_cover(group, alpha1, beta1, chain1, p, sk.frob)
     gamma2 = _masked_central_cover(group, alpha2, beta2, chain2)
 
     pk = PublicKey(group, alpha1, alpha2, gamma1, gamma2)
-    sk = PrivateKey(group, beta1, beta2, chain1, chain2)
-    # gamma1's u factors mapped every alpha1 a and beta1 entry: the keys'
-    # walks read the same images
     pk.frob.update(p)
-    sk.frob.update(beta_p)
     return pk, sk
 
 

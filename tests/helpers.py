@@ -14,9 +14,10 @@ P3 = make_params(3)
 G3 = SuzukiGroup(P3)
 T222 = SignatureType((2, 2, 2))
 
-# Non-published moduli on each route: sparse x^17+x^5+1 (log/exp tables) and
-# x^65+x^18+1 (byte tables), and dense random irreducible ones with bit n-1
-# set, as an untrusted key header may carry.
+# Non-published moduli, on the byte tables at every width as only the
+# published ones get log/exp tables: sparse x^17+x^5+1 and x^65+x^18+1, and
+# dense random irreducible ones with bit n-1 set, as an untrusted key header
+# may carry.
 EXTRA_MODULI = [
     (17, 0x20021),
     (65, 1 << 65 | 1 << 18 | 1),

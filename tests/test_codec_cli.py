@@ -7,7 +7,7 @@ import pytest
 
 from mst3sz import codec
 from mst3sz.cli import cli
-from mst3sz.field import BinaryField, FieldParams, make_params
+from mst3sz.field import FieldParams, make_params
 from mst3sz.group import IDENTITY, GroupElement, SuzukiGroup
 from mst3sz.logsig import SignatureType
 from mst3sz.scheme import (
@@ -86,6 +86,30 @@ def test_ciphertext_parse_builds_no_field(n, monkeypatch):
     monkeypatch.setattr(codec, "make_params", no_field)
     monkeypatch.setattr(codec, "FieldParams", no_field)
     assert codec.parse_ciphertext(blob) == (n, ct)
+
+
+def test_foreign_key_header_builds_no_log_exp_tables(monkeypatch):
+    # only the published moduli get log/exp tables, so a key header on any
+    # other modulus costs the parser byte tables, not an n=17 table walk
+    params = FieldParams(17, 0x20021)
+    pk, sk = keygen(params, rng=random.Random(50))
+    pub, priv = codec.serialize_public_key(pk), codec.serialize_private_key(sk)
+    builds = []
+    build = FieldParams._build_tables
+    monkeypatch.setattr(FieldParams, "_build_tables", lambda self: builds.append(self) or build(self))
+    keys = [codec.parse_public_key(pub) for _ in range(2)]
+    parsed_sk = codec.parse_private_key(priv)
+    assert builds == []
+    rng = random.Random(51)
+    for key in keys:
+        assert key == pk and key.group.params._log is None
+        for _ in range(3):
+            nonce = random_nonce(params, rng)
+            m = key.group.random_element(rng)
+            ct = encrypt(key, m, nonce)
+            got = tuple(oracle.as_tuple(y) for y in (ct.y1, ct.y2, ct.y3, ct.y4))
+            assert got == oracle.encrypt(params, key, oracle.as_tuple(m), *nonce)
+            assert decrypt(key, parsed_sk, ct) == m
 
 
 # SHA-256 over the public key, private key and 3 ciphertexts of 3 seeded keys
@@ -446,6 +470,28 @@ def test_error_attributes_follow_the_message():
     assert (err.value.section, err.value.offset) == ("gamma1 block 0", at)
     with pytest.raises(codec.CodecError, match="role") as err:
         codec.parse_private_key(blob)
+    assert (err.value.section, err.value.offset) == (None, None)
+
+
+@pytest.mark.parametrize("made", ["PublicKey", "PrivateKey", "Ciphertext"])
+def test_value_error_leaves_a_parser_as_codec_error(made, monkeypatch):
+    # the parsers' one error boundary: a ValueError from anything they call
+    # leaves as a CodecError with its text, naming no section or byte
+    params, (pk, sk) = make_key(52)
+    ct = encrypt(pk, IDENTITY, random_nonce(params, random.Random(53)))
+    blob, parse = {
+        "PublicKey": (codec.serialize_public_key(pk), codec.parse_public_key),
+        "PrivateKey": (codec.serialize_private_key(sk), codec.parse_private_key),
+        "Ciphertext": (codec.serialize_ciphertext(params, ct), codec.parse_ciphertext),
+    }[made]
+
+    def fail(*args):
+        raise ValueError("x")
+
+    monkeypatch.setattr(codec, made, fail)
+    with pytest.raises(codec.CodecError) as err:
+        parse(blob)
+    assert str(err.value) == "x"
     assert (err.value.section, err.value.offset) == (None, None)
 
 
@@ -974,9 +1020,9 @@ def test_cli_selftest(capsys):
 
 def _wrong_windowed_inverse(monkeypatch):
     # n = 19 has no log/exp tables, so its inv is the Euclidean one
-    right = BinaryField._inv_euclid
+    right = FieldParams._inv_euclid
     monkeypatch.setattr(
-        BinaryField, "_inv_euclid", lambda self, a: right(self, a) ^ (self.n == 19)
+        FieldParams, "_inv_euclid", lambda self, a: right(self, a) ^ (self.n == 19)
     )
 
 
@@ -1059,6 +1105,8 @@ def test_cli_bench_smoke(capsys):
         assert {"keygen_ms_median", "encrypt_ms_median", "decrypt_ms_median",
                 "public_key_bytes", "private_key_bytes", "ciphertext_bytes"} <= set(row)
     assert cli(["bench", "--iters", "0"]) == 1
+    assert cli(["bench", "--iters", "x"]) == 1
+    assert "bad --iters 'x': must be an integer >= 1" in capsys.readouterr().err
     assert cli(["bench", "--sizes", "3,x", "--iters", "2"]) == 1
     assert "bad --sizes '3,x'" in capsys.readouterr().err
     # a width the field rejects is a usage error, found before any timing

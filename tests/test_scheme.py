@@ -78,8 +78,8 @@ def test_keygen_rejects_non_covering_types():
         keygen(P3, SignatureType((2, 2)), T222, rng=random.Random(0))
 
 
-# n=3 on the log/exp tables; larger widths and a dense n=65 modulus on the
-# byte-table route.
+# n=3 on the log/exp tables; the published moduli of larger widths and a
+# dense n=65 modulus on the byte tables.
 @pytest.mark.parametrize(
     "n,modulus",
     [(3, None), (19, None), (65, None), (127, None), (65, 0x322A2D550DBD0CE07)],
