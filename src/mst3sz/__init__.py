@@ -7,7 +7,7 @@ applied to ciphertexts.  Do not use for real data.
 """
 
 from .field import FieldParams, IRREDUCIBLE, make_params
-from .group import CurvePoint, GroupElement, GroupStats, SuzukiGroup
+from .group import GroupElement, GroupStats, SuzukiGroup
 from .logsig import (
     Cover,
     SignatureType,
@@ -18,7 +18,6 @@ from .logsig import (
     gen_random_cover,
     gen_tame,
     induced_map,
-    tau,
     tau_inv,
 )
 from .scheme import (

@@ -38,9 +38,9 @@ little-endian B/H/I/Q words: each element widens to the next word of 1,
 2, 4, 8 or 16 bytes, through a zeroed copy of the section (at most 16/9
 of its bytes) where it is narrower, as at n=17 (3 -> 4 bytes).  Every
 failure is a ``CodecError``; those about truncation, padding, a group
-element's a = 0, a zero alpha coordinate, the header's width and modulus
-and the per-section checks name the section and, where it is known, the
-byte offset of the bad element, e.g. ``alpha1: element has nonzero
+element's a = 0, a zero alpha coordinate, the header's magic, version,
+width, modulus and key role and the per-section checks name the section
+and, where it is known, the byte offset of the bad element, e.g. ``alpha1: element has nonzero
 padding bits at byte 51``, ``ciphertext: group element needs a != 0 at
 byte 9``, ``alpha2: cover entry with zero coordinate at byte 406`` or
 ``header: n must be odd at byte 8``; such an error also carries them as
@@ -270,9 +270,9 @@ def _key_header(f: FieldParams, role: int) -> bytearray:
 def _read_header(r: _Reader, magic: bytes) -> int:
     """The width n of a header with this magic and the current version."""
     if r.take(len(magic), "header") != magic:
-        raise CodecError("bad magic")
+        raise _error("header", "bad magic", 0)
     if r.u8("header") != VERSION:
-        raise CodecError("unknown version")
+        raise _error("header", "unknown version", len(magic))
     at = r.pos
     n = r.u8("header")
     try:
@@ -295,8 +295,9 @@ def _parse_key_header(r: _Reader, expect_role: int) -> FieldParams:
             params = FieldParams(n, modulus)
         except ValueError as e:
             raise _error("header", str(e), at) from None
+    at = r.pos
     if r.u8("header") != expect_role:
-        raise CodecError("wrong key role for this operation")
+        raise _error("header", "wrong key role for this operation", at)
     return params
 
 

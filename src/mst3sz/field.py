@@ -40,7 +40,8 @@ two sets).  Every other field:
 
 Bit-serial shift-and-add (``_mul_mod``) is used only while a field is
 built: for the columns of the log/exp walk, the reduction and the
-Frobenius maps, and for the squarings of ``is_irreducible``.
+Frobenius maps, and for the squarings of ``is_irreducible``; the
+selftest also checks the field's routines against it.
 
 WARNING: nothing here is constant-time.  This is a research artifact for
 studying the scheme at desk scale; do not use it to protect real data.

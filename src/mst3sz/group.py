@@ -9,10 +9,11 @@ which matches composition of the affine maps
 
     x -> a*x + b,   y -> a^(2q0+1)*y + a*b^(2q0)*x + c
 
-in the order "apply g1's map first, then g2's".  The law lives in ``step``,
-which takes the right factor as its ``terms`` (a2, b2, c2, a2^(2q0+1),
-b2^(2q0)) and forms t = a2*b1 once for both the b and the c coordinate:
-4 field multiplies, c's two summed by one ``dot2``, and no Frobenius map.
+in the order "apply g1's map first, then g2's"; the package uses only the
+law, never a map on points.  The law lives in ``step``, which takes the
+right factor as its ``terms`` (a2, b2, c2, a2^(2q0+1), b2^(2q0)) and forms
+t = a2*b1 once for both the b and the c coordinate: 4 field multiplies,
+c's two summed by one ``dot2``, and no Frobenius map.
 ``mul`` is ``step`` with g2's terms, so it costs 5 multiplies (one inside
 a2^(2q0+1)) and 2 Frobenius maps; a caller that multiplies many elements
 by one right factor takes its terms once.  The group has order
@@ -66,12 +67,6 @@ class GroupElement(tuple):
     a = property(itemgetter(0))
     b = property(itemgetter(1))
     c = property(itemgetter(2))
-
-
-@dataclass(frozen=True, slots=True)
-class CurvePoint:
-    x: int
-    y: int
 
 
 @dataclass(frozen=True)
@@ -129,29 +124,8 @@ class SuzukiGroup:
             f.pow_2q0_plus_1(t) ^ f.mul(f.pow_2q0_plus_1(ai), c),
         )
 
-    def apply_point(self, g: GroupElement, p: CurvePoint) -> CurvePoint:
-        """The affine map of g on p: the (b, c) of (1, p.x, p.y) * g."""
-        image = self.mul(GroupElement(1, p.x, p.y), g)
-        return CurvePoint(image.b, image.c)
-
-    def on_curve(self, p: CurvePoint, field: FieldParams | None = None) -> bool:
-        """Check y^q + y = x^(2q0) * (x^q + x).
-
-        Over GF(q) itself every point passes (x^q = x); pass an extension
-        field to test points with coordinates outside GF(q).
-        """
-        f = field if field is not None else self.params
-        n, s = self.params.n, self.params.s
-        lhs = f.frob_pow(p.y, n) ^ p.y
-        rhs = f.mul(f.frob_pow(p.x, s + 1), f.frob_pow(p.x, n) ^ p.x)
-        return lhs == rhs
-
     def in_center(self, g: GroupElement) -> bool:
         return g[0] == 1 and g[1] == 0
-
-    def f1(self, g: GroupElement) -> GroupElement:
-        """(a, b, c) -> (1, a, b), for any triple, such as a cover entry."""
-        return GroupElement(1, g[0], g[1])
 
     def f2(self, g: GroupElement) -> GroupElement:
         """(a, b, c) -> (1, 0, b); defined on all triples, not just a = 1."""

@@ -1,46 +1,45 @@
 """Logarithmic-signature machinery.
 
 A signature type (r_1, ..., r_s) splits indexes 0 <= x < m = prod(r_i) into
-mixed-radix digits (j_1, ..., j_s), j_1 least significant (``tau`` /
-``tau_inv``), and each digit selects one entry of its block: the entries
-of x are ``map(getitem, blocks, tau_inv(type, x))``, for covers and tame
-signatures alike.  A ``Cover`` holds s blocks of group elements as plain
-(a, b, c) tuples, checked for a != 0 where they are made
-(the key parser and the generators, such as ``gen_random_cover``), and
-maps x to the left-to-right product of the selected entries
-(``induced_map``, the reference walk that tests and the benchmark time: a
-fold of ``SuzukiGroup.mul`` over those entries; like ``induced_table``,
-it returns ``GroupElement``s even for a one-block cover).  ``induced_table``
-lists that map for every x at once by prefix products, for attack 1: each
-block steps the whole table so far by its entries, whose step terms it
-takes once.  A cover keeps no state derived from a field, so one cover
-can be walked in any field of its width.
+mixed-radix digits (j_1, ..., j_s), j_1 least significant (``tau_inv``),
+and each digit selects one entry of its block: the entries of x are
+``map(getitem, blocks, tau_inv(type, x))``, for covers and tame signatures
+alike.  A ``Cover`` holds s blocks of group elements as plain (a, b, c)
+tuples, checked for a != 0 where they are made (the key parser and the
+generators, such as ``gen_random_cover``), and maps x to the left-to-right
+product of the selected entries (``induced_map``, the reference walk that
+tests and the benchmark time: a fold of ``SuzukiGroup.mul`` over those
+entries; like ``induced_table``, it returns ``GroupElement``s even for a
+one-block cover).  ``induced_table`` lists that map for every x at once by
+prefix products, for attack 1: each block steps the whole table so far by
+its entries, whose step terms it takes once.  A cover keeps no state
+derived from a field, so one cover can be walked in any field of its width.
 
 A ``TameSignature`` lives over the additive group of GF(q).  Its type
 covers GF(2^n) when the block sizes multiply to 2^n.  The canonical entry
-for digit j of block i is j * m_i, so the canonical signature evaluates to
-``tau`` itself; the published entries are the canonical ones pushed through
-a secret invertible GF(2)-linear map plus per-block offsets.  That map and
-the offsets are the trapdoor; a signature is built from them alone, checks
+for digit j of block i is j * m_i, m_i the product of the block sizes
+before block i, so the canonical signature maps x to x itself; the
+published entries are the canonical ones pushed through a secret
+invertible GF(2)-linear map plus per-block offsets.  That map and the
+offsets are the trapdoor; a signature is built from them alone, checks
 that the type covers the map's width and that the map inverts, and derives
 its entries and a row-echelon basis of the map (``echelon_rows``) once, on
 construction; no inverse map is formed.  Evaluation (XOR of the entries
 the digits select, one per block) is then a bijection Z_q -> GF(q).  The
 digits of x are the bit chunks of x itself, so the trapdoor inverts it by
 undoing the offsets and reducing the result against the echelon rows
-(``solve_echelon``), in O(n).  Only the
-bit width n matters here, not the field modulus: the construction uses
-nothing beyond XOR.  The scheme places the entries in the group itself, as
-(1, b, 0) or (1, 0, b).
+(``solve_echelon``), in O(n).  Only the bit width n matters here, not the
+field modulus: the construction uses nothing beyond XOR.  The scheme
+places the entries in the group itself, as (1, b, 0) or (1, 0, b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, starmap
+from itertools import starmap
 from math import prod
-from operator import getitem, mul, xor
+from operator import getitem, xor
 
 from .field import check_width
 from .group import GroupElement, SuzukiGroup
@@ -60,11 +59,6 @@ class SignatureType:
     def s(self) -> int:
         return len(self.r)
 
-    @property
-    def weights(self) -> tuple[int, ...]:
-        """m_i = product of the block sizes before block i (m_1 = 1)."""
-        return tuple(accumulate(self.r[:-1], mul, initial=1))
-
     def covers_bits(self, n: int) -> bool:
         """Whether the block sizes multiply to 2^n (each is then a power of 2)."""
         return self.m == 1 << n
@@ -76,20 +70,8 @@ def covering_type(n: int) -> SignatureType:
     return SignatureType((4,) * ((n - 3) // 2) + (8,))
 
 
-def tau(sig_type: SignatureType, digits: tuple[int, ...]) -> int:
-    """Mixed-radix encode: sum of j_i * m_i, j_1 least significant."""
-    if len(digits) != sig_type.s:
-        raise ValueError("digit count does not match type")
-    x = 0
-    for j, ri, mi in zip(digits, sig_type.r, sig_type.weights):
-        if not 0 <= j < ri:
-            raise ValueError(f"digit {j} out of range for block size {ri}")
-        x += j * mi
-    return x
-
-
 def tau_inv(sig_type: SignatureType, x: int) -> tuple[int, ...]:
-    """Mixed-radix decode; inverse of ``tau``."""
+    """Mixed-radix decode: the digits of x, j_1 = x mod r_1 first."""
     if not 0 <= x < sig_type.m:
         raise ValueError(f"index {x} out of range for m={sig_type.m}")
     digits = []
@@ -123,7 +105,7 @@ def induced_table(group: SuzukiGroup, cover: Cover) -> list[GroupElement]:
     """[induced_map(group, cover, x) for x in range(m)], by prefix products.
 
     Block i steps every product of the blocks before it by each of its
-    entries in turn, so the index order is ``tau``'s, j_1 least significant.
+    entries in turn, so indexes run in ``tau_inv``'s order, j_1 fastest.
     """
     first, *rest = cover.blocks
     table = list(starmap(GroupElement, first))
@@ -211,16 +193,17 @@ class TameSignature:
         object.__setattr__(self, "lin_rows", echelon_rows(self.lin_cols, n))
         if self.lin_rows is None:
             raise ValueError("signature trapdoor map is singular")
-        # block i weighs m_i = 2^k_i and holds r_i = 2^b_i entries: digit j
-        # selects columns k_i..k_i+b_i-1 by its bits, so doubling the entry
-        # list once per column builds the block in index order
-        blocks = []
-        for w, ri, d in zip(t.weights, t.r, self.offsets):
-            k = w.bit_length() - 1
+        # block i holds r_i = 2^b entries from bit k on: digit j selects
+        # columns k..k+b-1 by its bits, so doubling the entry list once per
+        # column builds the block in index order
+        blocks, k = [], 0
+        for ri, d in zip(t.r, self.offsets):
+            b = ri.bit_length() - 1
             entries = [d]
-            for col in self.lin_cols[k : k + ri.bit_length() - 1]:
+            for col in self.lin_cols[k : k + b]:
                 entries += [e ^ col for e in entries]
             blocks.append(tuple(entries))
+            k += b
         object.__setattr__(self, "blocks", tuple(blocks))
 
 

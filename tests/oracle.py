@@ -88,6 +88,19 @@ def ginv(params, g: tuple) -> tuple:
     return (ai, t, pow_(t, e + 1, mod) ^ mul(pow_(ai, e + 1, mod), c, mod))
 
 
+def point_map(params, g: tuple, p: tuple) -> tuple:
+    """g's affine map on the point p = (x, y): x -> a*x + b,
+    y -> a^(2q0+1)*y + a*b^(2q0)*x + c, from the formula."""
+    mod = params.modulus
+    e = 2 * params.q0
+    a, b, c = g
+    x, y = p
+    return (
+        mul(a, x, mod) ^ b,
+        mul(pow_(a, e + 1, mod), y, mod) ^ mul(mul(a, pow_(b, e, mod), mod), x, mod) ^ c,
+    )
+
+
 def gprod(params, gs) -> tuple:
     acc = (1, 0, 0)
     for g in gs:
@@ -101,6 +114,15 @@ def digits_of(x: int, sizes) -> list:
         out.append(x % r)
         x //= r
     return out
+
+
+def index_of(digits, sizes) -> int:
+    """Mixed-radix encode, the inverse of digits_of: Horner's rule from the
+    most significant digit."""
+    x = 0
+    for j, r in zip(reversed(digits), reversed(sizes)):
+        x = x * r + j
+    return x
 
 
 def cover_product(params, blocks, x: int) -> tuple:

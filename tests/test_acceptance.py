@@ -8,6 +8,7 @@ import json
 import random
 import statistics
 import time
+from operator import itemgetter
 
 from mst3sz.attacks import (
     attack1_bruteforce_ciphertext,
@@ -17,7 +18,7 @@ from mst3sz.attacks import (
 )
 from mst3sz.cli import cli
 from mst3sz.field import make_params
-from mst3sz.group import IDENTITY, CurvePoint, GroupElement, SuzukiGroup
+from mst3sz.group import IDENTITY, GroupElement, SuzukiGroup
 from mst3sz.logsig import (
     SignatureType,
     covering_type,
@@ -35,6 +36,7 @@ from mst3sz.scheme import (
     recover_nonce,
 )
 
+import oracle
 from helpers import G3, P3
 
 KEY_TYPES = (SignatureType((2, 2, 2)), SignatureType((8,)))
@@ -83,19 +85,21 @@ def test_criterion_2_group_structure_q8():
 def test_criterion_3_action_compatibility_all_pairs():
     start = time.perf_counter()
     els = list(G3.elements())
-    pts = [CurvePoint(0, 0), CurvePoint(1, 1), CurvePoint(2, 7), CurvePoint(5, 3),
-           CurvePoint(7, 6)]
-    mul, apply = G3.mul, G3.apply_point
-    mismatches = 0
+    pts = [(x, y) for x in range(8) for y in range(8)]
+    # each element's point map from the formula, as the indexes of the 64
+    # image points; the maps are distinct, so the law has one answer to match
+    maps = {
+        g: tuple(x * 8 + y for x, y in (oracle.point_map(P3, g, p) for p in pts))
+        for g in els
+    }
+    mismatches = len(els) - len(set(maps.values()))
     for g1 in els:
-        moved = [apply(g1, p) for p in pts]
+        then = itemgetter(*maps[g1])  # p -> g2's image of g1's image of p
         for g2 in els:
-            g12 = mul(g1, g2)
-            for p, mp in zip(pts, moved):
-                if apply(g2, mp) != apply(g12, p):
-                    mismatches += 1
+            if then(maps[g2]) != maps[G3.mul(g1, g2)]:
+                mismatches += 1
     elapsed = time.perf_counter() - start
-    _report(3, "point-map composition equals group law, 448^2 pairs x 5 points",
+    _report(3, "point-map composition equals group law, 448^2 pairs x 64 points",
             mismatches == 0 and elapsed < 120, elapsed)
 
 
@@ -131,7 +135,8 @@ def test_criterion_5_telescoping_identity():
                 bsum = 0
                 for ablk, bblk, j in zip(pk.alpha1.blocks, sk.beta1.blocks,
                                          tau_inv(pk.type1, r1)):
-                    u = G3.mul(u, G3.mul(G3.f1(ablk[j]), GroupElement(1, bblk[j], 0)))
+                    f1 = GroupElement(1, ablk[j][0], ablk[j][1])  # (a, b, c) -> (1, a, b)
+                    u = G3.mul(u, G3.mul(f1, GroupElement(1, bblk[j], 0)))
                     bsum ^= ablk[j][0] ^ bblk[j]
                 v = IDENTITY
                 csum = 0

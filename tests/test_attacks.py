@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import random
 import statistics
@@ -520,3 +521,38 @@ def test_attack_cost():
         f.calls.clear()
         assert all(attack(pk, ct).success for ct in cts)
         assert f.calls["mul"] == ATTACK_MULS[k], k
+
+
+# SHA-256 over every attack result on 15 seeded keys at each of n = 3 and 5,
+# 8 ciphertexts a key: attack 1 with the default oracle and with the planted
+# message's, then attacks 2 and 3.  Every other message carries valid
+# padding, and each key's first ciphertext has y2's b flipped, so the
+# failure path is hashed too.  Any change to what an attack returns, its
+# trial count included, moves it.
+ATTACK_DIGEST = "f91a60e6ee39a19c10897b223bf162158128fb237b30926b94dd5794c67437fe"
+
+
+def _plain(x):
+    return None if x is None else tuple(map(int, x))
+
+
+def test_attack_results_digest():
+    h = hashlib.sha256()
+    for n in (3, 5):
+        for seed in range(15):
+            params, (pk, _) = make_key(seed, n)
+            rng = random.Random(f"attacks/{n}/{seed}")
+            for i in range(8):
+                m = pk.group.random_element(rng) if i % 2 else encode_message(params, b"")
+                ct = encrypt(pk, m, random_nonce(params, rng))
+                if i == 0:
+                    ct = replace(ct, y2=GroupElement(ct.y2.a, ct.y2.b ^ 1, ct.y2.c))
+                for res in (
+                    attack1_bruteforce_ciphertext(pk, ct),
+                    attack1_bruteforce_ciphertext(pk, ct, oracle=lambda g: g == m),
+                    attack2_bruteforce_nonce(pk, ct),
+                    attack3_session_key(pk, ct),
+                ):
+                    row = (_plain(res.recovered), res.trials, res.success, _plain(res.nonce))
+                    h.update(repr(row).encode())
+    assert h.hexdigest() == ATTACK_DIGEST

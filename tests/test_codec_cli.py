@@ -163,16 +163,18 @@ def test_bad_magic_rejected():
         ),
     ):
         bad = b"X" + blob[1:]
-        with pytest.raises(codec.CodecError, match="magic"):
+        with pytest.raises(codec.CodecError, match="^header: bad magic at byte 0$") as err:
             parse(bad)
+        assert (err.value.section, err.value.offset) == ("header", 0)
 
 
 def test_unknown_version_rejected():
     _, (pk, _) = make_key(28)
     blob = bytearray(codec.serialize_public_key(pk))
     blob[7] = 9
-    with pytest.raises(codec.CodecError, match="version"):
+    with pytest.raises(codec.CodecError, match="^header: unknown version at byte 7$") as err:
         codec.parse_public_key(bytes(blob))
+    assert (err.value.section, err.value.offset) == ("header", 7)
 
 
 def test_truncation_and_trailing_bytes_rejected():
@@ -457,8 +459,9 @@ def test_cover_errors_carry_section_and_offset(section, k, coord, fault):
 
 
 def test_error_attributes_follow_the_message():
-    # a gamma block error names the cover and block before its colon; an
-    # error without a byte has neither attribute
+    # a gamma block error names the cover and block before its colon; the
+    # role error names the role byte: magic (7 bytes), version, n and one
+    # modulus byte at n=5 come before it
     _, (pk, _) = make_key(49, 5)
     blob = codec.serialize_public_key(pk)
     at = _section_start(blob, 1, _cover_counts(pk), "gamma1") + 3 * 1
@@ -468,9 +471,10 @@ def test_error_attributes_follow_the_message():
         codec.parse_public_key(bytes(bad))
     assert str(err.value) == f"gamma1 block 0: entries differ in a at byte {at}"
     assert (err.value.section, err.value.offset) == ("gamma1 block 0", at)
-    with pytest.raises(codec.CodecError, match="role") as err:
+    with pytest.raises(codec.CodecError) as err:
         codec.parse_private_key(blob)
-    assert (err.value.section, err.value.offset) == (None, None)
+    assert str(err.value) == "header: wrong key role for this operation at byte 10"
+    assert (err.value.section, err.value.offset) == ("header", 10)
 
 
 @pytest.mark.parametrize("made", ["PublicKey", "PrivateKey", "Ciphertext"])

@@ -25,7 +25,7 @@ import pytest
 from mst3sz import codec
 from mst3sz.field import _TABLE_LIMIT, FieldParams, make_params
 from mst3sz.group import GroupElement, SuzukiGroup
-from mst3sz.logsig import covering_type, tau, tau_inv
+from mst3sz.logsig import covering_type, tau_inv
 from mst3sz.scheme import Ciphertext, decrypt, encrypt, keygen, random_nonce
 
 import oracle
@@ -38,10 +38,10 @@ def _reselecting_nonces(pk, rng, n):
     two, so that they select only entries selected before."""
     halves = []
     for t in (pk.type1, pk.type2):
-        u = tau_inv(t, rng.getrandbits(n))
+        u = oracle.digits_of(rng.getrandbits(n), t.r)
         v = tuple(rng.randrange(r) if rng.random() < 0.25 else j for j, r in zip(u, t.r))
-        mixed = [tau(t, tuple(rng.choice(p) for p in zip(u, v))) for _ in range(6)]
-        halves.append([tau(t, u), tau(t, v), *mixed])
+        mixed = [oracle.index_of([rng.choice(p) for p in zip(u, v)], t.r) for _ in range(6)]
+        halves.append([oracle.index_of(u, t.r), oracle.index_of(v, t.r), *mixed])
     return list(zip(*halves))
 
 

@@ -371,7 +371,8 @@ def test_telescoped_mask_factors():
             for ablk, bblk, j in zip(
                 pk.alpha1.blocks, sk.beta1.blocks, tau_inv(pk.type1, r1)
             ):
-                u = G3.mul(u, G3.mul(G3.f1(ablk[j]), GroupElement(1, bblk[j], 0)))
+                f1 = GroupElement(1, ablk[j][0], ablk[j][1])  # (a, b, c) -> (1, a, b)
+                u = G3.mul(u, G3.mul(f1, GroupElement(1, bblk[j], 0)))
             v = IDENTITY
             for ablk, bblk, j in zip(
                 pk.alpha2.blocks, sk.beta2.blocks, tau_inv(pk.type2, r2)
