@@ -14,7 +14,7 @@ y4 -- while full consistency determines the nonce uniquely (decryption
 derives it as a function of (y2, y3, y4)).
 Verification runs only on filter hits and is not counted as a trial;
 trials count enumeration steps, bounded by q^2 for attacks 1-2 and 2q for
-attack 3.  Each attack tabulates, in ``tau``'s index order, only what its
+attack 3.  Each attack tabulates, in ``tau_inv``'s digit order, only what its
 screen reads, and keeps nothing between calls: attack 1 the alpha1 and
 alpha2 walks, through ``induced_table`` (prefix products, each entry's
 step terms taken once per table); attacks 2 and 3 one coordinate of each
@@ -114,9 +114,9 @@ def attack1_bruteforce_ciphertext(
 
 
 def _coord_table(f, blocks, coord: int, ws=()) -> list[int]:
-    """For every index in ``tau``'s order, the sum of w_i*e[coord] over the
-    entries e it selects, w_i = ws[i] for the blocks ws reaches and 1 after
-    them (a plain sum without ws): one multiply per weighted entry."""
+    """For every index in ``tau_inv``'s digit order, the sum of w_i*e[coord]
+    over the entries e it selects, w_i = ws[i] for the blocks ws reaches and
+    1 after them (a plain sum without ws): one multiply per weighted entry."""
     table = [0]
     for i, block in enumerate(blocks):
         if i < len(ws):

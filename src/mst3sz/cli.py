@@ -232,7 +232,7 @@ def _selftest_checks():
 
     def field_routes():
         # both routes against shift-and-add: the log/exp tables on every
-        # n=3 pair, and n=19, the smallest width without them, on 20 pairs
+        # n=3 pair, and the byte tables at n=19 on 20 pairs
         p19, r19 = make_params(19), random.Random(19)
         pairs19 = ((p19.random_element(r19), p19.random_element(r19)) for _ in range(20))
         for f, pairs in ((p, product(range(8), repeat=2)), (p19, pairs19)):

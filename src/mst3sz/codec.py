@@ -220,8 +220,8 @@ def _read_type(r: _Reader, n: int, section: str) -> SignatureType:
     sizes = r.u32s(s, section)
     try:
         t = SignatureType(sizes)
-    except ValueError as e:  # a block size below 2, named by its u32
-        at = start + 1 + 4 * next(i for i, ri in enumerate(sizes) if ri < 2)
+    except ValueError as e:  # a size below 2 is named by its u32, an oversized type by s
+        at = next((start + 1 + 4 * i for i, ri in enumerate(sizes) if ri < 2), start)
         raise _error(section, str(e), at) from None
     if not t.covers_bits(n):
         raise _error(section, "signature type does not cover the field", start)

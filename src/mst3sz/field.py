@@ -11,15 +11,15 @@ The cryptosystem only uses odd widths n = 2s + 1 with 3 <= n <= 127.
 Suzuki exponents 2*q0 = 2^(s+1) and 2*q0 + 1; ``make_params(n)`` is the
 one cached field per width.  One build rule: the published modulus is
 the package's own (the tests check the table), so it is not tested
-again, and it gets log/exp tables while q <= 2^18.  Any other modulus,
+again, and it gets log/exp tables while q <= 2^18 if x is primitive
+there (every such width but n=9, where x^73 = 1).  Any other modulus,
 such as one from an untrusted key header, is checked for its degree and
 irreducibility and takes the byte tables at every width.
 
 The log/exp tables serve mul, inv, Frobenius and a^(2q0+1), filled by
-walking the powers of the first generator g, each step one read of the
-byte tables of v -> v*g.  log takes its ints from exp, so the two tables
-hold one int object per value (about 7 MB at n=17, against 10.5 MB for
-two sets).  Every other field:
+walking the powers of x by shift and XOR.  log takes its ints from exp,
+so the two tables hold one int object per value (about 7 MB at n=17,
+against 10.5 MB for two sets).  Every other field:
 
 * One product routine and one reduction.  ``_product`` forms the
   carry-less product with a 4-bit window of a (16 multiples of a per call,
@@ -39,9 +39,9 @@ two sets).  Every other field:
 * inv is the extended Euclidean algorithm.
 
 Bit-serial shift-and-add (``_mul_mod``) is used only while a field is
-built: for the columns of the log/exp walk, the reduction and the
-Frobenius maps, and for the squarings of ``is_irreducible``; the
-selftest also checks the field's routines against it.
+built: for the columns of the reduction and the Frobenius maps, and for
+the squarings of ``is_irreducible``; the selftest also checks the
+field's routines against it.
 
 WARNING: nothing here is constant-time.  This is a research artifact for
 studying the scheme at desk scale; do not use it to protect real data.
@@ -126,8 +126,8 @@ IRREDUCIBLE: dict[int, int] = {
     127: 0x80000000000000000000000000000003,
 }
 
-# Fields on the published modulus up to this order get log/exp tables;
-# larger ones, and every field on another modulus, use byte tables.
+# Published moduli up to this order get log/exp tables where x is
+# primitive; n=9, larger fields and every other modulus use byte tables.
 _TABLE_LIMIT = 1 << 18
 
 
@@ -243,7 +243,7 @@ class FieldParams:
         self._frob: dict[int, list[list[int]]] = {}
         if modulus == published and self.q <= _TABLE_LIMIT:
             self._build_tables()
-        else:
+        if self._log is None:
             self._nbytes = (n + 7) // 8
             self._reduce = _byte_tables(self._powers(modulus ^ self.q, 0b10, n - 1))
 
@@ -361,20 +361,18 @@ class FieldParams:
                 return v
 
     def _build_tables(self) -> None:
-        # The generator is the first g = 2, 3, ... whose powers reach all
-        # q - 1 nonzero elements before returning to 1; that walk is exp,
-        # stepped through the byte tables of v -> v*g (three suffice below
-        # _TABLE_LIMIT).
-        q = self.q
-        for g in range(2, q):
-            t0, t1, t2, *_ = *_byte_tables(self._powers(g, 0b10, self.n)), [0], [0]
-            exp = [1]
-            v = g
-            while v != 1:
-                exp.append(v)
-                v = t0[v & 255] ^ t1[v >> 8 & 255] ^ t2[v >> 16]
-            if len(exp) == q - 1:
-                break
+        # exp is the walk of x's powers; where x is not primitive (n=9:
+        # x^73 = 1) it closes early and the field takes the byte tables.
+        q, m = self.q, self.modulus
+        exp = [1]
+        v = 2
+        while v != 1:
+            exp.append(v)
+            v <<= 1
+            if v & q:
+                v ^= m
+        if len(exp) < q - 1:
+            return
         # log takes its values from exp: one int object per value in both
         val = [0] * q
         for v in exp:

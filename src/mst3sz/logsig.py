@@ -45,6 +45,11 @@ from .field import check_width
 from .group import GroupElement, SuzukiGroup
 
 
+# The most entries a type may have in all (covering_type(127) has 256), so
+# that no type drives the allocation of its covers and signatures.
+MAX_ENTRIES = 1 << 16
+
+
 @dataclass(frozen=True)
 class SignatureType:
     r: tuple[int, ...]
@@ -53,6 +58,8 @@ class SignatureType:
     def __post_init__(self):
         if not self.r or any(ri < 2 for ri in self.r):
             raise ValueError("block sizes must all be >= 2")
+        if sum(self.r) > MAX_ENTRIES:
+            raise ValueError(f"type has {sum(self.r)} entries, more than {MAX_ENTRIES}")
         object.__setattr__(self, "m", prod(self.r))
 
     @property

@@ -64,7 +64,7 @@ class CountingField(FieldParams):
     """FieldParams that counts in ``calls`` its multiplies ("mul": a
     ``dot2`` makes 2, a ``mul3`` 3 and a ``product`` 1), its ``dot2``s,
     its reductions ("fold": ``fold`` and each of mul's, dot2's and mul3's
-    above the log/exp tables, where they all reduce by ``_fold``; on the
+    off the log/exp tables, where they all reduce by ``_fold``; on the
     tables ``fold`` reduces nothing), Frobenius maps and inverses."""
 
     def __init__(self, n: int):

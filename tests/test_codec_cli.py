@@ -224,6 +224,22 @@ def test_small_block_size_named_with_offset(section, size, k):
         assert str(err.value) == f"{section}: block sizes must all be >= 2 at byte {at}"
 
 
+def test_oversized_type_named_at_its_first_byte():
+    # an n = 17 key has a 13-byte header; a type1 of 2^17 entries covers the
+    # field, and is refused for its entries by the type's first byte, before
+    # any cover is read
+    params, (pk, sk) = make_key(30, n=17)
+    for blob, parse in (
+        (codec.serialize_public_key(pk), codec.parse_public_key),
+        (codec.serialize_private_key(sk), codec.parse_private_key),
+    ):
+        assert blob[13] == pk.type1.s
+        bad = blob[:13] + bytes([1]) + (1 << 17).to_bytes(4, "little") + blob[13:]
+        with pytest.raises(codec.CodecError) as err:
+            parse(bad)
+        assert str(err.value) == "type1: type has 131072 entries, more than 65536 at byte 13"
+
+
 @pytest.mark.parametrize(
     "at, value, expected",
     [
@@ -996,6 +1012,33 @@ def test_cli_keygen_rejects_non_covering_type(tmp_path):
                 "--priv", str(priv)]) == 2
     assert cli(["keygen", "--n", "9", "--type1", "4,x", "--pub", str(pub),
                 "--priv", str(priv)]) == 1  # unparseable type is a usage error
+
+
+def test_oversized_type_refused_before_allocation(monkeypatch, capsys, tmp_path):
+    # (2^31, 2^31, 2) covers 2^63 with 4,294,967,298 entries; it is refused
+    # as a type, so neither keygen nor the CLI draws a signature or a cover
+    # for it
+    import mst3sz.scheme as scheme_module
+
+    def trap(*args):
+        raise AssertionError("drew a signature or a cover for an oversized type")
+
+    monkeypatch.setattr(scheme_module, "gen_tame", trap)
+    monkeypatch.setattr(scheme_module, "gen_random_cover", trap)
+    sizes = "2147483648,2147483648,2"
+    why = "type has 4294967298 entries, more than 65536"
+    with pytest.raises(ValueError, match=why):
+        keygen(make_params(63), SignatureType(tuple(map(int, sizes.split(",")))),
+               rng=random.Random(1))
+    pub, priv = tmp_path / "p.key", tmp_path / "s.key"
+    assert cli(["keygen", "--n", "63", "--type1", sizes, "--pub", str(pub),
+                "--priv", str(priv)]) == 1
+    assert f"bad type '{sizes}': {why}" in capsys.readouterr().err
+    assert not pub.exists() and not priv.exists()
+    # the bound itself is a type
+    assert sum(SignatureType((2,) * (1 << 15)).r) == 1 << 16
+    with pytest.raises(ValueError, match="65538 entries"):
+        SignatureType((2,) * ((1 << 15) + 1))
 
 
 def test_cli_report(capsys):

@@ -148,10 +148,12 @@ def test_inv_examples():
 def test_inv_routes_agree():
     for a in range(1, 8):
         assert GF8.inv(a) == GF8._inv_euclid(a) == oracle.pow_(a, GF8.q - 2, GF8.modulus)
-    p9 = make_params(9)
-    for a in range(1, 512):
-        assert p9.inv(a) == p9._inv_euclid(a)
-        assert p9.mul(a, p9.inv(a)) == 1
+    # every value of n=11, on the log/exp tables
+    p11 = make_params(11)
+    assert p11._log is not None
+    for a in range(1, p11.q):
+        assert p11.inv(a) == p11._inv_euclid(a)
+        assert p11.mul(a, p11.inv(a)) == 1
     rng = random.Random(5)
     for n in (33, 65, 127):
         p = make_params(n)
@@ -233,14 +235,22 @@ def test_sums_of_products_fold_once(n, modulus):
         assert p.fold(r) == want
 
 
-# Every width with log/exp tables: the published moduli up to n = 17.
-@pytest.mark.parametrize("n,modulus", [(n, None) for n in range(3, 18, 2)])
+# Every width with log/exp tables: the published moduli up to n = 17 but n = 9.
+@pytest.mark.parametrize("n,modulus", [(n, None) for n in (3, 5, 7, 11, 13, 15, 17)])
 def test_log_exp_tables_share_ints_and_match_oracle_walk(n, modulus):
     p = FieldParams(n, modulus)
     exp, log = oracle.log_exp_tables(p.modulus)
     assert p._exp == exp and p._log == log
     # log and exp hold one int object per value
     assert all(p._log[p._exp[i]] is p._exp[p._log[i]] for i in range(1, p.q - 1))
+
+
+def test_n9_is_the_one_table_width_without_tables():
+    # x^9+x+1 is irreducible but x has order 73 of 511 there, so the walk
+    # of x closes early and n = 9 takes the byte tables
+    assert [n for n in range(3, 18, 2) if make_params(n)._log is None] == [9]
+    assert oracle.pow_(X, 73, IRREDUCIBLE[9]) == 1
+    assert make_params(9)._exp is None and make_params(9)._reduce
 
 
 # The oracle needs O(n^3) bit steps per matrix, so whole matrices are checked

@@ -23,7 +23,7 @@ from operator import getitem
 import pytest
 
 from mst3sz import codec
-from mst3sz.field import _TABLE_LIMIT, FieldParams, make_params
+from mst3sz.field import FieldParams, make_params
 from mst3sz.group import GroupElement, SuzukiGroup
 from mst3sz.logsig import covering_type, tau_inv
 from mst3sz.scheme import Ciphertext, decrypt, encrypt, keygen, random_nonce
@@ -99,7 +99,7 @@ def cost_model(n: int) -> dict[str, dict[str, tuple[int, int, int, int, int]]]:
     """Each op's field work on a key of ``covering_type(n)``, walk by walk:
     (multiplies, dot2s, reductions, Frobenius maps, inverses).
 
-    The reductions are those above the log/exp tables, which make none: a
+    The reductions are those off the log/exp tables, which make none: a
     mul reduces its product, a ``dot2`` its sum of two once, a ``mul3``
     each lane, and a walk's longer sum of ``product``s takes one ``fold``.
     The Frobenius maps are those of whole-element group work and of
@@ -107,8 +107,8 @@ def cost_model(n: int) -> dict[str, dict[str, tuple[int, int, int, int, int]]]:
     """
     t = covering_type(n)
     s, E = t.s, sum(t.r)  # blocks and entries of each cover
-    # a^(2q0+1) is a table read on the log/exp tables and a^(2q0) * a above
-    T = int(1 << n > _TABLE_LIMIT)
+    # a^(2q0+1) is a table read on the log/exp tables and a^(2q0) * a off them
+    T = int(make_params(n)._log is None)
     # multiplies, reductions and Frobenius maps per group.mul (terms, then a
     # step: 4 multiplies, one dot2, 3 reductions) and per group.inv, whose
     # reductions are its multiplies
@@ -158,7 +158,7 @@ def assert_cost(f, op, fills):
     added ``fills`` coordinates to the memos."""
     walks = cost_model(f.n)[op]
     muls, dot2s, folds, frob, inv = map(sum, zip(*walks.values()))
-    want = (muls, dot2s, folds * (1 << f.n > _TABLE_LIMIT), frob + fills, inv)
+    want = (muls, dot2s, folds * (f._log is None), frob + fills, inv)
     got = tuple(f.calls[k] for k in ("mul", "dot2", "fold", "frob", "inv"))
     what = "multiplies, dot2s, reductions, Frobenius maps and inverses"
     assert got == want, f"{op} at n={f.n}: {what} {got}, model {want} with walks {walks}"

@@ -119,8 +119,8 @@ def _next_irreducible(n, low):
 
 
 # Random moduli, uncached, on the byte tables at every width (a draw of the
-# published modulus gets log/exp tables up to n = 17), n = 19 always among
-# them.
+# published modulus gets log/exp tables up to n = 17, but for n = 9), n = 19
+# always among them.
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.sampled_from([3, 5, 7, 9, 11, 13, 19, 21, 33, 65]),

@@ -131,7 +131,8 @@ def _check_gamma_walks(pk, nonces):
     assert oracle.as_tuple(_y2(pk, d1[-1], d2[-1])) == oracle.gprod(params, walks)
 
 
-# every odd width: log/exp tables up to n = 17, byte tables above
+# every odd width: byte tables at n = 9 and above n = 17, log/exp tables
+# at the rest
 @pytest.mark.parametrize(
     "params",
     [*map(make_params, WIDTHS), FieldParams(65, 0x322A2D550DBD0CE07)],
