@@ -115,12 +115,13 @@ def attack1_bruteforce_ciphertext(
 
 def _coord_table(f, blocks, coord: int, ws=()) -> list[int]:
     """For every index in ``tau_inv``'s digit order, the sum of w_i*e[coord]
-    over the entries e it selects, w_i = ws[i] for the blocks ws reaches and
-    1 after them (a plain sum without ws): one multiply per weighted entry."""
+    over the entries e it selects, w_i = ws[i], prepared, for the blocks ws
+    reaches and 1 after them (a plain sum without ws): one multiply per
+    weighted entry."""
     table = [0]
     for i, block in enumerate(blocks):
         if i < len(ws):
-            vs = [f.mul(ws[i], e[coord]) for e in block]
+            vs = [f.fold(f.product(ws[i], e[coord])) for e in block]
             table = [x ^ v for v in vs for x in table]
         else:
             table = [x ^ e[coord] for e in block for x in table]
@@ -145,11 +146,11 @@ def attack2_bruteforce_nonce(pk: PublicKey, ct: Ciphertext) -> AttackResult:
         by_h.setdefault(h, []).append(r2)
     g1 = pk.gamma1.blocks
     bs = _coord_table(f, g1, 1, _suffix_products(f, [block[0][0] for block in g1[1:]]))
-    want, rest = f.mul(f.inv(ga), t), y2c ^ f.mul(t, p) ^ gc
+    want, rest = f.mul(f.inv(ga), t), y2c ^ f.fold(f.product(p, t)) ^ gc
     for r1 in (r for r, b in enumerate(bs) if b == want):
         entries = map(getitem, g1, tau_inv(pk.type1, r1))
         _, c = _fixed_a_walk(f, entries, pk.gamma1_k, pk.frob)
-        for r2 in by_h.get(rest ^ f.mul(k, c), ()):
+        for r2 in by_h.get(rest ^ f.fold(f.product(k, c)), ()):
             if _reproduces(pk, ct, nonce := SessionNonce(r1, r2)):
                 return AttackResult(nonce, r1 * q + r2 + 1, True, nonce)
     return AttackResult(None, q * q, False, None)

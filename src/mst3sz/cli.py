@@ -246,9 +246,11 @@ def _selftest_checks():
                 assert f.pow_2q0(a) == v
                 av = _mul_mod(v, a, m, q)
                 assert f.pow_2q0_plus_1(a) == av
-                assert f.dot2(a, b, v, a) == ab ^ av
+                # products by prepared factors: a and a^(2q0)
+                pa, pv = f.prepare(a), f.prepared_pow_2q0(a)
+                assert f.dot2(pa, b, pv, a) == ab ^ av
                 # a sum of products and a reduced addend, folded once
-                assert f.fold(f.product(a, b) ^ f.product(v, a) ^ b) == ab ^ av ^ b
+                assert f.fold(f.product(pa, b) ^ f.product(pv, a) ^ b) == ab ^ av ^ b
                 # q - 1, all ones, fills mul3's top lane to its last bit
                 assert f.mul3(a, b, v, q - 1) == (ab, av, _mul_mod(a, q - 1, m, q))
                 assert a == 0 or f.mul(a, f.inv(a)) == 1
@@ -272,7 +274,7 @@ def _selftest_checks():
                 assert prod.b == u1.b ^ u2.b
         # the u-factor law against the G.mul fold, from general starts: the
         # alpha entry (u1.b, u1.c, 0) has f1 image u1, and beta is u2.b
-        memo = scheme.Memo(p.pow_2q0)
+        memo = scheme.Memo(p.prepared_pow_2q0)
         for g in G.elements():
             for u1, u2 in zip(us[::9], us[::-7]):
                 fold = G.mul(G.mul(g, u1), GroupElement(1, u2.b, 0))

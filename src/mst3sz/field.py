@@ -22,18 +22,25 @@ so the two tables hold one int object per value (about 7 MB at n=17,
 against 10.5 MB for two sets).  Every other field:
 
 * One product routine and one reduction.  ``_product`` forms the
-  carry-less product with a 4-bit window of a (16 multiples of a per call,
-  one XOR and shift per nibble of b); ``_fold`` reduces it as a linear
-  map: r mod m = (r mod x^n) + L(r div x^n), L: h -> h*x^n mod m, whose
+  carry-less product of b by a prepared a: a's 4-bit window table (a
+  tuple of the 16 multiples of a, ``_nibbles``), read with one XOR and
+  shift per nibble of b.  ``_fold`` reduces it as a linear map:
+  r mod m = (r mod x^n) + L(r div x^n), L: h -> h*x^n mod m, whose
   column i is x^(n+i) mod m.  L is applied through 8-bit window tables
   (``_byte_tables``), so the cost is the same for every modulus, sparse or
-  dense.  mul is the fold of one product.  As the fold is linear,
+  dense.  mul prepares a and folds one product.  As the fold is linear,
   ``dot2`` = a*b + c*d folds the sum of two products once, and ``mul3`` =
-  (a*x, a*y, a*z) takes one product of a by x, y and z packed in 2n-bit
-  lanes of one int, then folds each lane; on the log/exp tables both are
-  plain table reads.  A longer sum of products is ``product`` by
+  (a*x, a*y, a*z) prepares x, y and z packed in 2n-bit lanes of one int,
+  takes one product by a, then folds each lane; on the log/exp tables both
+  are plain table reads.  A longer sum of products is ``product`` by
   ``product``, then one ``fold``: on the byte tables the carry-less
   product and ``_fold``, on the log/exp tables a table read and nothing.
+* Prepared factors.  ``product`` and ``dot2`` take their first factors
+  prepared (``prepare``, ``prepare_all``, ``prepared_pow_2q0`` and
+  ``prepared_pow_2q0_plus_1``), so a factor that is used many times, such
+  as a key's Frobenius image, builds its table once.  Preparing is the
+  table build mul does on every call; on the log/exp tables a prepared
+  factor is the element itself, and preparing adds no call per factor.
 * Frobenius powers x -> x^(2^k) are GF(2)-linear maps too, whose column i
   is (x^(2^k))^i; each k used gets its own byte tables on first use.
 * inv is the extended Euclidean algorithm.
@@ -185,6 +192,20 @@ def _byte_tables(cols: Sequence[int]) -> list[list[int]]:
     return tables
 
 
+def _nibbles(a: int) -> tuple[int, ...]:
+    """a prepared as a multiplicand off the log/exp tables: a*j for every
+    nibble j, carry-less."""
+    a2 = a << 1
+    a3 = a2 ^ a
+    a4 = a << 2
+    a5 = a4 ^ a
+    a6 = a4 ^ a2
+    a7 = a4 ^ a3
+    a8 = a << 3
+    return (0, a, a2, a3, a4, a5, a6, a7,
+            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+
+
 def is_irreducible(f: int) -> bool:
     """Ben-Or irreducibility test for a GF(2) polynomial given as bits."""
     n = f.bit_length() - 1
@@ -267,21 +288,12 @@ class FieldParams:
             if a == 0 or b == 0:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
-        return self._fold(self._product(a, b))
+        return self._fold(self._product(_nibbles(a), b))
 
-    def _product(self, a: int, b: int) -> int:
-        """The carry-less product of any a >= 0 and b < 2^n, unreduced."""
-        # t[j] = a*j for every nibble j; b is read a byte (two nibbles) at a
-        # time, top byte first
-        a2 = a << 1
-        a3 = a2 ^ a
-        a4 = a << 2
-        a5 = a4 ^ a
-        a6 = a4 ^ a2
-        a7 = a4 ^ a3
-        a8 = a << 3
-        t = [0, a, a2, a3, a4, a5, a6, a7,
-             a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7]
+    def _product(self, t: tuple[int, ...], b: int) -> int:
+        """The carry-less product of b < 2^n by a prepared a (t = a's nibble
+        table), unreduced; b is read a byte (two nibbles) at a time, top
+        byte first."""
         r = 0
         for y in b.to_bytes(self._nbytes, "big"):
             r = r << 8 ^ t[y >> 4] << 4 ^ t[y & 15]
@@ -394,9 +406,33 @@ class FieldParams:
             return self.mul(self.frob_pow(a, self.s + 1), a)
         return self._exp[self._log[a] * self._e % (self.q - 1)] if a else 0
 
-    def product(self, a: int, b: int) -> int:
-        """a*b for a sum of products: off the log/exp tables unreduced
-        (``_product``), so that the sum takes one ``fold``; on them one read."""
+    # -- prepared factors and the products by them -----------------------
+
+    def prepare(self, a: int):
+        """a as the first factor of ``product`` and ``dot2``: its nibble
+        table off the log/exp tables, a itself on them."""
+        return a if self._log is not None else _nibbles(a)
+
+    def prepare_all(self, xs) -> tuple:
+        """The tuple of the xs prepared; on the log/exp tables of the xs."""
+        return tuple(xs) if self._log is not None else tuple(map(_nibbles, xs))
+
+    def prepared_pow_2q0(self, a: int):
+        """a^(2q0), prepared: what the keys' Frobenius memos keep."""
+        if self._log is None:
+            return _nibbles(self.frob_pow(a, self.s + 1))
+        return self.frob_pow(a, self.s + 1)
+
+    def prepared_pow_2q0_plus_1(self, a: int):
+        """a^(2q0 + 1), prepared."""
+        if self._log is None:
+            return _nibbles(self.mul(self.frob_pow(a, self.s + 1), a))
+        return self._exp[self._log[a] * self._e % (self.q - 1)] if a else 0
+
+    def product(self, a, b: int) -> int:
+        """a*b for a prepared a, for a sum of products: off the log/exp
+        tables unreduced (``_product``), so that the sum takes one
+        ``fold``; on them one read."""
         log = self._log
         if log is None:
             return self._product(a, b)
@@ -407,8 +443,9 @@ class FieldParams:
         off the log/exp tables; on them r, which they keep reduced."""
         return r if self._log is not None else self._fold(r)
 
-    def dot2(self, a: int, b: int, c: int, d: int) -> int:
-        """a*b + c*d; off the log/exp tables the sum is reduced once."""
+    def dot2(self, a, b: int, c, d: int) -> int:
+        """a*b + c*d for prepared a and c; off the log/exp tables the sum is
+        reduced once."""
         log = self._log
         if log is None:
             return self._fold(self._product(a, b) ^ self._product(c, d))
@@ -418,12 +455,12 @@ class FieldParams:
 
     def mul3(self, a: int, x: int, y: int, z: int) -> tuple[int, int, int]:
         """(a*x, a*y, a*z).  Off the tables x, y and z ride in 2n-bit lanes
-        of one int through one pass over a; a lane's product has degree
-        <= 2n-2, so the lanes never overlap."""
+        of one int, prepared here, through one pass over a; a lane's product
+        has degree <= 2n-2, so the lanes never overlap."""
         log = self._log
         if log is None:
             w = 2 * self.n
-            r = self._product(x | y << w | z << 2 * w, a)
+            r = self._product(_nibbles(x | y << w | z << 2 * w), a)
             m = (1 << w) - 1
             return self._fold(r & m), self._fold(r >> w & m), self._fold(r >> 2 * w)
         if a == 0:

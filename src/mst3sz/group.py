@@ -11,9 +11,10 @@ which matches composition of the affine maps
 
 in the order "apply g1's map first, then g2's"; the package uses only the
 law, never a map on points.  The law lives in ``step``, which takes the
-right factor as its ``terms`` (a2, b2, c2, a2^(2q0+1), b2^(2q0)) and forms
-t = a2*b1 once for both the b and the c coordinate: 4 field multiplies,
-c's two summed by one ``dot2``, and no Frobenius map.
+right factor as its ``terms`` (a2, b2, c2, a2^(2q0+1), b2^(2q0)), the last
+two prepared (``FieldParams.prepare``), and forms t = a2*b1 once for both
+the b and the c coordinate: 4 field multiplies, c's two summed by one
+``dot2`` by the prepared terms, and no Frobenius map.
 ``mul`` is ``step`` with g2's terms, so it costs 5 multiplies (one inside
 a2^(2q0+1)) and 2 Frobenius maps; a caller that multiplies many elements
 by one right factor takes its terms once.  The group has order
@@ -96,11 +97,12 @@ class SuzukiGroup:
     def __hash__(self) -> int:
         return hash(("SuzukiGroup", self.params))
 
-    def terms(self, g: GroupElement) -> tuple[int, int, int, int, int]:
-        """(a, b, c, a^(2q0+1), b^(2q0)): g as a right factor of ``step``."""
+    def terms(self, g: GroupElement) -> tuple:
+        """(a, b, c, a^(2q0+1), b^(2q0)), the last two prepared: g as a
+        right factor of ``step``."""
         f = self.params
         a, b, c = g
-        return a, b, c, f.pow_2q0_plus_1(a), f.pow_2q0(b)
+        return a, b, c, f.prepared_pow_2q0_plus_1(a), f.prepared_pow_2q0(b)
 
     def step(self, g1: GroupElement, terms) -> GroupElement:
         """g1 * g2 for g2's ``terms``: the group law."""
@@ -108,7 +110,7 @@ class SuzukiGroup:
         a1, b1, c1 = g1
         a2, b2, c2, k2, p2 = terms
         t = f.mul(a2, b1)
-        return GroupElement(f.mul(a1, a2), t ^ b2, f.dot2(k2, c1, t, p2) ^ c2)
+        return GroupElement(f.mul(a1, a2), t ^ b2, f.dot2(k2, c1, p2, t) ^ c2)
 
     def mul(self, g1: GroupElement, g2: GroupElement) -> GroupElement:
         return self.step(g1, self.terms(g2))

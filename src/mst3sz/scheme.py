@@ -41,24 +41,27 @@ encryption) and step through the entries the digits select,
 The group law needs x^(2q0) of a right factor's coordinates, and a cover
 entry is a right factor of every walk that selects it, so each key keeps
 one Frobenius memo, ``frob``, a ``Memo`` that maps a coordinate x of its
-own entries to x^(2q0) and fills itself: the first lookup of x computes
-the image and every later one reads it.  Threads may share the memo.  It
+own entries to x^(2q0), prepared as a factor (``FieldParams.prepare``),
+and fills itself: the first lookup of x computes the image and every
+later one reads it.  Threads may share the memo.  It
 starts empty when the key is built and is never serialized; keygen then
 hands its keys the images its gamma1 u factors mapped, of every alpha1 a
 and beta1 entry.  The walks look up only the key's own cover and beta1
 coordinates, so no ciphertext can grow it.  Per selected entry, with the
-reductions a field off the log/exp tables makes:
+reductions a field off the log/exp tables makes, and the prepared factors
+it multiplies by:
 
-    walk                        multiplies  reductions  images it reads
+    walk                        multiplies  reductions  prepared factors
     y1's mask (_y1_mask)            5           4       a^(2q0), b^(2q0)
-    gamma1 in y2 (_fixed_a_walk)    3           2       b^(2q0)
+    gamma1 in y2 (_fixed_a_walk)    3           2       b^(2q0), the key's gamma1_k
     y3 (_y3)                        1           -       a^(2q0) of the alpha1 entry
     U in decryption (_u_walk)       2           -       the same, and beta^(2q0)
-    gamma2 in y2 (_y2)              1           -       none; the key's weights
+    gamma2 in y2 (_y2)              1           -       the key's gamma2_weights
 
 A walk marked - adds its products unreduced (``FieldParams.product``) and
 reduces the sum once (``fold``), as reduction is GF(2)-linear.  Each image
-costs one Frobenius map, once per key.
+costs one Frobenius map, once per key.  Every other product of a walk
+step, and the mask's ``mul3``, prepares its factor per call.
 
 The first entry of a walk is its start, not a step: y1's mask walks
 alpha1's blocks and then alpha2's, so alpha2's first entry is a step; U
@@ -182,6 +185,8 @@ class PublicKey:
     of the gamma2 blocks' (a, b, 0), walked by ``_fixed_a_walk``; and
     ``gamma2_weights``, K_i = k_(i+1)*...*k_(s-1) for every gamma2 block
     but the last, whose K is 1, with k_j = a^(2q0+1) of gamma2 block j.
+    ``gamma1_k``, ``gamma2_weights`` and the step terms' a^(2q0+1) and
+    b^(2q0) are prepared factors (``FieldParams.prepare``).
     """
 
     group: SuzukiGroup
@@ -232,11 +237,11 @@ class PublicKey:
         f = self.group.params
         k2 = tuple(map(f.pow_2q0_plus_1, a2[1:]))
         # each head is stepped by once, here, so its b^(2q0) is not kept
-        b, c = _fixed_a_walk(f, heads, k2, Memo(f.pow_2q0))
+        b, c = _fixed_a_walk(f, heads, f.prepare_all(k2), Memo(f.prepared_pow_2q0))
         for name, value in (
-            ("frob", Memo(f.pow_2q0)),
+            ("frob", Memo(f.prepared_pow_2q0)),
             ("gamma1_a", reduce(f.mul, a1)),
-            ("gamma1_k", tuple(map(f.pow_2q0_plus_1, a1[1:]))),
+            ("gamma1_k", tuple(map(f.prepared_pow_2q0_plus_1, a1[1:]))),
             ("gamma2_base", self.group.terms(GroupElement(reduce(f.mul, a2), b, c))),
             ("gamma2_weights", _suffix_products(f, k2)),
         ):
@@ -270,7 +275,7 @@ class PrivateKey:
     def __post_init__(self):
         group = self.group
         object.__setattr__(self, "chain2_inv", group.terms(group.inv(self.chain2[-1])))
-        object.__setattr__(self, "frob", Memo(group.params.pow_2q0))
+        object.__setattr__(self, "frob", Memo(group.params.prepared_pow_2q0))
 
 
 @dataclass(frozen=True)
@@ -284,8 +289,9 @@ class Ciphertext:
 def _suffix_products(f: FieldParams, ks) -> tuple[int, ...]:
     """(k_1*...*k_t, k_2*...*k_t, ..., k_t) for ks = (k_1, ..., k_t): the
     weight of each block but the last in a sum that a Horner walk
-    x <- k_i*x + e_i forms, k_i taken at block i.  t - 1 multiplies."""
-    return tuple(accumulate(reversed(ks), f.mul))[::-1]
+    x <- k_i*x + e_i forms, k_i taken at block i, prepared.  t - 1
+    multiplies."""
+    return f.prepare_all(accumulate(reversed(ks), f.mul))[::-1]
 
 
 def _random_masking_element(group: SuzukiGroup, rng) -> tuple[int, int, int]:
@@ -311,7 +317,7 @@ def _masked_cover(
         for pair in zip(ablock, bblock):
             ub, uc = _u_walk(f, b, c, (pair,), p, beta_p)
             t = f.mul(a2, ub)
-            block.append((a, t ^ b2, f.dot2(k2, uc, t, p2) ^ c2))
+            block.append((a, t ^ b2, f.dot2(k2, uc, p2, t) ^ c2))
         blocks.append(tuple(block))
     return Cover(alpha.type, tuple(blocks))
 
@@ -330,10 +336,10 @@ def _masked_central_cover(
     for i, (ablock, bblock) in enumerate(zip(alpha.blocks, beta.blocks)):
         right = group.terms(chain[i + 1])
         ea, eb, ec = group.step(group.inv(chain[i]), right)
-        k = right[3]  # t_i.a^(2q0+1)
+        k = right[3]  # t_i.a^(2q0+1), prepared
         blocks.append(
             tuple(
-                (ea, eb, ec ^ f.mul(k, ab ^ b))
+                (ea, eb, ec ^ f.fold(f.product(k, ab ^ b)))
                 for (_, ab, _), b in zip(ablock, bblock)
             )
         )
@@ -369,7 +375,7 @@ def keygen(
     # gamma1's u factors map every alpha1 a and beta1 entry, the images
     # the keys' walks read: beta1's straight into sk.frob
     sk = PrivateKey(group, beta1, beta2, chain1, chain2)
-    p = Memo(params.pow_2q0)
+    p = Memo(params.prepared_pow_2q0)
     gamma1 = _masked_cover(group, alpha1, beta1, chain1, p, sk.frob)
     gamma2 = _masked_central_cover(group, alpha2, beta2, chain2)
 
@@ -403,7 +409,7 @@ def _y1_mask(pk: PublicKey, d1, d2) -> GroupElement:
     entries = map(getitem, pk.alpha1.blocks + pk.alpha2.blocks, d1 + d2)
     a, b, c = next(entries)
     for a2, b2, c2 in entries:
-        a, t, c = f.mul3(a2, a, b, f.dot2(p[a2], c, b, p[b2]))
+        a, t, c = f.mul3(a2, a, b, f.dot2(p[a2], c, p[b2], b))
         c ^= c2
         b = t ^ b2
     return GroupElement(a, b, c)
@@ -417,13 +423,13 @@ def _fixed_a_walk(f: FieldParams, entries, ks, p) -> tuple[int, int]:
         b <- t + b2;  c <- k*c + t*b2^(2q0) + c2
 
     with k = a2^(2q0+1) taken from ``ks``, one per entry after the first,
-    and b2^(2q0) from the ``Memo`` ``p``: 3 multiplies, c's two by one
-    ``dot2``."""
+    and b2^(2q0) from the ``Memo`` ``p``, both prepared: 3 multiplies, c's
+    two by one ``dot2``."""
     entries = iter(entries)
     _, b, c = next(entries)
     for (a2, b2, c2), k in zip(entries, ks):
         t = f.mul(a2, b)
-        c = f.dot2(k, c, t, p[b2]) ^ c2
+        c = f.dot2(k, c, p[b2], t) ^ c2
         b = t ^ b2
     return b, c
 

@@ -1092,6 +1092,18 @@ def _wrong_fold(monkeypatch):
     )
 
 
+def _wrong_prepared_entry(monkeypatch):
+    # n = 19 has no log/exp tables, so a prepared factor is its nibble
+    # table; entry 5, a*5, comes out wrong
+    right = FieldParams.prepare
+
+    def wrong(self, a):
+        t = right(self, a)
+        return t[:5] + (t[5] ^ 1,) + t[6:] if self.n == 19 else t
+
+    monkeypatch.setattr(FieldParams, "prepare", wrong)
+
+
 def _wrong_u_walk(monkeypatch):
     import mst3sz.scheme as scheme_module
 
@@ -1110,10 +1122,11 @@ def _wrong_u_walk(monkeypatch):
         (_wrong_windowed_inverse, "field arithmetic routes agree"),
         (_wrong_mul3_lane, "field arithmetic routes agree"),
         (_wrong_fold, "field arithmetic routes agree"),
+        (_wrong_prepared_entry, "field arithmetic routes agree"),
         # keygen and decrypt share the wrong law, so the round trips pass
         (_wrong_u_walk, "f2 homomorphism on (1,b,c) pairs"),
     ],
-    ids=["windowed-inverse", "mul3-lane", "fold", "u-walk"],
+    ids=["windowed-inverse", "mul3-lane", "fold", "prepared-entry", "u-walk"],
 )
 def test_cli_selftest_catches_fault(monkeypatch, capsys, fault, failing):
     fault(monkeypatch)

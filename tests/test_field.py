@@ -206,9 +206,41 @@ def test_primitives_match_oracle(n, modulus):
     # a lane too narrow for it would bleed into the next
     values = [0, 1, p.q - 1, *(p.random_nonzero(rng) for _ in range(3))]
     want = {(a, b): oracle.mul(a, b, mod) for a, b in product(values, repeat=2)}
+    prepared = {a: p.prepare(a) for a in values}
     for a, b, c, d in product(values, repeat=4):
-        assert p.dot2(a, b, c, d) == want[a, b] ^ want[c, d]
+        assert p.dot2(prepared[a], b, prepared[c], d) == want[a, b] ^ want[c, d]
         assert p.mul3(a, b, c, d) == (want[a, b], want[a, c], want[a, d])
+
+
+@pytest.mark.parametrize("n,modulus", DIFFERENTIAL_FIELDS)
+def test_prepared_products_match_oracle(n, modulus):
+    # a product by a prepared factor: 0, 1, q-1 and random factors by the
+    # same operands; one prepared factor reused 100 times; dot2 by two
+    # prepared factors; and the prepared Frobenius images the keys keep
+    p = FieldParams(n, modulus)
+    mod, top = p.modulus, p.q - 1
+    rng = random.Random(f"prepared/{mod}")
+    values = [0, 1, top, *(p.random_nonzero(rng) for _ in range(3))]
+    for a in values:
+        pa = p.prepare(a)
+        assert p.prepare_all([a]) == (pa,)
+        for b in values:
+            assert p.fold(p.product(pa, b)) == oracle.mul(a, b, mod)
+    pa = p.prepare(p.random_nonzero(rng))
+    a = p.fold(p.product(pa, 1))
+    for _ in range(100):
+        b = p.random_element(rng)
+        assert p.fold(p.product(pa, b)) == oracle.mul(a, b, mod)
+    for _ in range(20):
+        a, b, c, d = (rng.choice(values) if rng.random() < 0.3 else p.random_element(rng)
+                      for _ in range(4))
+        want = oracle.mul(a, b, mod) ^ oracle.mul(c, d, mod)
+        assert p.dot2(p.prepare(a), b, p.prepare(c), d) == want
+        assert p.prepared_pow_2q0(a) == p.prepare(oracle.pow_(a, 2 * p.q0, mod))
+        assert p.prepared_pow_2q0_plus_1(a) == p.prepare(oracle.pow_(a, 2 * p.q0 + 1, mod))
+    # on the log/exp tables a prepared factor is the element itself
+    if p._log is not None:
+        assert p.prepare(a) == a and p.prepare_all(values) == tuple(values)
 
 
 @pytest.mark.parametrize("n,modulus", DIFFERENTIAL_FIELDS)
@@ -222,7 +254,7 @@ def test_sums_of_products_fold_once(n, modulus):
     rng = random.Random(f"fold/{mod}")
     values = [0, 1, top, *(p.random_nonzero(rng) for _ in range(3))]
     for a, b in product(values, repeat=2):
-        assert p.fold(p.product(a, b)) == oracle.mul(a, b, mod)
+        assert p.fold(p.product(p.prepare(a), b)) == oracle.mul(a, b, mod)
     k = 2 * covering_type(n).s
     for pairs in (
         [(top, top)] + [(p.random_nonzero(rng), top) for _ in range(k - 1)],
@@ -230,7 +262,7 @@ def test_sums_of_products_fold_once(n, modulus):
     ):
         r = want = p.random_element(rng)
         for a, b in pairs:
-            r ^= p.product(a, b)
+            r ^= p.product(p.prepare(a), b)
             want ^= oracle.mul(a, b, mod)
         assert p.fold(r) == want
 

@@ -1,22 +1,24 @@
 """The keys' Frobenius memos, filled by the walks on first use.
 
-A key maps each coordinate x a walk steps by to x^(2q0) the first time a
-walk meets it and reads the image on every later walk.  These tests hold
+A key maps each coordinate x a walk steps by to x^(2q0), prepared, the
+first time a walk meets it and reads the image on every later walk.  These tests hold
 the memoized walks to the independent reference at every width, cold and
 warm, hold each op's field work at every width to one cost model whose
 terms name the walks, pin what a cold op adds to the memos, on keys with
 empty memos and on keys that keep the images keygen mapped, fill a key's
 memo on the field it was moved to, share one cold key between threads,
-and check that decrypting any ciphertext adds only the key's own
-coordinates.
+check that decrypting any ciphertext adds only the key's own
+coordinates, and free fields and keys without the cycle collector.
 """
 
 import dataclasses
 import functools
+import gc
 import os
 import random
 import sys
 import threading
+import weakref
 from itertools import chain, count, product
 from operator import getitem
 
@@ -71,9 +73,9 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
     for keys in (fresh, lambda: (pk, sk), lambda: (pk, sk)):
         for nonce, want in zip(nonces, wants):
             check(keys, nonce, want)
-    # every memo entry maps x to x^(2q0)
+    # every memo entry maps x to x^(2q0), prepared
     for key in (pk, sk):
-        assert key.frob and all(p == params.pow_2q0(x) for x, p in key.frob.items())
+        assert key.frob and all(p == params.prepare(params.pow_2q0(x)) for x, p in key.frob.items())
 
     # the memos stay out of equality and of the bytes, and a replaced key
     # starts with an empty one of its own
@@ -162,6 +164,18 @@ def assert_cost(f, op, fills):
     got = tuple(f.calls[k] for k in ("mul", "dot2", "fold", "frob", "inv"))
     what = "multiplies, dot2s, reductions, Frobenius maps and inverses"
     assert got == want, f"{op} at n={f.n}: {what} {got}, model {want} with walks {walks}"
+
+
+@pytest.mark.parametrize("n", [17, 65])
+def test_prepared_products_count_as_multiplies(n):
+    # the cost model counts a product by a prepared factor as a multiply
+    # and preparing as none, on the log/exp tables (n=17) and off them
+    f = CountingField(n)
+    a, (c,) = f.prepare(3), f.prepare_all([5])
+    assert not f.calls
+    f.fold(f.product(a, 7))
+    f.dot2(a, 7, c, 9)
+    assert (f.calls["mul"], f.calls["dot2"], f.calls["fold"]) == (3, 1, 2 * (n == 65))
 
 
 def first_use_fills(pk, sk, nonce, kept=(frozenset(), frozenset())):
@@ -270,7 +284,7 @@ def test_keys_from_keygen_keep_its_images(n):
     kept = {a for block in pk.alpha1.blocks for a, _, _ in block}, set(chain(*sk.beta1.blocks))
     for key, images in zip((pk, sk), kept):
         assert set(key.frob) == images
-        assert all(p == f.pow_2q0(x) for x, p in key.frob.items())
+        assert all(p == f.prepare(f.pow_2q0(x)) for x, p in key.frob.items())
     blobs = codec.serialize_public_key(pk), codec.serialize_private_key(sk)
     for key in (*map(dataclasses.replace, (pk, sk)), codec.parse_public_key(blobs[0]),
                 codec.parse_private_key(blobs[1])):
@@ -411,3 +425,31 @@ def test_memos_hold_only_the_keys_coordinates():
     for memo, allowed in ((pk.frob, public), (sk.frob, private)):
         assert memo and memo.keys() <= set(allowed)
         assert len(memo) <= len(allowed)
+
+
+def test_fields_and_keys_free_without_the_cycle_collector():
+    # nothing a field or a key keeps may refer back to it, a bound method
+    # of the field stored on the field included: with the collector off,
+    # reference counting alone must free every one on del
+    gc.disable()
+    try:
+        refs = []
+        for n in (17, 65):
+            f = FieldParams(n)
+            if n == 17:
+                assert f._log is not None  # the one with log/exp tables
+            pk, sk = keygen(f, rng=random.Random(n))
+            rng = random.Random(n + 1)
+            m = SuzukiGroup(f).random_element(rng)
+            assert decrypt(pk, sk, encrypt(pk, m, random_nonce(f, rng))) == m
+            refs += map(weakref.ref, (f, pk, sk))
+            if n == 17:
+                parsed_pk = codec.parse_public_key(codec.serialize_public_key(pk))
+                parsed_sk = codec.parse_private_key(codec.serialize_private_key(sk))
+                assert decrypt(parsed_pk, parsed_sk, encrypt(parsed_pk, m, (1, 2))) == m
+                refs += map(weakref.ref, (parsed_pk, parsed_sk))
+                del parsed_pk, parsed_sk
+            del f, pk, sk, m
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -103,7 +103,8 @@ def test_step_on_terms_is_mul(n, modulus):
         a, b, c = g2
         k = oracle.pow_(a, 2 * p.q0 + 1, p.modulus)
         terms = g.terms(g2)
-        assert terms == (a, b, c, k, oracle.pow_(b, 2 * p.q0, p.modulus))
+        # a^(2q0+1) and b^(2q0) come prepared, as step's dot2 takes them
+        assert terms == (a, b, c, *p.prepare_all((k, oracle.pow_(b, 2 * p.q0, p.modulus))))
         want = oracle.gmul(p, oracle.as_tuple(g1), oracle.as_tuple(g2))
         assert oracle.as_tuple(g.step(g1, terms)) == oracle.as_tuple(g.mul(g1, g2)) == want
 
@@ -164,7 +165,7 @@ def test_right_factor_laws_match_oracle(n, modulus):
     rng = random.Random(n)
     starts = list(g.elements()) if n == 3 else [rand_el(rng, g) for _ in range(20)]
     # one pair of memos for every walk, so later walks read kept images
-    memo, beta_memo = Memo(p.pow_2q0), Memo(p.pow_2q0)
+    memo, beta_memo = Memo(p.prepared_pow_2q0), Memo(p.prepared_pow_2q0)
     for start in starts:
         # (alpha entry, beta entry) pairs, about half of the betas 0
         pairs = [
