@@ -274,7 +274,7 @@ def _selftest_checks():
                 assert prod.b == u1.b ^ u2.b
         # the u-factor law against the G.mul fold, from general starts: the
         # alpha entry (u1.b, u1.c, 0) has f1 image u1, and beta is u2.b
-        memo = scheme.Memo(p.prepared_pow_2q0)
+        memo = scheme.Memo(p.frob_fill())
         for g in G.elements():
             for u1, u2 in zip(us[::9], us[::-7]):
                 fold = G.mul(G.mul(g, u1), GroupElement(1, u2.b, 0))

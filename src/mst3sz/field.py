@@ -37,10 +37,11 @@ against 10.5 MB for two sets).  Every other field:
   product and ``_fold``, on the log/exp tables a table read and nothing.
 * Prepared factors.  ``product`` and ``dot2`` take their first factors
   prepared (``prepare``, ``prepare_all``, ``prepared_pow_2q0`` and
-  ``prepared_pow_2q0_plus_1``), so a factor that is used many times, such
-  as a key's Frobenius image, builds its table once.  Preparing is the
-  table build mul does on every call; on the log/exp tables a prepared
-  factor is the element itself, and preparing adds no call per factor.
+  ``prepared_pow_2q0_plus_1``; the keys' memos fill by ``frob_fill``), so
+  a factor that is used many times, such as a key's Frobenius image,
+  builds its table once.  Preparing is the table build mul does on every
+  call; on the log/exp tables a prepared factor is the element itself,
+  and preparing adds no call per factor.
 * Frobenius powers x -> x^(2^k) are GF(2)-linear maps too, whose column i
   is (x^(2^k))^i; each k used gets its own byte tables on first use.
 * inv is the extended Euclidean algorithm.
@@ -418,10 +419,17 @@ class FieldParams:
         return tuple(xs) if self._log is not None else tuple(map(_nibbles, xs))
 
     def prepared_pow_2q0(self, a: int):
-        """a^(2q0), prepared: what the keys' Frobenius memos keep."""
+        """a^(2q0), prepared."""
         if self._log is None:
             return _nibbles(self.frob_pow(a, self.s + 1))
         return self.frob_pow(a, self.s + 1)
+
+    def frob_fill(self):
+        """The fill of the keys' Frobenius memos, x -> x^(2q0) prepared:
+        ``prepared_pow_2q0``, or on the log/exp tables ``pow_2q0``, the same
+        values without its branch.  A new bound method each call: the field
+        keeps none, which would refer back to it."""
+        return self.pow_2q0 if self._log is not None else self.prepared_pow_2q0
 
     def prepared_pow_2q0_plus_1(self, a: int):
         """a^(2q0 + 1), prepared."""

@@ -237,9 +237,9 @@ class PublicKey:
         f = self.group.params
         k2 = tuple(map(f.pow_2q0_plus_1, a2[1:]))
         # each head is stepped by once, here, so its b^(2q0) is not kept
-        b, c = _fixed_a_walk(f, heads, f.prepare_all(k2), Memo(f.prepared_pow_2q0))
+        b, c = _fixed_a_walk(f, heads, f.prepare_all(k2), Memo(f.frob_fill()))
         for name, value in (
-            ("frob", Memo(f.prepared_pow_2q0)),
+            ("frob", Memo(f.frob_fill())),
             ("gamma1_a", reduce(f.mul, a1)),
             ("gamma1_k", tuple(map(f.prepared_pow_2q0_plus_1, a1[1:]))),
             ("gamma2_base", self.group.terms(GroupElement(reduce(f.mul, a2), b, c))),
@@ -275,7 +275,7 @@ class PrivateKey:
     def __post_init__(self):
         group = self.group
         object.__setattr__(self, "chain2_inv", group.terms(group.inv(self.chain2[-1])))
-        object.__setattr__(self, "frob", Memo(group.params.prepared_pow_2q0))
+        object.__setattr__(self, "frob", Memo(group.params.frob_fill()))
 
 
 @dataclass(frozen=True)
@@ -375,7 +375,7 @@ def keygen(
     # gamma1's u factors map every alpha1 a and beta1 entry, the images
     # the keys' walks read: beta1's straight into sk.frob
     sk = PrivateKey(group, beta1, beta2, chain1, chain2)
-    p = Memo(params.prepared_pow_2q0)
+    p = Memo(params.frob_fill())
     gamma1 = _masked_cover(group, alpha1, beta1, chain1, p, sk.frob)
     gamma2 = _masked_central_cover(group, alpha2, beta2, chain2)
 

@@ -237,6 +237,7 @@ def test_prepared_products_match_oracle(n, modulus):
         want = oracle.mul(a, b, mod) ^ oracle.mul(c, d, mod)
         assert p.dot2(p.prepare(a), b, p.prepare(c), d) == want
         assert p.prepared_pow_2q0(a) == p.prepare(oracle.pow_(a, 2 * p.q0, mod))
+        assert p.frob_fill()(a) == p.prepared_pow_2q0(a)
         assert p.prepared_pow_2q0_plus_1(a) == p.prepare(oracle.pow_(a, 2 * p.q0 + 1, mod))
     # on the log/exp tables a prepared factor is the element itself
     if p._log is not None:

@@ -165,7 +165,7 @@ def test_right_factor_laws_match_oracle(n, modulus):
     rng = random.Random(n)
     starts = list(g.elements()) if n == 3 else [rand_el(rng, g) for _ in range(20)]
     # one pair of memos for every walk, so later walks read kept images
-    memo, beta_memo = Memo(p.prepared_pow_2q0), Memo(p.prepared_pow_2q0)
+    memo, beta_memo = Memo(p.frob_fill()), Memo(p.frob_fill())
     for start in starts:
         # (alpha entry, beta entry) pairs, about half of the betas 0
         pairs = [

@@ -258,7 +258,7 @@ def test_image_products_match_oracle():
     pk, _ = make_key(12)
     # y3, the product of the f1 images of the alpha1 entries R1 selects; and
     # each cover's f1 image product as u factors with beta = 0, from (0, 0)
-    memo = Memo(P3.prepared_pow_2q0)
+    memo = Memo(P3.frob_fill())
     for cover in (pk.alpha1, pk.alpha2):
         f1_blocks = [[(1, g[0], g[1]) for g in blk] for blk in cover.blocks]
         for r in range(P3.q):
