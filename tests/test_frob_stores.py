@@ -1,13 +1,13 @@
 """The keys' Frobenius memos, filled by the walks on first use.
 
 A key maps each coordinate x a walk steps by to x^(2q0), prepared, the
-first time a walk meets it and reads the image on every later walk.  These tests hold
-the memoized walks to the independent reference at every width, cold and
-warm, hold each op's field work at every width to one cost model whose
-terms name the walks, pin what a cold op adds to the memos, on keys with
-empty memos and on keys that keep the images keygen mapped, fill a key's
-memo on the field it was moved to, share one cold key between threads,
-check that decrypting any ciphertext adds only the key's own
+first time a walk meets it and reads the image on every later walk.  These
+tests hold the memoized walks to the independent reference at every width,
+cold and warm, hold each op's field work at every width to one cost model
+whose terms name the walks, pin what a cold op adds to the memos, on keys
+with empty memos and on keys that keep the images keygen mapped, fill a
+key's memo on the field it was moved to, share one cold key between
+threads, check that decrypting any ciphertext adds only the key's own
 coordinates, and free fields and keys without the cycle collector.
 """
 
@@ -75,7 +75,8 @@ def test_stored_walks_match_oracle_cold_and_warm(n, modulus, monkeypatch):
             check(keys, nonce, want)
     # every memo entry maps x to x^(2q0), prepared
     for key in (pk, sk):
-        assert key.frob and all(p == params.prepare(params.pow_2q0(x)) for x, p in key.frob.items())
+        assert key.frob
+        assert all(p == params.prepare(params.pow_2q0(x)) for x, p in key.frob.items())
 
     # the memos stay out of equality and of the bytes, and a replaced key
     # starts with an empty one of its own
